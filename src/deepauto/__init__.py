@@ -9,7 +9,7 @@ synthetic data generator, and a streaming prediction service.
 from . import (cli, dataprep, evaluation, model, neuralnet, pipeline, spatial,
                stream, synthgen)
 from .errors import (ConfigError, DataError, DeepAutoError, ModelFormatError,
-                     ShapeError, TrainingDiverged)
+                     OutOfRangeError, ShapeError, TrainingDiverged)
 
 __version__ = "0.1.0"
 
@@ -17,5 +17,5 @@ __all__ = [
     "cli", "dataprep", "evaluation", "model", "neuralnet", "pipeline",
     "spatial", "stream", "synthgen",
     "ConfigError", "DataError", "DeepAutoError", "ModelFormatError",
-    "ShapeError", "TrainingDiverged",
+    "OutOfRangeError", "ShapeError", "TrainingDiverged",
 ]

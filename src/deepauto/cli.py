@@ -108,7 +108,7 @@ def cmd_train(args):
     params, report = model_mod.train(train_s, val_s, config)
 
     test_arrays = model_mod.samples_to_arrays(test_s, config)
-    yhat, _ = model_mod.forward_batch(test_arrays, params, config)
+    yhat, _ = model_mod.forward_batch(test_arrays, params, config, cache=False)
     Y = test_arrays["target"]
     if config.output_kind == "horizons":
         report.test_metrics = {
@@ -160,7 +160,7 @@ def cmd_evaluate(args):
         _, _, test_s, _ = pipeline.prepare_pdf_dataset(records, config.window,
                                                        args.step_seconds or 300)
         arrays = model_mod.samples_to_arrays(test_s, config)
-        yhat, _ = model_mod.forward_batch(arrays, params, config)
+        yhat, _ = model_mod.forward_batch(arrays, params, config, cache=False)
         naive = np.stack([s.x_recent[-1] for s in test_s])
         report = {"rows": [
             {"algorithm": "deepauto", "kl": evaluation.kl_eval(arrays["target"], yhat)},
@@ -174,7 +174,7 @@ def cmd_evaluate(args):
         series, config.window, config.horizons, config.target_channel)
     arrays = model_mod.samples_to_arrays(test_s, config)
     Y = arrays["target"]
-    yhat, _ = model_mod.forward_batch(arrays, params, config)
+    yhat, _ = model_mod.forward_batch(arrays, params, config, cache=False)
 
     tgt = test_s[0].cell_id  # target channel column within the window
     col = series[tgt].channel_index(config.target_channel)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, OutOfRangeError, ShapeError
 
 TOPICS = ("load", "ue", "rsrq")
 RSRQ_BINS = 35
@@ -30,7 +30,8 @@ EXTERNAL_DIM = 14
 
 
 def parse_record(line):
-    """Parse one NDJSON measurement line; raises DataError on bad input."""
+    """Parse one NDJSON measurement line; raises DataError on bad input,
+    OutOfRangeError (a DataError) on a value outside its topic's range."""
     try:
         rec = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -51,11 +52,11 @@ def parse_record(line):
         raise DataError("value must be a finite number")
     if topic == "rsrq":
         if value != int(value) or not 0 <= value <= RSRQ_BINS - 1:
-            raise DataError(f"rsrq value out of range: {value}")
+            raise OutOfRangeError(f"rsrq value out of range: {value}")
     if topic == "load" and not 0.0 <= value <= 1.0:
-        raise DataError(f"load value out of range: {value}")
+        raise OutOfRangeError(f"load value out of range: {value}")
     if topic == "ue" and value < 0:
-        raise DataError(f"ue count negative: {value}")
+        raise OutOfRangeError(f"ue count negative: {value}")
     return {"topic": topic, "cell": cell, "ts": ts, "value": float(value)}
 
 

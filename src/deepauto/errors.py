@@ -17,6 +17,10 @@ class DataError(DeepAutoError):
     """Malformed or insufficient input data."""
 
 
+class OutOfRangeError(DataError):
+    """A well-formed record whose value lies outside its topic's range."""
+
+
 class ModelFormatError(DeepAutoError):
     """Model file is corrupt, truncated, or has an unknown version."""
 

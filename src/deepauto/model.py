@@ -144,11 +144,6 @@ class DeepAutoParams:
                    ext_net=ext_net, fusion_net=fusion_net)
 
 
-def _none_safe_leaves(params):
-    for name, arr in nn.param_leaves(params):
-        yield name, arr
-
-
 # ---------------------------------------------------------------------------
 # batch assembly
 
@@ -181,40 +176,47 @@ def samples_to_arrays(samples, config):
 # forward / backward
 
 
-def forward_batch(arrays, params, config):
-    """Run the full network on stacked inputs; returns (Yhat, caches)."""
+def forward_batch(arrays, params, config, cache=True):
+    """Run the full network on stacked inputs; returns (Yhat, caches).
+
+    With `cache=False` (inference) the LSTM branches keep no per-step state
+    and caches is None; Yhat is bit-identical to the cached pass.
+    """
     parts, caches = [], {}
-    state, caches["recent"] = nn.lstm_forward_sequence(arrays["recent"], params.lstm_r)
+    state, caches["recent"] = nn.lstm_forward_sequence(arrays["recent"], params.lstm_r,
+                                                       cache=cache)
     parts.append(state.h)
     if config.window.n_p > 0:
-        state, caches["periodic"] = nn.lstm_forward_sequence(arrays["periodic"], params.lstm_p)
+        state, caches["periodic"] = nn.lstm_forward_sequence(arrays["periodic"], params.lstm_p,
+                                                             cache=cache)
         parts.append(state.h)
     if config.window.n_s > 0:
-        state, caches["seasonal"] = nn.lstm_forward_sequence(arrays["seasonal"], params.lstm_s)
+        state, caches["seasonal"] = nn.lstm_forward_sequence(arrays["seasonal"], params.lstm_s,
+                                                             cache=cache)
         parts.append(state.h)
     if config.use_external:
         h = arrays["external"]
         ext_caches = []
         for layer in params.ext_net:
-            h, cache = nn.dense_forward(h, layer)
-            ext_caches.append(cache)
+            h, layer_cache = nn.dense_forward(h, layer)
+            ext_caches.append(layer_cache)
         caches["ext"] = ext_caches
         parts.append(h)
     fused = np.concatenate(parts, axis=1)
     fusion_caches = []
     h = fused
     for layer in params.fusion_net:
-        h, cache = nn.dense_forward(h, layer)
-        fusion_caches.append(cache)
+        h, layer_cache = nn.dense_forward(h, layer)
+        fusion_caches.append(layer_cache)
     caches["fusion"] = fusion_caches
     caches["parts"] = [p.shape[1] for p in parts]
-    return h, caches
+    return h, (caches if cache else None)
 
 
 def forward(sample, params, config):
     """Single-sample prediction; shares the batch code path (batch of 1)."""
     arrays = samples_to_arrays([sample], config)
-    yhat, _ = forward_batch(arrays, params, config)
+    yhat, _ = forward_batch(arrays, params, config, cache=False)
     return yhat[0]
 
 
@@ -241,17 +243,20 @@ def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
     slices = [d_fused[:, offsets[k]:offsets[k + 1]] for k in range(len(caches["parts"]))]
     idx = 0
 
-    g, _, _, _ = nn.lstm_backward_sequence(caches["recent"], slices[idx], params.lstm_r)
+    g, _, _, _ = nn.lstm_backward_sequence(caches["recent"], slices[idx], params.lstm_r,
+                                           need_dx=False)
     for name, arr in nn.param_leaves(g):
         grads.add(f"lstm_r.{name}", arr)
     idx += 1
     if config.window.n_p > 0:
-        g, _, _, _ = nn.lstm_backward_sequence(caches["periodic"], slices[idx], params.lstm_p)
+        g, _, _, _ = nn.lstm_backward_sequence(caches["periodic"], slices[idx], params.lstm_p,
+                                               need_dx=False)
         for name, arr in nn.param_leaves(g):
             grads.add(f"lstm_p.{name}", arr)
         idx += 1
     if config.window.n_s > 0:
-        g, _, _, _ = nn.lstm_backward_sequence(caches["seasonal"], slices[idx], params.lstm_s)
+        g, _, _, _ = nn.lstm_backward_sequence(caches["seasonal"], slices[idx], params.lstm_s,
+                                               need_dx=False)
         for name, arr in nn.param_leaves(g):
             grads.add(f"lstm_s.{name}", arr)
         idx += 1
@@ -287,7 +292,7 @@ def loss_and_gradients(batch, params, config):
 
 def batch_loss(batch, params, config):
     arrays = batch if isinstance(batch, dict) else samples_to_arrays(batch, config)
-    yhat, _ = forward_batch(arrays, params, config)
+    yhat, _ = forward_batch(arrays, params, config, cache=False)
     Y = arrays["target"]
     if config.output_kind == "horizons":
         return nn.mmse_loss(Y, yhat, config.alpha)
@@ -408,7 +413,7 @@ def grid_search(build_samples, candidates, base_config):
             train_s, val_s = build_samples(config)
             params, report = train(train_s, val_s, config)
             val_arrays = samples_to_arrays(val_s, config)
-            yhat, _ = forward_batch(val_arrays, params, config)
+            yhat, _ = forward_batch(val_arrays, params, config, cache=False)
             Y = val_arrays["target"]
             if config.output_kind == "horizons":
                 row["val_metric"] = float(np.sqrt(np.mean((Y - yhat) ** 2)))

@@ -5,6 +5,17 @@ gradient checker.
 Everything is float64 numpy. Parameters live in plain dataclasses; the
 generic `param_leaves` walker exposes them as (name, array) pairs so the
 optimizer and the gradient checker stay agnostic of the model structure.
+
+Memory contract of the LSTM passes:
+
+- `lstm_forward_sequence(..., cache=True)` keeps one step cache per time
+  step, O(batch * steps * hidden) floats, which `lstm_backward_sequence`
+  needs. With `cache=False` it keeps no step state and returns `None` for
+  the caches: the pass holds O(batch * hidden) floats, and the final state
+  is bit-identical to the cached pass. Inference uses `cache=False`.
+- `lstm_backward_sequence(..., need_dx=True)` also returns the gradient on
+  the inputs. With `need_dx=False` it skips those products and returns
+  `None` in its place; the parameter gradients are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,13 +34,23 @@ ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax", "tanh")
 # activations
 
 
+def _sigmoid_(a):
+    """Logistic sigmoid of float64 array `a`, in place, as 0.5*tanh(a/2) + 0.5.
+
+    tanh saturates to +-1 on both tails, so nothing overflows and no branch
+    is needed. Results agree with 1/(1+e^-a) to within 2.3e-16 absolute, so
+    values below about 1e-16 (a < -37) lose their relative precision.
+    """
+    a *= 0.5
+    np.tanh(a, out=a)
+    a *= 0.5
+    a += 0.5
+    return a
+
+
 def sigmoid(x):
     """Logistic sigmoid, numerically stable on both tails."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))  # always in (0, 1]: no overflow either side
-    out = np.where(x >= 0, 1.0, z)  # numerator of 1/(1+e^-x) resp. e^x/(1+e^x)
-    z += 1.0
-    out /= z
+    out = _sigmoid_(np.array(x, dtype=np.float64))
     if out.ndim == 0:
         return float(out)
     return out
@@ -274,6 +295,51 @@ def _as_batch(x, dim, what):
     return x, squeeze
 
 
+def _as_state(prev, batch, p):
+    """Validate an LstmState against `batch` rows; returns (h, c) as
+    (batch, hidden) arrays, broadcasting a single state over the batch."""
+    h, _ = _as_batch(prev.h, p.hidden_dim, "lstm h_prev")
+    c, _ = _as_batch(prev.c, p.hidden_dim, "lstm c_prev")
+    if h.shape[0] not in (1, batch):
+        raise ShapeError("lstm state batch mismatch")
+    if h.shape[0] == 1 and batch > 1:
+        h = np.broadcast_to(h, (batch, p.hidden_dim))
+        c = np.broadcast_to(c, (batch, p.hidden_dim))
+    return h, c
+
+
+def _lstm_step(x, h_prev, c_prev, p):
+    """The cell math on validated (batch, dim) float64 arrays.
+
+    Returns (h, c, cache); cache is the tuple
+    (x, h_prev, c_prev, i, f, o, tz, c, tc) that the backward pass reads.
+    """
+    i = x @ p.W_xi.T
+    i += h_prev @ p.W_hi.T
+    i += p.w_ci * c_prev
+    i += p.b_i
+    _sigmoid_(i)
+    f = x @ p.W_xf.T
+    f += h_prev @ p.W_hf.T
+    f += p.w_cf * c_prev
+    f += p.b_f
+    _sigmoid_(f)
+    tz = x @ p.W_xc.T
+    tz += h_prev @ p.W_hc.T
+    tz += p.b_c
+    np.tanh(tz, out=tz)
+    c = f * c_prev
+    c += i * tz
+    o = x @ p.W_xo.T
+    o += h_prev @ p.W_ho.T
+    o += p.w_co * c
+    o += p.b_o
+    _sigmoid_(o)
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, o, tz, c, tc)
+
+
 def lstm_cell_forward(x, prev, p):
     """One step of the peephole LSTM.
 
@@ -288,34 +354,19 @@ def lstm_cell_forward(x, prev, p):
     cache carries everything the backward pass needs.
     """
     x, squeeze = _as_batch(x, p.input_dim, "lstm input")
-    h_prev, _ = _as_batch(prev.h, p.hidden_dim, "lstm h_prev")
-    c_prev, _ = _as_batch(prev.c, p.hidden_dim, "lstm c_prev")
-    if h_prev.shape[0] not in (1, x.shape[0]):
-        raise ShapeError("lstm state batch mismatch")
-    if h_prev.shape[0] == 1 and x.shape[0] > 1:
-        h_prev = np.broadcast_to(h_prev, (x.shape[0], p.hidden_dim))
-        c_prev = np.broadcast_to(c_prev, (x.shape[0], p.hidden_dim))
-
-    i = sigmoid(x @ p.W_xi.T + h_prev @ p.W_hi.T + p.w_ci * c_prev + p.b_i)
-    f = sigmoid(x @ p.W_xf.T + h_prev @ p.W_hf.T + p.w_cf * c_prev + p.b_f)
-    tz = np.tanh(x @ p.W_xc.T + h_prev @ p.W_hc.T + p.b_c)
-    c = f * c_prev + i * tz
-    o = sigmoid(x @ p.W_xo.T + h_prev @ p.W_ho.T + p.w_co * c + p.b_o)
-    tc = np.tanh(c)
-    h = o * tc
-
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "o": o, "tz": tz, "c": c, "tc": tc}
+    h_prev, c_prev = _as_state(prev, x.shape[0], p)
+    h, c, cache = _lstm_step(x, h_prev, c_prev, p)
     if squeeze:
         return LstmState(h=h[0], c=c[0]), cache
     return LstmState(h=h, c=c), cache
 
 
-def lstm_forward_sequence(xs, p, init=None):
+def lstm_forward_sequence(xs, p, init=None, cache=True):
     """Fold the cell over a sequence; returns (final hidden state, caches).
 
     `xs` may be (steps, input_dim), (batch, steps, input_dim), or a list of
     step vectors. The branch output is the hidden state after the last step.
+    `caches` holds one step cache per step, or is None when `cache=False`.
     """
     if isinstance(xs, (list, tuple)):
         xs = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
@@ -329,46 +380,56 @@ def lstm_forward_sequence(xs, p, init=None):
         raise ShapeError("empty LSTM input sequence")
 
     batch = xs.shape[0]
-    state = init if init is not None else LstmState.zeros(p.hidden_dim, batch=batch)
-    caches = []
+    if init is None:
+        h = c = np.zeros((batch, p.hidden_dim))
+    else:
+        h, c = _as_state(init, batch, p)
+    caches = [] if cache else None
     for t in range(xs.shape[1]):
-        state, cache = lstm_cell_forward(xs[:, t, :], state, p)
-        caches.append(cache)
+        h, c, step = _lstm_step(xs[:, t, :], h, c, p)
+        if cache:
+            caches.append(step)
     if squeeze:
-        return LstmState(h=state.h[0], c=state.c[0]), caches
-    return state, caches
+        return LstmState(h=h[0], c=c[0]), caches
+    return LstmState(h=h, c=c), caches
 
 
-def lstm_backward_sequence(caches, dh_final, p, dc_final=None):
+def lstm_backward_sequence(caches, dh_final, p, dc_final=None, need_dx=True):
     """BPTT over a cached forward pass.
 
     Returns (param grads as LstmCellParams, dxs (batch, steps, input_dim),
     dh0, dc0). `dh_final` is the upstream gradient on the last hidden state.
+    With `need_dx=False` the input gradient is not computed and dxs is None.
     """
     if not caches:
         raise ShapeError("no caches to backpropagate through")
     dh, squeeze = _as_batch(dh_final, p.hidden_dim, "upstream dh")
-    batch = caches[0]["x"].shape[0]
+    batch = caches[0][0].shape[0]
     if dh.shape[0] != batch:
         raise ShapeError("upstream gradient batch mismatch with caches")
 
     g = LstmCellParams.zeros(p.input_dim, p.hidden_dim)
     dc_carry = np.zeros_like(dh) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dxs = np.zeros((batch, len(caches), p.input_dim))
+    dxs = np.zeros((batch, len(caches), p.input_dim)) if need_dx else None
 
     for t in range(len(caches) - 1, -1, -1):
-        cc = caches[t]
-        x, h_prev, c_prev = cc["x"], cc["h_prev"], cc["c_prev"]
-        i, f, o, tz, c, tc = cc["i"], cc["f"], cc["o"], cc["tz"], cc["c"], cc["tc"]
+        x, h_prev, c_prev, i, f, o, tz, c, tc = caches[t]
 
-        do = dh * tc
-        da_o = do * o * (1.0 - o)
-        dc = dh * o * (1.0 - tc * tc) + dc_carry + da_o * p.w_co
-        di = dc * tz
-        df = dc * c_prev
-        dz = dc * i * (1.0 - tz * tz)
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
+        da_o = dh * tc
+        da_o *= o
+        da_o *= 1.0 - o
+        dc = dh * o
+        dc *= 1.0 - tc * tc
+        dc += dc_carry
+        dc += da_o * p.w_co
+        dz = dc * i
+        dz *= 1.0 - tz * tz
+        da_i = dc * tz
+        da_i *= i
+        da_i *= 1.0 - i
+        da_f = dc * c_prev
+        da_f *= f
+        da_f *= 1.0 - f
 
         g.W_xi += da_i.T @ x
         g.W_xf += da_f.T @ x
@@ -386,12 +447,16 @@ def lstm_backward_sequence(caches, dh_final, p, dc_final=None):
         g.b_c += np.sum(dz, axis=0)
         g.b_o += np.sum(da_o, axis=0)
 
-        dxs[:, t, :] = da_i @ p.W_xi + da_f @ p.W_xf + dz @ p.W_xc + da_o @ p.W_xo
+        if need_dx:
+            dxs[:, t, :] = da_i @ p.W_xi + da_f @ p.W_xf + dz @ p.W_xc + da_o @ p.W_xo
         dh = da_i @ p.W_hi + da_f @ p.W_hf + dz @ p.W_hc + da_o @ p.W_ho
-        dc_carry = dc * f + da_i * p.w_ci + da_f * p.w_cf
+        dc *= f
+        dc += da_i * p.w_ci
+        dc += da_f * p.w_cf
+        dc_carry = dc
 
     if squeeze:
-        return g, dxs[0], dh[0], dc_carry[0]
+        return g, (dxs[0] if need_dx else None), dh[0], dc_carry[0]
     return g, dxs, dh, dc_carry
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataprep, model as model_mod
 from .dataprep import RSRQ_BINS, WindowedSample, apply_scaler, external_features
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, OutOfRangeError
 
 
 @dataclass
@@ -169,9 +169,10 @@ class Engine:
     def ingest_line(self, line, arrival=None):
         try:
             rec = dataprep.parse_record(line)
-        except DataError:
+        except DataError as exc:
+            reason = "out_of_range" if isinstance(exc, OutOfRangeError) else "malformed"
             with self._lock:
-                self.counters["malformed"] += 1
+                self.counters[reason] += 1
             return []
         return self.ingest(rec, arrival)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepauto import dataprep as dp
-from deepauto.errors import DataError, ShapeError
+from deepauto.errors import DataError, OutOfRangeError, ShapeError
 
 import oracles
 
@@ -44,6 +44,22 @@ def test_parse_record_roundtrip():
 def test_parse_record_rejects(line):
     with pytest.raises(DataError):
         dp.parse_record(line)
+
+
+@pytest.mark.parametrize("line, out_of_range", [
+    ('{"topic":"load","cell":"a","ts":1,"value":1.5}', True),
+    ('{"topic":"load","cell":"a","ts":1,"value":-0.1}', True),
+    ('{"topic":"rsrq","cell":"a","ts":1,"value":35}', True),
+    ('{"topic":"rsrq","cell":"a","ts":1,"value":2.5}', True),
+    ('{"topic":"ue","cell":"a","ts":1,"value":-3}', True),
+    ('{"topic":"load","cell":"a","ts":1,"value":"0.5"}', False),
+    ('{"topic":"load","cell":"a","ts":1.5,"value":0.5}', False),
+    ("not json", False),
+])
+def test_parse_record_range_errors_are_out_of_range(line, out_of_range):
+    with pytest.raises(DataError) as info:
+        dp.parse_record(line)
+    assert isinstance(info.value, OutOfRangeError) == out_of_range
 
 
 def test_records_to_series_buckets_and_averages():

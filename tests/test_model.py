@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,41 @@ def test_pdf_head_normalized():
     yhat, _ = dm.forward_batch(arrays, params, config)
     assert np.all(yhat >= 0)
     np.testing.assert_allclose(yhat.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 512])
+def test_forward_batch_cache_free_bit_equal(batch):
+    config = micro_config()
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(12))
+    arrays = dm.samples_to_arrays(make_samples(config, batch, seed=13), config)
+    cached, caches = dm.forward_batch(arrays, params, config)
+    free, no_caches = dm.forward_batch(arrays, params, config, cache=False)
+    assert len(caches["recent"]) == config.window.n_r and no_caches is None
+    np.testing.assert_array_equal(free, cached)
+
+
+def test_batch_loss_memory_independent_of_steps():
+    """The cache-free validation pass holds O(batch * hidden) floats, not
+    O(batch * steps * hidden) like the cached training forward."""
+    config = micro_config(window=WindowSpec(n_r=20), hidden_r=32, use_external=False)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    arrays = {"recent": rng.uniform(size=(2000, 20, config.input_dim)),
+              "target": rng.uniform(size=(2000, len(config.horizons)))}
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    cached = peak_bytes(lambda: dm.forward_batch(arrays, params, config))
+    free = peak_bytes(lambda: dm.batch_loss(arrays, params, config))
+    assert free < cached / 4, (free, cached)
 
 
 def test_branch_ablation_consistency():

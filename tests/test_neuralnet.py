@@ -166,6 +166,32 @@ def test_lstm_backward_zero_upstream():
     assert np.all(dxs == 0.0)
 
 
+def test_lstm_backward_without_dx_same_param_grads():
+    rng = np.random.default_rng(22)
+    p = nn.LstmCellParams.init(2, 3, rng)
+    _, caches = nn.lstm_forward_sequence(rng.normal(size=(6, 5, 2)), p)
+    dh = rng.normal(size=(6, 3))
+    g, dxs, dh0, dc0 = nn.lstm_backward_sequence(caches, dh, p)
+    g2, no_dxs, dh0_2, dc0_2 = nn.lstm_backward_sequence(caches, dh, p, need_dx=False)
+    assert dxs.shape == (6, 5, 2) and no_dxs is None
+    for (name, a), (_, b) in zip(nn.param_leaves(g), nn.param_leaves(g2)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    np.testing.assert_array_equal(dh0, dh0_2)
+    np.testing.assert_array_equal(dc0, dc0_2)
+
+
+def test_lstm_forward_without_cache_same_state():
+    rng = np.random.default_rng(23)
+    p = nn.LstmCellParams.init(2, 3, rng)
+    xs = rng.normal(size=(4, 7, 2))
+    init = nn.LstmState(h=rng.normal(size=3), c=rng.normal(size=3))
+    s1, caches = nn.lstm_forward_sequence(xs, p, init=init)
+    s2, none = nn.lstm_forward_sequence(xs, p, init=init, cache=False)
+    assert len(caches) == 7 and none is None
+    np.testing.assert_array_equal(s1.h, s2.h)
+    np.testing.assert_array_equal(s1.c, s2.c)
+
+
 def test_lstm_input_gradients_match_fd():
     rng = np.random.default_rng(21)
     p = nn.LstmCellParams.init(2, 3, rng)

@@ -126,9 +126,22 @@ def test_engine_late_and_malformed_counters():
     eng.ingest(rec("rsrq", "A", 5, 10))                      # irrelevant topic
     h = eng.health()
     assert h["late_dropped"] == 1
-    assert h["malformed"] == 2  # bad json + out-of-range load value
+    assert h["malformed"] == 1     # bad json
+    assert h["out_of_range"] == 1  # load value 7.0
     assert h["ingested"] == 4  # late records are ingested, then dropped
     assert h["cells_seen"] == 1
+
+
+def test_engine_counts_out_of_range_apart_from_malformed():
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    eng.ingest_line('{"topic":"load","cell":"A","ts":0}')  # no value: malformed
+    for topic, value in [("load", 1.5), ("ue", -3), ("rsrq", 35)]:
+        eng.ingest_line(json.dumps({"topic": topic, "cell": "A", "ts": 0, "value": value}))
+    h = eng.health()
+    assert h["malformed"] == 1
+    assert h["out_of_range"] == 3
+    assert h["ingested"] == 0
 
 
 def test_watermark_closes_stalled_cells():
