@@ -62,7 +62,7 @@ def cmd_generate(args):
         missing_rate=args.missing_rate, event_rate=args.event_rate,
         rsrq_cells=args.rsrq_cells, seed=args.seed)
     records = synthgen.generate(config)
-    synthgen.write_ndjson(args.output, records)
+    dataprep.write_records(args.output, records)
     log.info("wrote %d records to %s", len(records), args.output)
     return 0
 
@@ -89,10 +89,10 @@ def cmd_prepare(args):
     train, val, test, scaler = _build_splits(args, config)
     arrays = {}
     for name, split in (("train", train), ("val", val), ("test", test)):
-        stacked = model_mod.samples_to_arrays(split, config)
-        for key, arr in stacked.items():
-            arrays[f"{name}_{key}"] = arr
-        arrays[f"{name}_anchor_ts"] = np.array([s.anchor_ts for s in split])
+        for key, arr in split.arrays.items():
+            if key != "external" or config.use_external:
+                arrays[f"{name}_{key}"] = arr
+        arrays[f"{name}_anchor_ts"] = split.anchor_ts
     meta = {"config": config.to_dict(),
             "scaler": scaler.to_dict() if scaler else None,
             "sizes": {"train": len(train), "val": len(val), "test": len(test)}}
@@ -107,9 +107,8 @@ def cmd_train(args):
     train_s, val_s, test_s, scaler = _build_splits(args, config)
     params, report = model_mod.train(train_s, val_s, config)
 
-    test_arrays = model_mod.samples_to_arrays(test_s, config)
-    yhat, _ = model_mod.forward_batch(test_arrays, params, config, cache=False)
-    Y = test_arrays["target"]
+    yhat, _ = model_mod.forward_batch(test_s.arrays, params, config, cache=False)
+    Y = test_s.arrays["target"]
     if config.output_kind == "horizons":
         report.test_metrics = {
             f"h{h}": {"rmse": evaluation.rmse(Y[:, k], yhat[:, k]),
@@ -159,9 +158,9 @@ def cmd_evaluate(args):
     if config.output_kind == "pdf":
         _, _, test_s, _ = pipeline.prepare_pdf_dataset(records, config.window,
                                                        args.step_seconds or 300)
-        arrays = model_mod.samples_to_arrays(test_s, config)
+        arrays = test_s.arrays
         yhat, _ = model_mod.forward_batch(arrays, params, config, cache=False)
-        naive = np.stack([s.x_recent[-1] for s in test_s])
+        naive = arrays["recent"][:, -1]
         report = {"rows": [
             {"algorithm": "deepauto", "kl": evaluation.kl_eval(arrays["target"], yhat)},
             {"algorithm": "naive", "kl": evaluation.kl_eval(arrays["target"], naive)},
@@ -170,20 +169,17 @@ def cmd_evaluate(args):
         return 0
 
     series = pipeline.load_series(records, step)
-    train_s, val_s, test_s, _ = pipeline.prepare_load_dataset(
+    train_s, val_s, test_s, split_scaler = pipeline.prepare_load_dataset(
         series, config.window, config.horizons, config.target_channel)
-    arrays = model_mod.samples_to_arrays(test_s, config)
-    Y = arrays["target"]
-    yhat, _ = model_mod.forward_batch(arrays, params, config, cache=False)
+    Y = test_s.arrays["target"]
+    yhat, _ = model_mod.forward_batch(test_s.arrays, params, config, cache=False)
 
-    tgt = test_s[0].cell_id  # target channel column within the window
-    col = series[tgt].channel_index(config.target_channel)
-    naive = np.repeat(np.stack([s.x_recent[-1, col] for s in test_s])[:, None],
-                      Y.shape[1], axis=1)
+    col = split_scaler.channels.index(config.target_channel)
+    naive = np.repeat(test_s.arrays["recent"][:, -1, col][:, None], Y.shape[1], axis=1)
 
-    X_train = evaluation.samples_to_design(train_s + val_s)
-    y_train = np.stack([s.target for s in train_s + val_s])
-    coef = evaluation.linear_ar_fit(X_train, y_train, lam=1e-3)
+    fit_s = dataprep.Windows.concat([train_s, val_s])
+    coef = evaluation.linear_ar_fit(evaluation.samples_to_design(fit_s),
+                                    fit_s.arrays["target"], lam=1e-3)
     ridge = evaluation.linear_ar_predict(evaluation.samples_to_design(test_s), coef)
 
     report = evaluation.compare_report(
@@ -216,13 +212,11 @@ def cmd_predict(args):
     records = _load_records(args.input)
     step = args.step_seconds or 900
     series = pipeline.load_series(records, step)
-    samples = pipeline.prediction_samples(series, config.window, scaler,
-                                          config.target_channel)
+    samples = pipeline.prediction_samples(series, config.window, scaler)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     try:
-        for s in samples:
-            yhat = model_mod.forward(s, params, config)
-            doc = {"cell": s.cell_id, "anchor_ts": int(s.anchor_ts)}
+        for s, yhat in zip(samples, model_mod.predict_samples(samples, params, config)):
+            doc = {"cell": s.cell_id, "anchor_ts": s.anchor_ts}
             for h, v in zip(config.horizons, yhat):
                 doc[f"h{h}"] = float(v)
             out.write(json.dumps(doc, sort_keys=True) + "\n")

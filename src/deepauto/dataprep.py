@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,11 +238,11 @@ def invert_scaler(values, scaler):
 # external features
 
 
-def external_features(ts, cell_config=None):
+def external_features(ts):
     """Calendar + configuration features for one anchor timestamp (UTC).
 
-    cell_config, when given, holds band/power/bandwidth already normalized
-    to [0, 1]; absent entries default to 0.5.
+    The band/power/bandwidth slots hold the neutral 0.5: no per-cell
+    configuration is wired into the pipeline or the stream.
     """
     ts = int(ts)
     day = (ts // 86400 + 4) % 7  # epoch day 0 was a Thursday
@@ -254,10 +255,7 @@ def external_features(ts, cell_config=None):
     feats[8] = math.cos(2.0 * math.pi * hour_frac)
     feats[9] = math.sin(2.0 * math.pi * minute_frac)
     feats[10] = math.cos(2.0 * math.pi * minute_frac)
-    cfg = cell_config or {}
-    feats[11] = float(cfg.get("band", 0.5))
-    feats[12] = float(cfg.get("power", 0.5))
-    feats[13] = float(cfg.get("bandwidth", 0.5))
+    feats[11:14] = 0.5
     return feats
 
 
@@ -313,18 +311,44 @@ class WindowSpec:
                       ("n_r", "n_p", "n_s", "period_steps", "season_steps")})
 
 
-@dataclass
-class WindowedSample:
-    """One training / inference example for one anchor."""
+class Row(NamedTuple):
+    """Identity of one window row."""
 
     cell_id: str
-    anchor_t: int
     anchor_ts: int
-    x_recent: np.ndarray    # (n_r, C)
-    x_periodic: np.ndarray  # (n_p, C)
-    x_seasonal: np.ndarray  # (n_s, C)
-    external: np.ndarray    # (EXTERNAL_DIM,)
-    target: np.ndarray = None  # (K,) horizon targets or (bins,) histogram
+
+
+@dataclass
+class Windows:
+    """Model inputs for N anchors, row-aligned across every array.
+
+    `arrays` holds "recent" (N, n_r, C), "periodic"/"seasonal" when the spec
+    has those lags, "external" (N, EXTERNAL_DIM) and, when targets were
+    built, "target" (N, K) horizon targets or (N, bins) histograms. Indexing
+    by a slice or an integer index array selects rows of every array;
+    iterating yields one Row per anchor.
+    """
+
+    arrays: dict
+    cell_ids: np.ndarray   # (N,) str
+    anchor_ts: np.ndarray  # (N,) int64
+
+    def __len__(self):
+        return len(self.anchor_ts)
+
+    def __getitem__(self, rows):
+        return Windows({k: v[rows] for k, v in self.arrays.items()},
+                       self.cell_ids[rows], self.anchor_ts[rows])
+
+    def __iter__(self):
+        return map(Row, self.cell_ids.tolist(), self.anchor_ts.tolist())
+
+    @classmethod
+    def concat(cls, parts):
+        """Stack the rows of several Windows with the same keys, in order."""
+        return cls({k: np.concatenate([p.arrays[k] for p in parts]) for k in parts[0].arrays},
+                   np.concatenate([p.cell_ids for p in parts]),
+                   np.concatenate([p.anchor_ts for p in parts]))
 
 
 def aggregate_targets(values, t, horizons=(1, 15, 60)):
@@ -345,51 +369,46 @@ def aggregate_targets(values, t, horizons=(1, 15, 60)):
 
 
 def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
-                 require_targets=True, cell_config=None, pdf_target=False):
-    """Build WindowedSamples for every feasible anchor of one series.
+                 require_targets=True, pdf_target=False):
+    """Build the Windows of every feasible anchor of one series.
 
-    Anchors whose lags would fall before index 0, or (when targets are
-    required) whose horizons run past the end, are skipped. With
-    `pdf_target` the target is the full channel row at the anchor
-    (histogram prediction) and `horizons`/`target_channel` are ignored.
+    Anchors run from spec.history_span(), the first whose lags all fall
+    inside the series, to the last whose horizons end inside it; without
+    targets the last anchor is T, which predicts past the last observed
+    step. With `pdf_target` the target is the full channel row at the
+    anchor (histogram prediction) and `horizons`/`target_channel` are
+    ignored; otherwise the targets equal aggregate_targets' bit for bit.
     """
+    values = series.values
     T = series.length
-    first = spec.history_span()
-    if pdf_target or not require_targets:
-        max_h = 0 if not require_targets else 1
+    if not require_targets:
+        last = T
+    elif pdf_target:
+        last = T - 1
     else:
-        max_h = max(horizons)
-    if require_targets:
-        last = T - max_h if not pdf_target else T - 1
-    else:
-        last = T  # anchor T predicts past the last observed step
-    if first > last:
-        return []
+        if min(horizons) < 1:
+            raise ShapeError("horizons must be >= 1")
+        last = T - max(horizons)
+    anchors = np.arange(spec.history_span(), last + 1)
+    anchor_ts = series.timestamp(anchors)
 
-    tgt_col = None if pdf_target else series.channel_index(target_channel)
-    samples = []
-    for t in range(first, last + 1):
-        recent, periodic, seasonal = spec.lag_indices(t)
-        if recent[0] < 0 or (periodic and periodic[0] < 0) or (seasonal and seasonal[0] < 0):
-            continue
-        if require_targets:
-            if pdf_target:
-                target = series.values[t].copy()
-            else:
-                target = aggregate_targets(series.values[:, tgt_col], t, horizons)
+    # one gather per branch keeps each (N, lags, C) array C-contiguous
+    arrays = {}
+    for name, offsets in zip(("recent", "periodic", "seasonal"), spec.lag_indices(0)):
+        if offsets:
+            arrays[name] = values[anchors[:, None] + np.asarray(offsets)]
+    external = np.empty((len(anchors), EXTERNAL_DIM))
+    for k, ts in enumerate(anchor_ts.tolist()):
+        external[k] = external_features(ts)
+    arrays["external"] = external
+    if require_targets:
+        if pdf_target:
+            arrays["target"] = values[anchors]
         else:
-            target = None
-        samples.append(WindowedSample(
-            cell_id=series.cell_id,
-            anchor_t=t,
-            anchor_ts=series.timestamp(t),
-            x_recent=series.values[recent],
-            x_periodic=series.values[periodic] if periodic else np.zeros((0, len(series.channels))),
-            x_seasonal=series.values[seasonal] if seasonal else np.zeros((0, len(series.channels))),
-            external=external_features(series.timestamp(t), cell_config),
-            target=target,
-        ))
-    return samples
+            col = values[:, series.channel_index(target_channel)]
+            arrays["target"] = np.stack(
+                [col[anchors[:, None] + np.arange(h)].mean(axis=1) for h in horizons], axis=1)
+    return Windows(arrays, np.full(len(anchors), series.cell_id), anchor_ts)
 
 
 def split_4_1_1(samples):

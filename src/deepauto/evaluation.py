@@ -68,15 +68,13 @@ def linear_ar_predict(X, coef):
     return Xb @ coef
 
 
-def samples_to_design(samples):
-    """Flatten WindowedSamples into a ridge design matrix (same features as
-    the neural model: all lag windows plus external vector)."""
-    rows = []
-    for s in samples:
-        rows.append(np.concatenate([
-            s.x_recent.ravel(), s.x_periodic.ravel(),
-            s.x_seasonal.ravel(), s.external]))
-    return np.stack(rows)
+def samples_to_design(windows):
+    """Flatten Windows into a ridge design matrix (same features as the
+    neural model: all lag windows, each row in time-major order, plus the
+    external vector)."""
+    lags = [windows.arrays[k] for k in ("recent", "periodic", "seasonal") if k in windows.arrays]
+    return np.concatenate([a.reshape(len(a), -1) for a in lags]
+                          + [windows.arrays["external"]], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataprep, neuralnet as nn
+from . import neuralnet as nn
 from .dataprep import EXTERNAL_DIM, ScalerParams, WindowSpec
 from .errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
@@ -145,43 +145,28 @@ class DeepAutoParams:
 
 
 # ---------------------------------------------------------------------------
-# batch assembly
-
-
-def samples_to_arrays(samples, config):
-    """Stack WindowedSamples into branch arrays; validates shapes."""
-    if not samples:
-        raise ShapeError("empty batch")
-    w = config.window
-    recent = np.stack([s.x_recent for s in samples])
-    if recent.shape[1:] != (w.n_r, config.input_dim):
-        raise ShapeError(f"recent window shape {recent.shape[1:]} does not match config")
-    arrays = {"recent": recent}
-    if w.n_p > 0:
-        arrays["periodic"] = np.stack([s.x_periodic for s in samples])
-        if arrays["periodic"].shape[1:] != (w.n_p, config.input_dim):
-            raise ShapeError("periodic window shape does not match config")
-    if w.n_s > 0:
-        arrays["seasonal"] = np.stack([s.x_seasonal for s in samples])
-        if arrays["seasonal"].shape[1:] != (w.n_s, config.input_dim):
-            raise ShapeError("seasonal window shape does not match config")
-    if config.use_external:
-        arrays["external"] = np.stack([s.external for s in samples])
-    if samples[0].target is not None:
-        arrays["target"] = np.stack([s.target for s in samples])
-    return arrays
-
-
-# ---------------------------------------------------------------------------
 # forward / backward
 
 
+def _check_shapes(arrays, config):
+    """The branch arrays of a batch must match the config's window layout."""
+    w = config.window
+    if len(arrays["recent"]) == 0:
+        raise ShapeError("empty batch")
+    for name, steps in (("recent", w.n_r), ("periodic", w.n_p), ("seasonal", w.n_s)):
+        shape = arrays[name].shape[1:] if name in arrays else None
+        if steps > 0 and shape != (steps, config.input_dim):
+            raise ShapeError(f"{name} window shape {shape} does not match config")
+
+
 def forward_batch(arrays, params, config, cache=True):
-    """Run the full network on stacked inputs; returns (Yhat, caches).
+    """Run the full network on a batch's arrays (Windows.arrays); returns
+    (Yhat, caches).
 
     With `cache=False` (inference) the LSTM branches keep no per-step state
     and caches is None; Yhat is bit-identical to the cached pass.
     """
+    _check_shapes(arrays, config)
     parts, caches = [], {}
     state, caches["recent"] = nn.lstm_forward_sequence(arrays["recent"], params.lstm_r,
                                                        cache=cache)
@@ -214,9 +199,8 @@ def forward_batch(arrays, params, config, cache=True):
 
 
 def forward(sample, params, config):
-    """Single-sample prediction; shares the batch code path (batch of 1)."""
-    arrays = samples_to_arrays([sample], config)
-    yhat, _ = forward_batch(arrays, params, config, cache=False)
+    """Prediction for a one-row Windows; shares the batch code path (batch of 1)."""
+    yhat, _ = forward_batch(sample.arrays, params, config, cache=False)
     return yhat[0]
 
 
@@ -272,9 +256,15 @@ def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
     return grads
 
 
+def _arrays(batch):
+    """The array dict of a Windows batch, or the dict itself."""
+    return batch if isinstance(batch, dict) else batch.arrays
+
+
 def loss_and_gradients(batch, params, config):
-    """Loss (MMSE or mean KL) and full parameter gradients for one batch."""
-    arrays = batch if isinstance(batch, dict) else samples_to_arrays(batch, config)
+    """Loss (MMSE or mean KL) and full parameter gradients for one batch
+    (a Windows or its arrays)."""
+    arrays = _arrays(batch)
     if "target" not in arrays:
         raise ShapeError("batch has no targets")
     yhat, caches = forward_batch(arrays, params, config)
@@ -291,7 +281,7 @@ def loss_and_gradients(batch, params, config):
 
 
 def batch_loss(batch, params, config):
-    arrays = batch if isinstance(batch, dict) else samples_to_arrays(batch, config)
+    arrays = _arrays(batch)
     yhat, _ = forward_batch(arrays, params, config, cache=False)
     Y = arrays["target"]
     if config.output_kind == "horizons":
@@ -300,9 +290,9 @@ def batch_loss(batch, params, config):
 
 
 def predict_samples(samples, params, config):
-    """Per-sample forward pass (batch of 1 each) so that streaming and batch
-    prediction paths are bit-identical."""
-    return np.stack([forward(s, params, config) for s in samples])
+    """Per-row forward pass (batch of 1 each) over a Windows, so that
+    streaming and batch prediction paths are bit-identical."""
+    return np.stack([forward(samples[k:k + 1], params, config) for k in range(len(samples))])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ class TrainReport:
 
 
 def train(train_samples, val_samples, config, params=None):
-    """Mini-batch Adam with seeded shuffling and early stopping.
+    """Mini-batch Adam over Windows with seeded shuffling and early stopping.
 
     Returns (best-validation parameters, TrainReport). Deterministic for a
     fixed seed, config, and dataset.
@@ -344,7 +334,6 @@ def train(train_samples, val_samples, config, params=None):
     if params is None:
         params = DeepAutoParams.init(config, rng)
     opt = nn.AdamState()
-    val_arrays = samples_to_arrays(val_samples, config)
 
     best_val = float("inf")
     best_epoch = -1
@@ -356,7 +345,7 @@ def train(train_samples, val_samples, config, params=None):
         order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, config.batch_size):
-            batch = [train_samples[k] for k in order[start:start + config.batch_size]]
+            batch = train_samples[order[start:start + config.batch_size]]
             loss, grads = loss_and_gradients(batch, params, config)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
@@ -364,7 +353,7 @@ def train(train_samples, val_samples, config, params=None):
             epoch_loss += loss
             n_batches += 1
         train_losses.append(epoch_loss / n_batches)
-        val_loss = batch_loss(val_arrays, params, config)
+        val_loss = batch_loss(val_samples, params, config)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"validation loss became {val_loss} at epoch {epoch}")
         val_losses.append(val_loss)
@@ -393,7 +382,7 @@ def train(train_samples, val_samples, config, params=None):
 def grid_search(build_samples, candidates, base_config):
     """Train one model per (WindowSpec, use_external) candidate.
 
-    `build_samples(config)` must return (train, val) sample lists for the
+    `build_samples(config)` must return (train, val) Windows for the
     candidate's config (windowing depends on the spec). Returns rows of
     {"window", "use_external", "val_metric", "error"}; the metric is the
     validation RMSE over all predicted horizons for load models and the
@@ -412,9 +401,8 @@ def grid_search(build_samples, candidates, base_config):
         try:
             train_s, val_s = build_samples(config)
             params, report = train(train_s, val_s, config)
-            val_arrays = samples_to_arrays(val_s, config)
-            yhat, _ = forward_batch(val_arrays, params, config, cache=False)
-            Y = val_arrays["target"]
+            yhat, _ = forward_batch(val_s.arrays, params, config, cache=False)
+            Y = val_s.arrays["target"]
             if config.output_kind == "horizons":
                 row["val_metric"] = float(np.sqrt(np.mean((Y - yhat) ** 2)))
             else:

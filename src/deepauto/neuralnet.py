@@ -140,10 +140,6 @@ class LstmCellParams:
         p.b_f = np.ones(hidden_dim)
         return p
 
-    def n_params(self):
-        h, d = self.hidden_dim, self.input_dim
-        return 4 * h * (d + h) + 3 * h + 4 * h
-
 
 @dataclass
 class LstmState:
@@ -232,10 +228,6 @@ class GradientBundle:
     def __init__(self, tensors=None):
         self.tensors = dict(tensors) if tensors else {}
 
-    @classmethod
-    def zeros_like(cls, params):
-        return cls({name: np.zeros_like(arr) for name, arr in param_leaves(params)})
-
     def add(self, name, grad):
         if name in self.tensors:
             if self.tensors[name].shape != np.shape(grad):
@@ -243,14 +235,6 @@ class GradientBundle:
             self.tensors[name] = self.tensors[name] + grad
         else:
             self.tensors[name] = np.asarray(grad, dtype=np.float64)
-
-    def merge(self, other, prefix=""):
-        for name, g in other.tensors.items():
-            self.add(f"{prefix}.{name}" if prefix else name, g)
-
-    def scale(self, factor):
-        for name in self.tensors:
-            self.tensors[name] = self.tensors[name] * factor
 
     def __getitem__(self, name):
         return self.tensors[name]

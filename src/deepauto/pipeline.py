@@ -1,14 +1,13 @@
 """End-to-end dataset assembly shared by the CLI, tests, and experiments:
 records -> per-cell series -> interpolation -> leakage-safe scaling ->
-windowed samples -> temporal split.
+windows -> temporal split.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import dataprep
-from .dataprep import (KpiSeries, apply_scaler, fit_scaler, interpolate_missing,
+from .dataprep import (KpiSeries, Windows, apply_scaler, fit_scaler, interpolate_missing,
                        make_windows, records_to_series, rsrq_series, split_4_1_1)
 from .errors import DataError
 
@@ -30,69 +29,63 @@ def _scaled(series, scaler):
     )
 
 
-def _anchor_bounds(series, window, max_h):
-    first = window.history_span()
-    last = series.length - max_h
-    return first, last
+def _by_anchor(windows_by_cell, window):
+    """Concatenate per-cell Windows, yielded in cell-id order, into one batch
+    ordered by (anchor index, cell id). Each cell's anchors run contiguously
+    from window.history_span(), as make_windows builds them. The per-cell
+    Windows are dropped once concatenated, so at most two copies of the rows
+    are alive at a time."""
+    parts = list(windows_by_cell)
+    t = np.concatenate([np.arange(len(w)) for w in parts]) + window.history_span()
+    merged = Windows.concat(parts)
+    del parts
+    return merged[np.argsort(t, kind="stable")]
 
 
 def prepare_load_dataset(series_by_cell, window, horizons, target_channel="load"):
-    """Build scaled WindowedSamples across cells with a 4:1:1 temporal split.
+    """Build scaled Windows across cells with a 4:1:1 temporal split.
 
     The scaler is fitted only on timesteps strictly before the first
     validation anchor, so no validation/test information leaks into it.
     Returns (train, val, test, scaler).
     """
-    max_h = max(horizons)
-    pairs = []
-    for cell in sorted(series_by_cell):
-        first, last = _anchor_bounds(series_by_cell[cell], window, max_h)
-        pairs.extend((t, cell) for t in range(first, last + 1))
-    if len(pairs) < 6:
+    first = window.history_span()
+    anchors = np.sort(np.concatenate(
+        [np.arange(first, s.length - max(horizons) + 1) for s in series_by_cell.values()]))
+    if len(anchors) < 6:
         raise DataError("not enough anchors for a 4:1:1 split")
-    pairs.sort()
-    boundary = pairs[(4 * len(pairs)) // 6][0]  # first validation anchor
+    boundary = anchors[(4 * len(anchors)) // 6]  # first validation anchor
 
     any_series = next(iter(series_by_cell.values()))
     train_rows = np.concatenate(
         [s.values[:min(boundary, s.length)] for _, s in sorted(series_by_cell.items())])
     scaler = fit_scaler(train_rows, any_series.channels)
 
-    samples = []
-    for cell in sorted(series_by_cell):
-        scaled = _scaled(series_by_cell[cell], scaler)
-        samples.extend(make_windows(scaled, window, horizons,
-                                    target_channel=target_channel))
-    samples.sort(key=lambda s: (s.anchor_t, s.cell_id))
-    train, val, test = split_4_1_1(samples)
+    per_cell = (make_windows(_scaled(s, scaler), window, horizons, target_channel=target_channel)
+                for _, s in sorted(series_by_cell.items()))
+    train, val, test = split_4_1_1(_by_anchor(per_cell, window))
     return train, val, test, scaler
 
 
 def prepare_pdf_dataset(records, window, bucket_seconds=300):
-    """RSRQ records -> histogram WindowedSamples with a 4:1:1 split.
+    """RSRQ records -> histogram Windows with a 4:1:1 split.
 
     Histogram rows are already normalized, so there is no scaler (None).
     """
     cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
     if not cells:
         raise DataError("no rsrq records found")
-    samples = []
-    for cell in cells:
-        series = interpolate_missing(rsrq_series(records, cell, bucket_seconds))
-        samples.extend(make_windows(series, window, pdf_target=True))
-    samples.sort(key=lambda s: (s.anchor_t, s.cell_id))
-    train, val, test = split_4_1_1(samples)
+    per_cell = (make_windows(interpolate_missing(rsrq_series(records, cell, bucket_seconds)),
+                             window, pdf_target=True)
+                for cell in cells)
+    train, val, test = split_4_1_1(_by_anchor(per_cell, window))
     return train, val, test, None
 
 
-def prediction_samples(series_by_cell, window, scaler, target_channel="load"):
-    """Inference-mode samples (no targets) for batch prediction; the same
+def prediction_samples(series_by_cell, window, scaler):
+    """Inference-mode Windows (no targets) for batch prediction; the same
     windows the streaming engine builds online."""
-    samples = []
-    for cell in sorted(series_by_cell):
-        s = series_by_cell[cell]
-        scaled = _scaled(s, scaler) if scaler is not None else s
-        samples.extend(make_windows(scaled, window, require_targets=False,
-                                    target_channel=target_channel))
-    samples.sort(key=lambda s: (s.anchor_t, s.cell_id))
-    return samples
+    per_cell = (make_windows(_scaled(s, scaler) if scaler is not None else s, window,
+                             require_targets=False)
+                for _, s in sorted(series_by_cell.items()))
+    return _by_anchor(per_cell, window)

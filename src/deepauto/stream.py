@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dataprep, model as model_mod
-from .dataprep import RSRQ_BINS, WindowedSample, apply_scaler, external_features
+from .dataprep import RSRQ_BINS, KpiSeries, apply_scaler, make_windows
 from .errors import DataError, ModelFormatError, OutOfRangeError
 
 
@@ -50,7 +50,8 @@ class CellBuffer:
     """Per-cell bucketed state: open (accumulating) and closed buckets.
 
     Bucket indices are absolute (ts // step_seconds); closed values are a
-    dict index -> channel vector, evicted beyond the window capacity.
+    dict index -> channel vector, in bucket order, evicted beyond the window
+    capacity.
     """
 
     def __init__(self, n_channels, capacity, histogram=False):
@@ -104,17 +105,16 @@ class CellBuffer:
 
     def window(self, anchor, span):
         """(span, C) history rows for indices [anchor-span, anchor); None if
-        the history reaches before the first bucket or a channel is all-NaN.
-        Interior gaps are filled with the linear/nearest interpolation rule.
+        the history reaches before the oldest bucket still held (the first
+        bucket, or the oldest not yet evicted), reaches past the last closed
+        bucket, or a channel is all-NaN. Interior gaps are filled with the
+        linear/nearest interpolation rule.
         """
         lo = anchor - span
-        if self.first_bucket is None or lo < self.first_bucket:
+        if not self.closed or lo < next(iter(self.closed)) or self.last_closed < anchor - 1:
             return None
-        if self.last_closed is None or self.last_closed < anchor - 1:
-            return None
-        rows = np.empty((span, self.n_channels))
-        for k, b in enumerate(range(lo, anchor)):
-            rows[k] = self.closed.get(b, np.full(self.n_channels, np.nan))
+        # closed buckets are contiguous from the oldest held to last_closed
+        rows = np.array([self.closed[b] for b in range(lo, anchor)])
         if np.isnan(rows).any():
             t = np.arange(span)
             for c in range(self.n_channels):
@@ -136,8 +136,9 @@ class Engine:
     def __init__(self, params, config, scaler, step_seconds=None):
         self._lock = threading.RLock()
         self.step_seconds = step_seconds
-        self._install(params, config, scaler, version=1)
         self.cells = {}
+        self.channels = self.histogram = None
+        self._install(params, config, scaler, version=1)
         self.latest_prediction = {}
         self.counters = {"ingested": 0, "malformed": 0, "out_of_range": 0,
                          "late_dropped": 0, "predictions": 0, "reload_errors": 0}
@@ -150,19 +151,29 @@ class Engine:
         return cls(params, config, scaler, step_seconds)
 
     def _install(self, params, config, scaler, version):
-        if config.output_kind == "pdf":
-            self.channels = [f"rsrq_{i}" for i in range(RSRQ_BINS)]
-            self.topic = "rsrq"
+        """Swap in a model. Buffers keep their history while the channel
+        layout stays the same, and their capacity follows the new window
+        span; a new layout restarts every buffer empty, so the engine warms
+        up again instead of reading rows of the old layout."""
+        histogram = config.output_kind == "pdf"
+        if histogram:
+            channels = [f"rsrq_{i}" for i in range(RSRQ_BINS)]
         else:
-            self.channels = list(scaler.channels) if scaler is not None else ["load", "ue"]
-            self.topic = None
+            channels = list(scaler.channels) if scaler is not None else ["load", "ue"]
         if self.step_seconds is None:
-            self.step_seconds = 300 if config.output_kind == "pdf" else 900
+            self.step_seconds = 300 if histogram else 900
+        self.capacity = config.window.history_span() + 2
+        if (channels, histogram) != (self.channels, self.histogram):
+            self.cells = {cell: CellBuffer(len(channels), self.capacity, histogram)
+                          for cell in self.cells}
+        for buf in self.cells.values():
+            buf.capacity = self.capacity
+        self.channels = channels
+        self.histogram = histogram
         self.params = params
         self.config = config
         self.scaler = scaler
         self.model_version = version
-        self.capacity = config.window.history_span() + 2
 
     # -- ingestion ----------------------------------------------------------
 
@@ -182,7 +193,7 @@ class Engine:
             arrival = time.monotonic()
         with self._lock:
             predictions = []
-            if self.config.output_kind == "pdf":
+            if self.histogram:
                 if rec["topic"] != "rsrq":
                     return []  # other topics are not errors, just irrelevant
                 channel = int(rec["value"])
@@ -196,8 +207,7 @@ class Engine:
             bucket = rec["ts"] // self.step_seconds
             buf = self.cells.get(rec["cell"])
             if buf is None:
-                buf = CellBuffer(len(self.channels), self.capacity,
-                                 histogram=self.config.output_kind == "pdf")
+                buf = CellBuffer(len(self.channels), self.capacity, self.histogram)
                 self.cells[rec["cell"]] = buf
 
             if buf.last_closed is not None and bucket <= buf.last_closed:
@@ -259,18 +269,15 @@ class Engine:
         rows = buf.window(anchor, span)
         if rows is None:
             return None  # still warming up
-        if config.output_kind != "pdf" and self.scaler is not None:
+        if not self.histogram and self.scaler is not None:
             rows = apply_scaler(rows, self.scaler)
         anchor_ts = anchor * self.step_seconds
-        recent, periodic, seasonal = config.window.lag_indices(span)
-        sample = WindowedSample(
-            cell_id=cell, anchor_t=anchor, anchor_ts=anchor_ts,
-            x_recent=rows[recent],
-            x_periodic=rows[periodic] if periodic else np.zeros((0, rows.shape[1])),
-            x_seasonal=rows[seasonal] if seasonal else np.zeros((0, rows.shape[1])),
-            external=external_features(anchor_ts),
-        )
-        outputs = model_mod.forward(sample, self.params, config)
+        # the rows are a series whose only inference anchor is t = span
+        series = KpiSeries(cell_id=cell, start_ts=anchor_ts - span * self.step_seconds,
+                           step_seconds=self.step_seconds, channels=self.channels,
+                           values=rows, missing_mask=np.zeros(rows.shape, dtype=bool))
+        windows = make_windows(series, config.window, require_targets=False)
+        outputs = model_mod.forward(windows, self.params, config)
         record = PredictionRecord(
             cell_id=cell, anchor_ts=anchor_ts, outputs=outputs,
             output_kind=config.output_kind, horizons=config.horizons,
@@ -318,7 +325,7 @@ class Engine:
 # HTTP surface
 
 
-def make_http_server(engine, host, port, firehose=None):
+def make_http_server(engine, host, port):
     """HTTP/1.1 JSON endpoints: GET /predictions/{cell}, GET /health."""
 
     class Handler(BaseHTTPRequestHandler):

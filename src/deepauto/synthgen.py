@@ -8,7 +8,6 @@ reproducible from the seed. Also a wall-clock replay of recorded streams.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -225,13 +224,6 @@ def _generate_rsrq(config, rng):
                 records.append({"topic": "rsrq", "cell": cell,
                                 "ts": int(t0 + j * spacing), "value": int(v)})
     return records
-
-
-def write_ndjson(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":"), sort_keys=True))
-            fh.write("\n")
 
 
 def replay(records, speedup, sink, clock=time):

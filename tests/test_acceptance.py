@@ -21,10 +21,10 @@ from deepauto import evaluation as ev
 from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto import pipeline, stream, synthgen
-from deepauto.dataprep import (EXTERNAL_DIM, KpiSeries, WindowSpec,
-                               WindowedSample, apply_scaler, autocorrelation,
-                               fit_scaler, interpolate_missing, invert_scaler,
-                               split_4_1_1)
+from deepauto.dataprep import (EXTERNAL_DIM, KpiSeries, Windows, WindowSpec,
+                               apply_scaler, autocorrelation, fit_scaler,
+                               interpolate_missing, invert_scaler, split_4_1_1,
+                               write_records)
 from deepauto.errors import ModelFormatError
 
 SEED = 7
@@ -117,20 +117,19 @@ def test_criterion_1_gradient_suite():
         for _, arr in nn.param_leaves(params):
             if not arr.any():        # zero-initialized embedding layer
                 arr[...] = rng.uniform(-0.3, 0.3, size=arr.shape)
-        samples = []
+        rows = []
         for i in range(6):
             if output_kind == "horizons":
                 target = rng.uniform(size=2)
             else:
                 target = rng.uniform(size=config.pdf_bins)
                 target /= target.sum()
-            samples.append(WindowedSample(
-                cell_id="c", anchor_t=i, anchor_ts=i * STEP,
-                x_recent=rng.uniform(size=(3, config.input_dim)),
-                x_periodic=rng.uniform(size=(2, config.input_dim)),
-                x_seasonal=rng.uniform(size=(1, config.input_dim)),
+            rows.append(dict(
+                recent=rng.uniform(size=(3, config.input_dim)),
+                periodic=rng.uniform(size=(2, config.input_dim)),
+                seasonal=rng.uniform(size=(1, config.input_dim)),
                 external=rng.uniform(size=EXTERNAL_DIM), target=target))
-        arrays = dm.samples_to_arrays(samples, config)
+        arrays = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
         _, grads = dm.loss_and_gradients(arrays, params, config)
         analytic = {name: grads[name] for name, _ in nn.param_leaves(params)}
         err = nn.gradient_check(
@@ -180,14 +179,14 @@ def test_criterion_3_window_grid(grid_result):
               "ridge-AR at the long horizon")
 def test_criterion_4_baseline_margins(trained_load_model):
     params, config, scaler, (train_s, val_s, test_s) = trained_load_model
-    arrays = dm.samples_to_arrays(test_s, config)
+    arrays = test_s.arrays
     Y = arrays["target"]
     yhat, _ = dm.forward_batch(arrays, params, config)
 
-    naive = np.repeat(np.stack([s.x_recent[-1, 0] for s in test_s])[:, None],
-                      Y.shape[1], axis=1)
-    X = ev.samples_to_design(train_s + val_s)
-    y = np.stack([s.target for s in train_s + val_s])
+    naive = np.repeat(arrays["recent"][:, -1, 0][:, None], Y.shape[1], axis=1)
+    fit_s = Windows.concat([train_s, val_s])
+    X = ev.samples_to_design(fit_s)
+    y = fit_s.arrays["target"]
     coef = ev.linear_ar_fit(X, y, lam=1e-3)
     ridge = ev.linear_ar_predict(ev.samples_to_design(test_s), coef)
 
@@ -213,10 +212,10 @@ def test_criterion_5_histogram_kl():
                                pdf_bins=35, use_external=False,
                                max_epochs=8, patience=8, seed=SEED)
     params, _ = dm.train(train_s, val_s, config)
-    arrays = dm.samples_to_arrays(test_s, config)
+    arrays = test_s.arrays
     yhat, _ = dm.forward_batch(arrays, params, config)
     kl_model = nn.kl_loss(arrays["target"], yhat)
-    naive = np.stack([s.x_recent[-1] for s in test_s])
+    naive = arrays["recent"][:, -1]
     kl_naive = nn.kl_loss(arrays["target"], naive)
     print(f"\n    KL model {kl_model:.4f} vs naive {kl_naive:.4f}", flush=True)
     assert kl_model <= 0.5 * kl_naive
@@ -241,7 +240,7 @@ def test_criterion_7_offline_online_equivalence(tmp_path):
     sc = synthgen.SynthConfig(n_cells=100, days=2.0, seed=11)
     records = synthgen.generate(sc)
     data = tmp_path / "stream.ndjson"
-    synthgen.write_ndjson(data, records)
+    write_records(data, records)
 
     config = dm.DeepAutoConfig(window=WindowSpec(n_r=6), input_dim=2,
                                horizons=(1, 8), hidden_r=8, fusion_hidden=8,

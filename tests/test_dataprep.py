@@ -201,7 +201,7 @@ def test_periodic_lag_indices():
 def test_make_windows_anchor_count():
     s = series_from(np.arange(10.0), channels=["load"])
     samples = dp.make_windows(s, dp.WindowSpec(n_r=3), horizons=[1], target_channel="load")
-    assert [x.anchor_t for x in samples] == list(range(3, 10))
+    assert [x.anchor_ts for x in samples] == [t * 60 for t in range(3, 10)]
     assert len(samples) == 7
 
 
@@ -209,16 +209,16 @@ def test_make_windows_values_and_targets():
     s = series_from(np.arange(100.0), channels=["load"])
     spec = dp.WindowSpec(n_r=2, n_p=1, period_steps=10)
     samples = dp.make_windows(s, spec, horizons=[1, 5], target_channel="load")
-    first = samples[0]
-    assert first.anchor_t == 10
-    np.testing.assert_array_equal(first.x_recent[:, 0], [8.0, 9.0])
-    np.testing.assert_array_equal(first.x_periodic[:, 0], [0.0])
-    np.testing.assert_array_equal(first.target, [10.0, np.mean(np.arange(10, 15))])
+    first = samples.arrays
+    assert samples.anchor_ts[0] == 10 * 60
+    np.testing.assert_array_equal(first["recent"][0, :, 0], [8.0, 9.0])
+    np.testing.assert_array_equal(first["periodic"][0, :, 0], [0.0])
+    np.testing.assert_array_equal(first["target"][0], [10.0, np.mean(np.arange(10, 15))])
 
 
 def test_make_windows_infeasible_spec():
     s = series_from(np.arange(5.0), channels=["load"])
-    assert dp.make_windows(s, dp.WindowSpec(n_r=10), horizons=[1]) == []
+    assert len(dp.make_windows(s, dp.WindowSpec(n_r=10), horizons=[1])) == 0
 
 
 @given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2),
@@ -231,10 +231,95 @@ def test_windows_never_read_out_of_bounds(n_r, n_p, n_s, length, period):
                          period_steps=period if n_p else 0,
                          season_steps=period * 2 if n_s else 0)
     s = series_from(np.arange(float(length)), channels=["load"])
-    for sample in dp.make_windows(s, spec, horizons=[1], target_channel="load"):
-        for window in (sample.x_recent, sample.x_periodic, sample.x_seasonal):
-            assert np.all(window[:, 0] >= 0.0)
-            assert np.all(window[:, 0] < length)
+    windows = dp.make_windows(s, spec, horizons=[1], target_channel="load")
+    for name in ("recent", "periodic", "seasonal"):
+        window = windows.arrays.get(name, np.zeros((0, 0, 1)))
+        assert np.all(window[..., 0] >= 0.0)
+        assert np.all(window[..., 0] < length)
+
+
+def reference_windows(series, spec, horizons, mode):
+    """make_windows rebuilt one anchor at a time from lag_indices,
+    aggregate_targets, external_features and values[t]."""
+    last = {"horizons": series.length - max(horizons),
+            "pdf": series.length - 1, "inference": series.length}[mode]
+    col = series.values[:, series.channel_index("load")]
+    rows = []
+    for t in range(spec.history_span(), last + 1):
+        row = {name: series.values[lags]
+               for name, lags in zip(("recent", "periodic", "seasonal"), spec.lag_indices(t))
+               if lags}
+        row["external"] = dp.external_features(series.timestamp(t))
+        if mode == "horizons":
+            row["target"] = dp.aggregate_targets(col, t, horizons)
+        elif mode == "pdf":
+            row["target"] = series.values[t]
+        rows.append((series.timestamp(t), row))
+    return rows
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["horizons", "pdf", "inference"]),
+       st.integers(1, 6), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3),
+       st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       st.integers(0, 10**6), st.sampled_from([60, 300, 900]))
+@settings(max_examples=80, deadline=None)
+def test_make_windows_matches_per_anchor_reference(seed, mode, n_r, n_p, n_s, n_channels,
+                                                   horizons, start, step):
+    rng = np.random.default_rng(seed)
+    period = n_r + int(rng.integers(1, 12))
+    spec = dp.WindowSpec(n_r=n_r, n_p=n_p, n_s=n_s, period_steps=period if n_p else 0,
+                         season_steps=period + int(rng.integers(0, 9)) if n_s else 0)
+    length = spec.history_span() + int(rng.integers(0, 50))
+    values = rng.normal(size=(length, n_channels)) * 10.0 ** rng.integers(-3, 4)
+    channels = [f"ch{i}" for i in range(n_channels)]
+    channels[int(rng.integers(n_channels))] = "load"
+    s = dp.KpiSeries(cell_id="c7", start_ts=start * step, step_seconds=step,
+                     channels=channels, values=values, missing_mask=np.zeros_like(values, bool))
+
+    windows = dp.make_windows(s, spec, horizons, require_targets=mode != "inference",
+                              pdf_target=mode == "pdf")
+    expected = reference_windows(s, spec, horizons, mode)
+    assert len(windows) == len(expected)
+    assert windows.cell_ids.tolist() == ["c7"] * len(expected)
+    assert windows.anchor_ts.tolist() == [ts for ts, _ in expected]
+    assert list(windows.arrays) == (["recent"] + ["periodic"] * (n_p > 0)
+                                    + ["seasonal"] * (n_s > 0) + ["external"]
+                                    + ["target"] * (mode != "inference"))
+    for name, arr in windows.arrays.items():
+        assert arr.flags.c_contiguous and arr.dtype == np.float64
+        assert arr.shape[0] == len(expected)
+        for k, (_, row) in enumerate(expected):
+            assert arr[k].tobytes() == row[name].tobytes(), (name, k)
+
+
+def test_windows_indexing_keeps_rows_aligned():
+    spec = dp.WindowSpec(n_r=3, n_p=1, period_steps=5)
+    cells = [series_from(np.arange(40.0) + offset, step=60, cell=cell, channels=["load"])
+             for cell, offset in (("a", 0.0), ("b", 1000.0))]
+    both = dp.Windows.concat([dp.make_windows(s, spec, horizons=[1, 3]) for s in cells])
+    assert len(both) == 2 * 33
+
+    def check_row(w, k):
+        # each series value encodes (cell, step), so every array must agree
+        # with the row's own cell id and anchor
+        t = int(w.anchor_ts[k]) // 60
+        base = {"a": 0.0, "b": 1000.0}[w.cell_ids[k]] + t
+        np.testing.assert_array_equal(w.arrays["recent"][k, :, 0], base - np.arange(3, 0, -1))
+        np.testing.assert_array_equal(w.arrays["periodic"][k, :, 0], [base - 5])
+        np.testing.assert_array_equal(w.arrays["target"][k], [base, base + 1])
+        np.testing.assert_array_equal(w.arrays["external"][k],
+                                      dp.external_features(w.anchor_ts[k]))
+
+    for rows in (np.array([40, 0, 65, 7, 33, 7]), slice(30, 40), slice(None, None, -3)):
+        sub = both[rows]
+        assert isinstance(sub, dp.Windows)
+        assert len(sub) == len(both.anchor_ts[rows])
+        assert list(sub.arrays) == list(both.arrays)
+        assert list(sub) == list(zip(sub.cell_ids.tolist(), sub.anchor_ts.tolist()))
+        for k in range(len(sub)):
+            check_row(sub, k)
+    first = next(iter(both))
+    assert (first.cell_id, first.anchor_ts) == ("a", 5 * 60)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from deepauto import evaluation as ev
-from deepauto.dataprep import EXTERNAL_DIM, WindowedSample
+from deepauto.dataprep import EXTERNAL_DIM, Windows
 from deepauto.errors import DataError, ShapeError
 
 
@@ -97,16 +97,16 @@ def test_ridge_singular_guard():
 
 def test_samples_to_design_layout():
     rng = np.random.default_rng(17)
-    s = WindowedSample(cell_id="c", anchor_t=10, anchor_ts=600,
-                       x_recent=rng.uniform(size=(3, 2)),
-                       x_periodic=rng.uniform(size=(2, 2)),
-                       x_seasonal=rng.uniform(size=(1, 2)),
-                       external=rng.uniform(size=EXTERNAL_DIM),
-                       target=np.array([0.5]))
-    D = ev.samples_to_design([s])
+    arrays = {"recent": rng.uniform(size=(1, 3, 2)),
+              "periodic": rng.uniform(size=(1, 2, 2)),
+              "seasonal": rng.uniform(size=(1, 1, 2)),
+              "external": rng.uniform(size=(1, EXTERNAL_DIM)),
+              "target": np.array([[0.5]])}
+    s = Windows(arrays, np.array(["c"]), np.array([600]))
+    D = ev.samples_to_design(s)
     assert D.shape == (1, 6 + 4 + 2 + EXTERNAL_DIM)
-    np.testing.assert_array_equal(D[0, :6], s.x_recent.ravel())
-    np.testing.assert_array_equal(D[0, -EXTERNAL_DIM:], s.external)
+    np.testing.assert_array_equal(D[0, :6], arrays["recent"][0].ravel())
+    np.testing.assert_array_equal(D[0, -EXTERNAL_DIM:], arrays["external"][0])
 
 
 # ---------------------------------------------------------------------------

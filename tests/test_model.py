@@ -6,7 +6,7 @@ import pytest
 
 from deepauto import model as dm
 from deepauto import neuralnet as nn
-from deepauto.dataprep import EXTERNAL_DIM, ScalerParams, WindowSpec, WindowedSample
+from deepauto.dataprep import EXTERNAL_DIM, ScalerParams, Windows, WindowSpec
 from deepauto.errors import ModelFormatError, ShapeError, TrainingDiverged
 
 
@@ -21,25 +21,27 @@ def micro_config(**overrides):
     return dm.DeepAutoConfig(**base)
 
 
-def random_sample(config, rng, cell="c", anchor=100):
+def random_row(config, rng):
     w = config.window
     if config.output_kind == "horizons":
         target = rng.uniform(size=len(config.horizons))
     else:
         target = rng.uniform(size=config.pdf_bins)
         target /= target.sum()
-    return WindowedSample(
-        cell_id=cell, anchor_t=anchor, anchor_ts=anchor * 60,
-        x_recent=rng.uniform(size=(w.n_r, config.input_dim)),
-        x_periodic=rng.uniform(size=(w.n_p, config.input_dim)),
-        x_seasonal=rng.uniform(size=(w.n_s, config.input_dim)),
-        external=rng.uniform(size=EXTERNAL_DIM),
-        target=target)
+    row = {"recent": rng.uniform(size=(w.n_r, config.input_dim)),
+           "periodic": rng.uniform(size=(w.n_p, config.input_dim)),
+           "seasonal": rng.uniform(size=(w.n_s, config.input_dim)),
+           "external": rng.uniform(size=EXTERNAL_DIM),
+           "target": target}
+    return {k: v for k, v in row.items() if v.size}
 
 
 def make_samples(config, n, seed=0):
+    """n random rows of cell "c" at anchors 100, 101, ... (60-s steps)."""
     rng = np.random.default_rng(seed)
-    return [random_sample(config, rng, anchor=100 + i) for i in range(n)]
+    rows = [random_row(config, rng) for _ in range(n)]
+    arrays = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
+    return Windows(arrays, np.full(n, "c"), (100 + np.arange(n)) * 60)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,7 @@ def zero_params(config):
 def test_forward_all_zero_params_sigmoid_head():
     config = micro_config()
     params = zero_params(config)
-    sample = make_samples(config, 1)[0]
+    sample = make_samples(config, 1)
     out = dm.forward(sample, params, config)
     np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
@@ -65,7 +67,7 @@ def test_forward_all_zero_params_sigmoid_head():
 def test_forward_all_zero_params_pdf_head():
     config = micro_config(output_kind="pdf", pdf_bins=35, input_dim=35)
     params = zero_params(config)
-    sample = make_samples(config, 1)[0]
+    sample = make_samples(config, 1)
     out = dm.forward(sample, params, config)
     np.testing.assert_allclose(out, 1 / 35, atol=1e-15)
 
@@ -73,8 +75,8 @@ def test_forward_all_zero_params_pdf_head():
 def test_forward_shape_mismatch():
     config = micro_config()
     params = dm.DeepAutoParams.init(config, np.random.default_rng(0))
-    sample = make_samples(config, 1)[0]
-    sample.x_recent = sample.x_recent[:, :1]
+    sample = make_samples(config, 1)
+    sample.arrays["recent"] = sample.arrays["recent"][:, :, :1]
     with pytest.raises(ShapeError):
         dm.forward(sample, params, config)
 
@@ -82,7 +84,7 @@ def test_forward_shape_mismatch():
 def test_pdf_head_normalized():
     config = micro_config(output_kind="pdf", pdf_bins=35, input_dim=35)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(4))
-    arrays = dm.samples_to_arrays(make_samples(config, 9, seed=2), config)
+    arrays = make_samples(config, 9, seed=2).arrays
     yhat, _ = dm.forward_batch(arrays, params, config)
     assert np.all(yhat >= 0)
     np.testing.assert_allclose(yhat.sum(axis=1), 1.0, atol=1e-9)
@@ -92,7 +94,7 @@ def test_pdf_head_normalized():
 def test_forward_batch_cache_free_bit_equal(batch):
     config = micro_config()
     params = dm.DeepAutoParams.init(config, np.random.default_rng(12))
-    arrays = dm.samples_to_arrays(make_samples(config, batch, seed=13), config)
+    arrays = make_samples(config, batch, seed=13).arrays
     cached, caches = dm.forward_batch(arrays, params, config)
     free, no_caches = dm.forward_batch(arrays, params, config, cache=False)
     assert len(caches["recent"]) == config.window.n_r and no_caches is None
@@ -130,11 +132,11 @@ def test_branch_ablation_consistency():
     params = dm.DeepAutoParams.init(config, np.random.default_rng(6))
     assert params.lstm_p is None and params.lstm_s is None
     assert params.fusion_net[0].in_dim == config.hidden_r + config.ext_embed_dim
-    sample = make_samples(config, 1, seed=3)[0]
+    sample = make_samples(config, 1, seed=3)
 
     # manual composition: recent branch + external embedding + fusion layers
-    state, _ = nn.lstm_forward_sequence(sample.x_recent, params.lstm_r)
-    h_ext, _ = nn.dense_forward(sample.external, params.ext_net[0])
+    state, _ = nn.lstm_forward_sequence(sample.arrays["recent"][0], params.lstm_r)
+    h_ext, _ = nn.dense_forward(sample.arrays["external"][0], params.ext_net[0])
     expected = np.concatenate([state.h, h_ext])
     for layer in params.fusion_net:
         expected, _ = nn.dense_forward(expected, layer)
@@ -148,13 +150,13 @@ def test_micro_forward_matches_scalar_composition():
         window=WindowSpec(n_r=2, n_p=0, n_s=0), input_dim=1,
         hidden_r=1, use_external=False, horizons=(1,))
     params = dm.DeepAutoParams.init(config, np.random.default_rng(8))
-    sample = make_samples(config, 1, seed=5)[0]
+    sample = make_samples(config, 1, seed=5)
 
     w = {name: float(getattr(params.lstm_r, name)[0] if name.startswith(("w_", "b_"))
                      else getattr(params.lstm_r, name)[0, 0])
          for name in ("W_xi", "W_hi", "w_ci", "b_i", "W_xf", "W_hf", "w_cf", "b_f",
                       "W_xc", "W_hc", "b_c", "W_xo", "W_ho", "w_co", "b_o")}
-    h, _ = oracles.lstm_sequence_scalar([float(x) for x in sample.x_recent[:, 0]], w)
+    h, _ = oracles.lstm_sequence_scalar([float(x) for x in sample.arrays["recent"][0, :, 0]], w)
     hid, out = params.fusion_net
     z = [math.tanh(float(hid.W[j, 0]) * h + float(hid.b[j])) for j in range(hid.out_dim)]
     logit = sum(float(out.W[0, j]) * z[j] for j in range(hid.out_dim)) + float(out.b[0])
@@ -168,7 +170,7 @@ def test_micro_forward_matches_scalar_composition():
 
 def run_gradient_check(config, seed=0, tol=1e-4):
     params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
-    arrays = dm.samples_to_arrays(make_samples(config, 6, seed=seed + 1), config)
+    arrays = make_samples(config, 6, seed=seed + 1).arrays
     loss, grads = dm.loss_and_gradients(arrays, params, config)
     analytic = {name: grads[name] for name, _ in nn.param_leaves(params)}
     err = nn.gradient_check(lambda: dm.batch_loss(arrays, params, config),
@@ -193,8 +195,7 @@ def test_gradients_no_external_no_seasonal():
 def test_perfect_predictions_zero_loss():
     config = micro_config(window=WindowSpec(n_r=2), use_external=False, horizons=(1,))
     params = dm.DeepAutoParams.init(config, np.random.default_rng(3))
-    samples = make_samples(config, 4, seed=9)
-    arrays = dm.samples_to_arrays(samples, config)
+    arrays = make_samples(config, 4, seed=9).arrays
     yhat, _ = dm.forward_batch(arrays, params, config)
     arrays["target"] = yhat.copy()
     loss, _ = dm.loss_and_gradients(arrays, params, config)
@@ -204,10 +205,8 @@ def test_perfect_predictions_zero_loss():
 def test_alpha_monotonicity():
     config = micro_config()
     params = dm.DeepAutoParams.init(config, np.random.default_rng(5))
-    samples = make_samples(config, 16, seed=6)
-    for s in samples:
-        s.target = np.clip(s.target, 0.05, 0.9)  # keep y < 1 strictly
-    arrays = dm.samples_to_arrays(samples, config)
+    arrays = make_samples(config, 16, seed=6).arrays
+    arrays["target"] = np.clip(arrays["target"], 0.05, 0.9)  # keep y < 1 strictly
     losses = []
     for alpha in (2.0, 4.0):
         cfg = micro_config(alpha=alpha)
@@ -222,8 +221,7 @@ def test_alpha_monotonicity():
 def test_training_learns_constant_target():
     config = micro_config(max_epochs=50, patience=50, batch_size=16, lr=0.02)
     samples = make_samples(config, 48, seed=12)
-    for s in samples:
-        s.target = np.array([0.3, 0.3])
+    samples.arrays["target"][:] = 0.3
     params, report = dm.train(samples[:32], samples[32:], config)
     assert report.train_losses[-1] < 1e-4 or report.best_val_loss < 1e-4
 
@@ -285,7 +283,7 @@ def test_grid_single_candidate_matches_train():
     assert len(rows) == 1 and "val_metric" in rows[0]
 
     params, _ = dm.train(samples[:20], samples[20:], config)
-    arrays = dm.samples_to_arrays(samples[20:], config)
+    arrays = samples[20:].arrays
     yhat, _ = dm.forward_batch(arrays, params, config)
     rmse = float(np.sqrt(np.mean((arrays["target"] - yhat) ** 2)))
     assert rows[0]["val_metric"] == pytest.approx(rmse, abs=1e-12)

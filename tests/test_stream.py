@@ -205,6 +205,60 @@ def test_reload_swaps_and_keeps_old_on_failure(tmp_path):
     assert not ok and eng.health()["reload_errors"] == 2
 
 
+def varying_records(cells, buckets):
+    """load/ue records whose values change every bucket, so a window built
+    from the wrong rows changes the prediction."""
+    return [rec(topic, cell, b, value)
+            for b in buckets for k, cell in enumerate(cells)
+            for topic, value in (("load", 0.5 + 0.4 * np.sin(0.7 * b + k)),
+                                 ("ue", 20.0 + 10.0 * np.cos(0.3 * b + k)))]
+
+
+def test_reload_to_longer_window_never_reads_evicted_rows(tmp_path):
+    scaler = fit_scaler(np.array([[0.0, 0.0], [1.0, 40.0]]), ("load", "ue"))
+    short = dm.DeepAutoConfig(window=WindowSpec(n_r=2), input_dim=2, horizons=(1, 8),
+                              hidden_r=3, ext_embed_dim=2)
+    long = dm.DeepAutoConfig(window=WindowSpec(n_r=8), input_dim=2, horizons=(1, 8),
+                             hidden_r=3, ext_embed_dim=2)
+    path = tmp_path / "long.model"
+    dm.save_file(path, dm.DeepAutoParams.init(long, np.random.default_rng(1)), long, scaler)
+
+    eng = stream.Engine(dm.DeepAutoParams.init(short, np.random.default_rng(0)), short, scaler)
+    before = feed(eng, varying_records(("A", "B"), range(20)))
+    assert before and all(p.model_version == 1 for p in before)
+    assert eng.reload_model(path) == (True, None)
+    after = feed(eng, varying_records(("A", "B"), range(20, 40))) + eng.flush()
+
+    fresh = stream.Engine.from_file(path)
+    reference = {(p.cell_id, p.anchor_ts): p.outputs
+                 for p in feed(fresh, varying_records(("A", "B"), range(40))) + fresh.flush()}
+    # rows up to bucket 13 were evicted under the short window (capacity 4),
+    # so anchor 22 (window 14..21) is the first the long model may predict
+    assert min(p.anchor_ts for p in after) == 22 * 900
+    assert {p.model_version for p in after} == {2}
+    for p in after:
+        assert p.outputs.tobytes() == reference[(p.cell_id, p.anchor_ts)].tobytes()
+
+
+def test_reload_load_to_pdf_model_restarts_buffers(tmp_path):
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    feed(eng, varying_records(("A",), range(5)))
+    pdf = dm.DeepAutoConfig(window=WindowSpec(n_r=2), input_dim=35, output_kind="pdf",
+                            pdf_bins=35, hidden_r=3, use_external=False)
+    path = tmp_path / "pdf.model"
+    dm.save_file(path, dm.DeepAutoParams.init(pdf, np.random.default_rng(0)), pdf, None)
+    assert eng.reload_model(path) == (True, None)
+
+    recs = [{"topic": "rsrq", "cell": "A", "ts": b * 900, "value": v}
+            for b in range(5, 9) for v in (10, 10, 20)]
+    preds = feed(eng, recs)
+    # rsrq history starts at bucket 5: anchor 7 is the first with 2 buckets
+    assert [p.anchor_ts for p in preds] == [7 * 900, 8 * 900]
+    assert all(p.model_version == 2 and p.outputs.shape == (35,) for p in preds)
+    assert eng.health()["ingested"] == 10 + len(recs)
+
+
 # ---------------------------------------------------------------------------
 # stream/batch equivalence (small; the acceptance suite runs the large one)
 
@@ -222,8 +276,9 @@ def test_stream_matches_batch_predictions_bitwise():
     scaler = fit_scaler(np.concatenate([s.values for s in series.values()]),
                         ("load", "ue"))
     offline = {}
-    for s in pipeline.prediction_samples(series, window, scaler):
-        offline[(s.cell_id, s.anchor_ts)] = dm.forward(s, params, config)
+    samples = pipeline.prediction_samples(series, window, scaler)
+    for k, s in enumerate(samples):
+        offline[(s.cell_id, s.anchor_ts)] = dm.forward(samples[k:k + 1], params, config)
 
     eng = stream.Engine(params, config, scaler, step_seconds=sc.step_seconds)
     online = {}

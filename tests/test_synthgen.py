@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deepauto import synthgen as sg
-from deepauto.dataprep import autocorrelation, records_to_series
+from deepauto.dataprep import autocorrelation, records_to_series, write_records
 from deepauto.errors import ConfigError, DataError
 
 
@@ -18,8 +18,8 @@ def test_generation_deterministic(tmp_path):
     recs1 = sg.generate(small_config())
     recs2 = sg.generate(small_config())
     p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-    sg.write_ndjson(p1, recs1)
-    sg.write_ndjson(p2, recs2)
+    write_records(p1, recs1)
+    write_records(p2, recs2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_bytes()) > 0
 
@@ -125,10 +125,10 @@ def test_config_validation():
         sg.SynthConfig(n_cells=0)
 
 
-def test_write_ndjson_parseable(tmp_path):
+def test_write_records_parseable(tmp_path):
     recs = sg.generate(small_config(days=0.25))
     path = tmp_path / "out.ndjson"
-    sg.write_ndjson(path, recs)
+    write_records(path, recs)
     lines = path.read_text().splitlines()
     assert len(lines) == len(recs)
     assert json.loads(lines[0]) == recs[0]
