@@ -32,12 +32,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config(path, input_dim=2, **overrides):
+def _load_config(path, **overrides):
     doc = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc.setdefault("input_dim", input_dim)
+    doc.setdefault("input_dim", 2)
     doc.setdefault("window", {"n_r": 8})
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return DeepAutoConfig.from_dict(doc)
@@ -210,15 +210,16 @@ def cmd_acf(args):
 def cmd_predict(args):
     params, config, scaler = model_mod.load_file(args.model)
     records = _load_records(args.input)
-    step = args.step_seconds or 900
-    series = pipeline.load_series(records, step)
+    if config.output_kind == "pdf":
+        series = pipeline.load_rsrq_series(records, args.step_seconds or 300)
+    else:
+        series = pipeline.load_series(records, args.step_seconds or 900)
     samples = pipeline.prediction_samples(series, config.window, scaler)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     try:
         for s, yhat in zip(samples, model_mod.predict_samples(samples, params, config)):
             doc = {"cell": s.cell_id, "anchor_ts": s.anchor_ts}
-            for h, v in zip(config.horizons, yhat):
-                doc[f"h{h}"] = float(v)
+            doc.update(model_mod.output_fields(yhat, config.output_kind, config.horizons))
             out.write(json.dumps(doc, sort_keys=True) + "\n")
     finally:
         if out is not sys.stdout:

@@ -1,6 +1,7 @@
-"""Baselines and metrics for the comparison methodology: naive and
-seasonal-naive predictors, a ridge autoregressive baseline, RMSE / MAE /
-load-thresholded MAPE, KL evaluation, and the multi-model report."""
+"""Baselines and metrics for the comparison methodology: a ridge
+autoregressive baseline, RMSE / MAE / load-thresholded MAPE, KL evaluation,
+and the multi-model report. The naive (last value) baseline is the last
+step of each window's recent branch, built where it is compared."""
 
 from __future__ import annotations
 
@@ -12,30 +13,6 @@ from .errors import DataError, ShapeError
 
 # ---------------------------------------------------------------------------
 # baselines
-
-
-def naive_predict(values, t, horizons=(1, 15, 60)):
-    """Predict every horizon as the last observed value y_{t-1}."""
-    values = np.asarray(values, dtype=np.float64)
-    if t < 1:
-        raise DataError("naive prediction needs at least one past observation")
-    return np.full(len(horizons), float(values[t - 1]))
-
-
-def seasonal_naive_predict(values, t, period, horizons=(1, 15, 60)):
-    """Predict each horizon from the same offset one period earlier."""
-    values = np.asarray(values, dtype=np.float64)
-    if period < 1:
-        raise DataError("period must be >= 1")
-    out = np.empty(len(horizons))
-    for k, h in enumerate(horizons):
-        # mirror of aggregate_targets, shifted back one period
-        lo = t - period
-        hi = t - period + h
-        if lo < 0 or hi > values.shape[0]:
-            raise DataError(f"insufficient history for seasonal-naive at t={t}, h={h}")
-        out[k] = float(np.mean(values[lo:hi]))
-    return out
 
 
 def linear_ar_fit(X, y, lam=1e-6):

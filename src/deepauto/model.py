@@ -21,7 +21,16 @@ from .dataprep import EXTERNAL_DIM, ScalerParams, WindowSpec
 from .errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
 MAGIC = b"DAUT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# version 1 stored each LSTM cell as 15 per-gate tensors, floats in the same
+# order as the gate-major version-2 tensors they stack into
+V1_GATES = {
+    "W_x": ("W_xi", "W_xf", "W_xc", "W_xo"),
+    "W_h": ("W_hi", "W_hf", "W_hc", "W_ho"),
+    "w_peep": ("w_ci", "w_cf", "w_co"),
+    "b": ("b_i", "b_f", "b_c", "b_o"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +215,9 @@ def forward(sample, params, config):
 
 def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
     """Gradients of a scalar loss given d(loss)/d(Yhat) (or d/d(logits) when
-    `skip_head_activation`, used by the softmax+KL shortcut)."""
-    grads = nn.GradientBundle()
+    `skip_head_activation`, used by the softmax+KL shortcut), as a
+    DeepAutoParams of the same shapes as `params`."""
+    fusion = []
     d = d_yhat
     for li in range(len(params.fusion_net) - 1, -1, -1):
         layer = params.fusion_net[li]
@@ -218,41 +228,22 @@ def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
             d = d @ layer.W
         else:
             g_layer, d = nn.dense_backward(cache, d, layer)
-        grads.add(f"fusion_net[{li}].W", g_layer.W)
-        grads.add(f"fusion_net[{li}].b", g_layer.b)
-    d_fused = d
+        fusion.insert(0, g_layer)
 
-    # split fused gradient back into branch slices
-    offsets = np.cumsum([0] + caches["parts"])
-    slices = [d_fused[:, offsets[k]:offsets[k + 1]] for k in range(len(caches["parts"]))]
-    idx = 0
-
-    g, _, _, _ = nn.lstm_backward_sequence(caches["recent"], slices[idx], params.lstm_r,
-                                           need_dx=False)
-    for name, arr in nn.param_leaves(g):
-        grads.add(f"lstm_r.{name}", arr)
-    idx += 1
+    # split the fused gradient back into branch slices
+    slices = np.split(d, np.cumsum(caches["parts"])[:-1], axis=1)
+    grads = DeepAutoParams(
+        lstm_r=nn.lstm_backward_sequence(caches["recent"], slices.pop(0), params.lstm_r),
+        fusion_net=fusion)
     if config.window.n_p > 0:
-        g, _, _, _ = nn.lstm_backward_sequence(caches["periodic"], slices[idx], params.lstm_p,
-                                               need_dx=False)
-        for name, arr in nn.param_leaves(g):
-            grads.add(f"lstm_p.{name}", arr)
-        idx += 1
+        grads.lstm_p = nn.lstm_backward_sequence(caches["periodic"], slices.pop(0), params.lstm_p)
     if config.window.n_s > 0:
-        g, _, _, _ = nn.lstm_backward_sequence(caches["seasonal"], slices[idx], params.lstm_s,
-                                               need_dx=False)
-        for name, arr in nn.param_leaves(g):
-            grads.add(f"lstm_s.{name}", arr)
-        idx += 1
+        grads.lstm_s = nn.lstm_backward_sequence(caches["seasonal"], slices.pop(0), params.lstm_s)
     if config.use_external:
-        d = slices[idx]
+        d = slices.pop(0)
         for li in range(len(params.ext_net) - 1, -1, -1):
             g_layer, d = nn.dense_backward(caches["ext"][li], d, params.ext_net[li])
-            grads.add(f"ext_net[{li}].W", g_layer.W)
-            grads.add(f"ext_net[{li}].b", g_layer.b)
-    # drop gradient names for scalar metadata fields
-    keep = {name for name, _ in nn.param_leaves(params)}
-    grads.tensors = {k: v for k, v in grads.tensors.items() if k in keep}
+            grads.ext_net.insert(0, g_layer)
     return grads
 
 
@@ -287,6 +278,14 @@ def batch_loss(batch, params, config):
     if config.output_kind == "horizons":
         return nn.mmse_loss(Y, yhat, config.alpha)
     return nn.kl_loss(Y, yhat)
+
+
+def output_fields(yhat, output_kind, horizons):
+    """One prediction's outputs as JSON fields: "h<h>" per horizon for load
+    models, a "pdf" list for histogram models."""
+    if output_kind == "horizons":
+        return {f"h{h}": float(v) for h, v in zip(horizons, yhat)}
+    return {"pdf": [float(v) for v in yhat]}
 
 
 def predict_samples(samples, params, config):
@@ -439,9 +438,10 @@ def _unpack_str(fh, what):
 def save(params, config, scaler):
     """Serialize (params, config, scaler) to a versioned binary blob.
 
-    Layout: magic, u32 version, config JSON, scaler JSON, u32 tensor count,
-    then per tensor (name, u32 ndim, u64 dims..., float64 LE data), and a
-    trailing CRC32 of everything before it.
+    Layout: magic, u32 version (2), config JSON, scaler JSON, u32 tensor
+    count, then per tensor (name, u32 ndim, u64 dims..., float64 LE data) in
+    param_leaves order, and a trailing CRC32 of everything before it.
+    load() also reads version-1 files.
     """
     body = io.BytesIO()
     body.write(MAGIC)
@@ -461,6 +461,20 @@ def save(params, config, scaler):
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+def _stack_v1_cells(tensors):
+    """Stack each version-1 LSTM cell's per-gate tensors into the gate-major
+    ones; other tensors pass through."""
+    for cell in ("lstm_r", "lstm_p", "lstm_s"):
+        for packed, gates in V1_GATES.items():
+            names = [f"{cell}.{gate}" for gate in gates]
+            if all(name in tensors for name in names):
+                try:
+                    tensors[f"{cell}.{packed}"] = np.stack([tensors.pop(n) for n in names])
+                except ValueError as exc:
+                    raise ModelFormatError(f"tensors of {cell}.{packed}: {exc}") from exc
+    return tensors
+
+
 def load(blob):
     """Inverse of save(); raises ModelFormatError on any corruption."""
     if len(blob) < len(MAGIC) + 8:
@@ -472,7 +486,7 @@ def load(blob):
     if _read_exact(fh, 4, "magic") != MAGIC:
         raise ModelFormatError("bad magic")
     (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {version}")
     try:
         config = DeepAutoConfig.from_dict(json.loads(_unpack_str(fh, "config")))
@@ -489,17 +503,19 @@ def load(blob):
         shape = tuple(struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0] for _ in range(ndim))
         n = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(_read_exact(fh, 8 * n, f"tensor {name}"), dtype="<f8")
-        tensors[name] = data.reshape(shape).astype(np.float64)
+        tensors[name] = data.reshape(shape)
+    if version == 1:
+        tensors = _stack_v1_cells(tensors)
 
-    rng = np.random.default_rng(0)
-    params = DeepAutoParams.init(config, rng)
-    expected = dict(nn.param_leaves(params))
-    if set(expected) != set(tensors):
+    params = DeepAutoParams.init(config, np.random.default_rng(0))
+    leaves = list(nn.param_leaves(params))
+    if {name for name, _ in leaves} != set(tensors):
         raise ModelFormatError("tensor names do not match the embedded config")
-    for name, arr in tensors.items():
-        if arr.shape != expected[name].shape:
-            raise ModelFormatError(f"tensor {name} has shape {arr.shape}, expected {expected[name].shape}")
-        nn.set_leaf(params, name, arr)
+    for name, arr in leaves:
+        if tensors[name].shape != arr.shape:
+            raise ModelFormatError(f"tensor {name} has shape {tensors[name].shape}, "
+                                   f"expected {arr.shape}")
+        arr[...] = tensors[name]
     return params, config, scaler
 
 

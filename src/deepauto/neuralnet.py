@@ -5,17 +5,20 @@ gradient checker.
 Everything is float64 numpy. Parameters live in plain dataclasses; the
 generic `param_leaves` walker exposes them as (name, array) pairs so the
 optimizer and the gradient checker stay agnostic of the model structure.
+Gradients come back as the same dataclasses as the parameters, so the
+optimizer and the checker walk the two structures side by side.
 
-Memory contract of the LSTM passes:
+An LSTM cell is stored gate-major: `W_x` (4, hidden, input), `W_h`
+(4, hidden, hidden) and `b` (4, hidden) hold the gates in the order input,
+forget, candidate, output; the diagonal peepholes `w_peep` (3, hidden) are
+in the order input, forget, output.
 
-- `lstm_forward_sequence(..., cache=True)` keeps one step cache per time
-  step, O(batch * steps * hidden) floats, which `lstm_backward_sequence`
-  needs. With `cache=False` it keeps no step state and returns `None` for
-  the caches: the pass holds O(batch * hidden) floats, and the final state
-  is bit-identical to the cached pass. Inference uses `cache=False`.
-- `lstm_backward_sequence(..., need_dx=True)` also returns the gradient on
-  the inputs. With `need_dx=False` it skips those products and returns
-  `None` in its place; the parameter gradients are bit-identical.
+Memory contract of the LSTM passes: `lstm_forward_sequence(..., cache=True)`
+keeps one step cache per time step, O(batch * steps * hidden) floats, which
+`lstm_backward_sequence` needs. With `cache=False` it keeps no step state
+and returns `None` for the caches: the pass holds O(batch * hidden) floats,
+and the final state is bit-identical to the cached pass. Inference uses
+`cache=False`.
 """
 
 from __future__ import annotations
@@ -87,69 +90,46 @@ def apply_activation(z, activation):
 
 @dataclass
 class LstmCellParams:
-    """Weights of one peephole LSTM cell.
+    """Weights of one peephole LSTM cell, gate-major (see the module notes)."""
 
-    Gate weights are (hidden, input) / (hidden, hidden) matrices; the
-    peephole connections w_ci/w_cf/w_co are diagonal, stored as vectors.
-    """
-
-    input_dim: int
-    hidden_dim: int
-    W_xi: np.ndarray
-    W_xf: np.ndarray
-    W_xc: np.ndarray
-    W_xo: np.ndarray
-    W_hi: np.ndarray
-    W_hf: np.ndarray
-    W_hc: np.ndarray
-    W_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W_x: np.ndarray     # (4, hidden, input)
+    W_h: np.ndarray     # (4, hidden, hidden)
+    w_peep: np.ndarray  # (3, hidden)
+    b: np.ndarray       # (4, hidden)
 
     @classmethod
     def zeros(cls, input_dim, hidden_dim):
         d, h = int(input_dim), int(hidden_dim)
         if d <= 0 or h <= 0:
             raise ConfigError("LSTM dims must be positive")
-        m = lambda r, c: np.zeros((r, c))
-        v = lambda: np.zeros(h)
-        return cls(
-            input_dim=d, hidden_dim=h,
-            W_xi=m(h, d), W_xf=m(h, d), W_xc=m(h, d), W_xo=m(h, d),
-            W_hi=m(h, h), W_hf=m(h, h), W_hc=m(h, h), W_ho=m(h, h),
-            w_ci=v(), w_cf=v(), w_co=v(),
-            b_i=v(), b_f=v(), b_c=v(), b_o=v(),
-        )
+        return cls(W_x=np.zeros((4, h, d)), W_h=np.zeros((4, h, h)),
+                   w_peep=np.zeros((3, h)), b=np.zeros((4, h)))
 
     @classmethod
     def init(cls, input_dim, hidden_dim, rng):
         """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)]; forget bias 1.0."""
         p = cls.zeros(input_dim, hidden_dim)
-        for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
-            bound = 1.0 / np.sqrt(input_dim)
-            setattr(p, name, rng.uniform(-bound, bound, size=(hidden_dim, input_dim)))
+        bound = 1.0 / np.sqrt(input_dim)
+        p.W_x = rng.uniform(-bound, bound, size=p.W_x.shape)
         bound = 1.0 / np.sqrt(hidden_dim)
-        for name in ("W_hi", "W_hf", "W_hc", "W_ho", "w_ci", "w_cf", "w_co"):
-            shape = (hidden_dim, hidden_dim) if name.startswith("W") else (hidden_dim,)
-            setattr(p, name, rng.uniform(-bound, bound, size=shape))
-        p.b_f = np.ones(hidden_dim)
+        p.W_h = rng.uniform(-bound, bound, size=p.W_h.shape)
+        p.w_peep = rng.uniform(-bound, bound, size=p.w_peep.shape)
+        p.b[1] = 1.0
         return p
+
+    @property
+    def input_dim(self):
+        return self.W_x.shape[2]
+
+    @property
+    def hidden_dim(self):
+        return self.W_x.shape[1]
 
 
 @dataclass
 class LstmState:
     h: np.ndarray
     c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_dim, batch=None):
-        shape = (hidden_dim,) if batch is None else (batch, hidden_dim)
-        return cls(h=np.zeros(shape), c=np.zeros(shape))
 
 
 @dataclass
@@ -202,54 +182,6 @@ def param_leaves(obj, prefix=""):
     # scalars / strings / None: not parameters
 
 
-def set_leaf(obj, name, value):
-    """Replace the array at dotted `name` (as produced by param_leaves)."""
-    parts = []
-    for chunk in name.split("."):
-        if "[" in chunk:
-            base, idx = chunk[:-1].split("[")
-            parts.append(base)
-            parts.append(int(idx))
-        else:
-            parts.append(chunk)
-    target = obj
-    for p in parts[:-1]:
-        target = target[p] if isinstance(p, int) else getattr(target, p)
-    last = parts[-1]
-    if isinstance(last, int):
-        target[last] = value
-    else:
-        setattr(target, last, value)
-
-
-class GradientBundle:
-    """Named gradient tensors mirroring a parameter structure."""
-
-    def __init__(self, tensors=None):
-        self.tensors = dict(tensors) if tensors else {}
-
-    def add(self, name, grad):
-        if name in self.tensors:
-            if self.tensors[name].shape != np.shape(grad):
-                raise ShapeError(f"gradient shape mismatch for {name}")
-            self.tensors[name] = self.tensors[name] + grad
-        else:
-            self.tensors[name] = np.asarray(grad, dtype=np.float64)
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def __contains__(self, name):
-        return name in self.tensors
-
-    def check_congruent(self, params):
-        for name, arr in param_leaves(params):
-            if name not in self.tensors:
-                raise ShapeError(f"missing gradient for {name}")
-            if self.tensors[name].shape != arr.shape:
-                raise ShapeError(f"gradient shape mismatch for {name}")
-
-
 def clone_params(params):
     """Deep copy of a parameter structure (arrays copied)."""
     if isinstance(params, np.ndarray):
@@ -269,6 +201,117 @@ def clone_params(params):
 # LSTM forward / backward
 
 
+def _lstm_step(x, h_prev, c_prev, p):
+    """The cell math on validated (batch, dim) float64 arrays:
+
+    i = sig(W_x[0] x + W_h[0] h' + w_peep[0]*c' + b[0])
+    f = sig(W_x[1] x + W_h[1] h' + w_peep[1]*c' + b[1])
+    z = W_x[2] x + W_h[2] h' + b[2]
+    c = f*c' + i*tanh(z)
+    o = sig(W_x[3] x + W_h[3] h' + w_peep[2]*c + b[3])
+    h = o*tanh(c)
+
+    The four gate pre-activations come from two stacked products, one
+    (4, batch, hidden) array `a` that then holds the activated gates i, f,
+    tanh(z), o. Returns (h, c, cache); cache is the tuple
+    (x, h_prev, c_prev, a, c, tc) that the backward pass reads.
+    """
+    a = np.matmul(x, p.W_x.transpose(0, 2, 1))
+    a += np.matmul(h_prev, p.W_h.transpose(0, 2, 1))
+    i, f, tz, o = a
+    i += p.w_peep[0] * c_prev
+    i += p.b[0]
+    _sigmoid_(i)
+    f += p.w_peep[1] * c_prev
+    f += p.b[1]
+    _sigmoid_(f)
+    tz += p.b[2]
+    np.tanh(tz, out=tz)
+    c = f * c_prev
+    c += i * tz
+    o += p.w_peep[2] * c
+    o += p.b[3]
+    _sigmoid_(o)
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, a, c, tc)
+
+
+def lstm_forward_sequence(xs, p, cache=True):
+    """Fold the cell over a (batch, steps, input_dim) sequence; returns
+    (final LstmState, caches).
+
+    The branch output is the hidden state after the last step. `caches`
+    holds one step cache per step, or is None when `cache=False`.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3 or xs.shape[2] != p.input_dim:
+        raise ShapeError(f"sequence shape {xs.shape} incompatible with input_dim {p.input_dim}")
+    if xs.shape[1] == 0:
+        raise ShapeError("empty LSTM input sequence")
+
+    h = c = np.zeros((xs.shape[0], p.hidden_dim))
+    caches = [] if cache else None
+    for t in range(xs.shape[1]):
+        h, c, step = _lstm_step(xs[:, t, :], h, c, p)
+        if cache:
+            caches.append(step)
+    return LstmState(h=h, c=c), caches
+
+
+def lstm_backward_sequence(caches, dh_final, p):
+    """BPTT over a cached forward pass; returns the parameter gradients as
+    an LstmCellParams. `dh_final` is the (batch, hidden) upstream gradient
+    on the last hidden state.
+    """
+    if not caches:
+        raise ShapeError("no caches to backpropagate through")
+    dh = np.asarray(dh_final, dtype=np.float64)
+    if dh.shape != caches[0][1].shape:
+        raise ShapeError(f"upstream gradient shape {dh.shape} does not match the caches")
+
+    g = LstmCellParams.zeros(p.input_dim, p.hidden_dim)
+    dc_carry = np.zeros_like(dh)
+    for x, h_prev, c_prev, a, c, tc in reversed(caches):
+        i, f, tz, o = a
+        da = np.empty_like(a)
+        da_i, da_f, dz, da_o = da
+
+        np.multiply(dh, tc, out=da_o)
+        da_o *= o
+        da_o *= 1.0 - o
+        dc = dh * o
+        dc *= 1.0 - tc * tc
+        dc += dc_carry
+        dc += da_o * p.w_peep[2]
+        np.multiply(dc, i, out=dz)
+        dz *= 1.0 - tz * tz
+        np.multiply(dc, tz, out=da_i)
+        da_i *= i
+        da_i *= 1.0 - i
+        np.multiply(dc, c_prev, out=da_f)
+        da_f *= f
+        da_f *= 1.0 - f
+
+        g.W_x += np.matmul(da.transpose(0, 2, 1), x)
+        g.W_h += np.matmul(da.transpose(0, 2, 1), h_prev)
+        g.w_peep[0] += np.sum(da_i * c_prev, axis=0)
+        g.w_peep[1] += np.sum(da_f * c_prev, axis=0)
+        g.w_peep[2] += np.sum(da_o * c, axis=0)
+        g.b += da.sum(axis=1)
+
+        dh = np.matmul(da, p.W_h).sum(axis=0)
+        dc *= f
+        dc += da_i * p.w_peep[0]
+        dc += da_f * p.w_peep[1]
+        dc_carry = dc
+    return g
+
+
+# ---------------------------------------------------------------------------
+# dense layer
+
+
 def _as_batch(x, dim, what):
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -277,175 +320,6 @@ def _as_batch(x, dim, what):
     if x.ndim != 2 or x.shape[1] != dim:
         raise ShapeError(f"{what}: expected (*, {dim}), got {x.shape}")
     return x, squeeze
-
-
-def _as_state(prev, batch, p):
-    """Validate an LstmState against `batch` rows; returns (h, c) as
-    (batch, hidden) arrays, broadcasting a single state over the batch."""
-    h, _ = _as_batch(prev.h, p.hidden_dim, "lstm h_prev")
-    c, _ = _as_batch(prev.c, p.hidden_dim, "lstm c_prev")
-    if h.shape[0] not in (1, batch):
-        raise ShapeError("lstm state batch mismatch")
-    if h.shape[0] == 1 and batch > 1:
-        h = np.broadcast_to(h, (batch, p.hidden_dim))
-        c = np.broadcast_to(c, (batch, p.hidden_dim))
-    return h, c
-
-
-def _lstm_step(x, h_prev, c_prev, p):
-    """The cell math on validated (batch, dim) float64 arrays.
-
-    Returns (h, c, cache); cache is the tuple
-    (x, h_prev, c_prev, i, f, o, tz, c, tc) that the backward pass reads.
-    """
-    i = x @ p.W_xi.T
-    i += h_prev @ p.W_hi.T
-    i += p.w_ci * c_prev
-    i += p.b_i
-    _sigmoid_(i)
-    f = x @ p.W_xf.T
-    f += h_prev @ p.W_hf.T
-    f += p.w_cf * c_prev
-    f += p.b_f
-    _sigmoid_(f)
-    tz = x @ p.W_xc.T
-    tz += h_prev @ p.W_hc.T
-    tz += p.b_c
-    np.tanh(tz, out=tz)
-    c = f * c_prev
-    c += i * tz
-    o = x @ p.W_xo.T
-    o += h_prev @ p.W_ho.T
-    o += p.w_co * c
-    o += p.b_o
-    _sigmoid_(o)
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, o, tz, c, tc)
-
-
-def lstm_cell_forward(x, prev, p):
-    """One step of the peephole LSTM.
-
-    i = sig(W_xi x + W_hi h' + w_ci*c' + b_i)
-    f = sig(W_xf x + W_hf h' + w_cf*c' + b_f)
-    z = W_xc x + W_hc h' + b_c
-    c = f*c' + i*tanh(z)
-    o = sig(W_xo x + W_ho h' + w_co*c + b_o)
-    h = o*tanh(c)
-
-    Accepts a single vector or a (batch, input_dim) matrix; the returned
-    cache carries everything the backward pass needs.
-    """
-    x, squeeze = _as_batch(x, p.input_dim, "lstm input")
-    h_prev, c_prev = _as_state(prev, x.shape[0], p)
-    h, c, cache = _lstm_step(x, h_prev, c_prev, p)
-    if squeeze:
-        return LstmState(h=h[0], c=c[0]), cache
-    return LstmState(h=h, c=c), cache
-
-
-def lstm_forward_sequence(xs, p, init=None, cache=True):
-    """Fold the cell over a sequence; returns (final hidden state, caches).
-
-    `xs` may be (steps, input_dim), (batch, steps, input_dim), or a list of
-    step vectors. The branch output is the hidden state after the last step.
-    `caches` holds one step cache per step, or is None when `cache=False`.
-    """
-    if isinstance(xs, (list, tuple)):
-        xs = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
-    xs = np.asarray(xs, dtype=np.float64)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[None]
-    if xs.ndim != 3 or xs.shape[2] != p.input_dim:
-        raise ShapeError(f"sequence shape {xs.shape} incompatible with input_dim {p.input_dim}")
-    if xs.shape[1] == 0:
-        raise ShapeError("empty LSTM input sequence")
-
-    batch = xs.shape[0]
-    if init is None:
-        h = c = np.zeros((batch, p.hidden_dim))
-    else:
-        h, c = _as_state(init, batch, p)
-    caches = [] if cache else None
-    for t in range(xs.shape[1]):
-        h, c, step = _lstm_step(xs[:, t, :], h, c, p)
-        if cache:
-            caches.append(step)
-    if squeeze:
-        return LstmState(h=h[0], c=c[0]), caches
-    return LstmState(h=h, c=c), caches
-
-
-def lstm_backward_sequence(caches, dh_final, p, dc_final=None, need_dx=True):
-    """BPTT over a cached forward pass.
-
-    Returns (param grads as LstmCellParams, dxs (batch, steps, input_dim),
-    dh0, dc0). `dh_final` is the upstream gradient on the last hidden state.
-    With `need_dx=False` the input gradient is not computed and dxs is None.
-    """
-    if not caches:
-        raise ShapeError("no caches to backpropagate through")
-    dh, squeeze = _as_batch(dh_final, p.hidden_dim, "upstream dh")
-    batch = caches[0][0].shape[0]
-    if dh.shape[0] != batch:
-        raise ShapeError("upstream gradient batch mismatch with caches")
-
-    g = LstmCellParams.zeros(p.input_dim, p.hidden_dim)
-    dc_carry = np.zeros_like(dh) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dxs = np.zeros((batch, len(caches), p.input_dim)) if need_dx else None
-
-    for t in range(len(caches) - 1, -1, -1):
-        x, h_prev, c_prev, i, f, o, tz, c, tc = caches[t]
-
-        da_o = dh * tc
-        da_o *= o
-        da_o *= 1.0 - o
-        dc = dh * o
-        dc *= 1.0 - tc * tc
-        dc += dc_carry
-        dc += da_o * p.w_co
-        dz = dc * i
-        dz *= 1.0 - tz * tz
-        da_i = dc * tz
-        da_i *= i
-        da_i *= 1.0 - i
-        da_f = dc * c_prev
-        da_f *= f
-        da_f *= 1.0 - f
-
-        g.W_xi += da_i.T @ x
-        g.W_xf += da_f.T @ x
-        g.W_xc += dz.T @ x
-        g.W_xo += da_o.T @ x
-        g.W_hi += da_i.T @ h_prev
-        g.W_hf += da_f.T @ h_prev
-        g.W_hc += dz.T @ h_prev
-        g.W_ho += da_o.T @ h_prev
-        g.w_ci += np.sum(da_i * c_prev, axis=0)
-        g.w_cf += np.sum(da_f * c_prev, axis=0)
-        g.w_co += np.sum(da_o * c, axis=0)
-        g.b_i += np.sum(da_i, axis=0)
-        g.b_f += np.sum(da_f, axis=0)
-        g.b_c += np.sum(dz, axis=0)
-        g.b_o += np.sum(da_o, axis=0)
-
-        if need_dx:
-            dxs[:, t, :] = da_i @ p.W_xi + da_f @ p.W_xf + dz @ p.W_xc + da_o @ p.W_xo
-        dh = da_i @ p.W_hi + da_f @ p.W_hf + dz @ p.W_hc + da_o @ p.W_ho
-        dc *= f
-        dc += da_i * p.w_ci
-        dc += da_f * p.w_cf
-        dc_carry = dc
-
-    if squeeze:
-        return g, (dxs[0] if need_dx else None), dh[0], dc_carry[0]
-    return g, dxs, dh, dc_carry
-
-
-# ---------------------------------------------------------------------------
-# dense layer
 
 
 def dense_forward(x, p):
@@ -560,6 +434,11 @@ def kl_grad_logits(P, Q):
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     t: int = 0
@@ -567,54 +446,66 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """In-place Adam update; deterministic given identical inputs."""
+def _paired_leaves(params, grads):
+    """(name, param array, gradient array) triples of two structures that
+    must have the same leaves, names and shapes."""
+    p_leaves, g_leaves = list(param_leaves(params)), list(param_leaves(grads))
+    if [(n, a.shape) for n, a in p_leaves] != [(n, g.shape) for n, g in g_leaves]:
+        raise ShapeError("gradient leaves or shapes do not match the parameters")
+    return [(name, arr, g) for (name, arr), (_, g) in zip(p_leaves, g_leaves)]
+
+
+def adam_step(params, grads, state, lr):
+    """In-place Adam update; deterministic given identical inputs.
+
+    `grads` is a structure like `params` (same leaves and shapes)."""
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
-    grads.check_congruent(params)
+    leaves = _paired_leaves(params, grads)
     state.t += 1
     t = state.t
-    for name, arr in param_leaves(params):
-        g = grads[name]
+    for name, arr, g in leaves:
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
             m = np.zeros_like(arr)
             v = np.zeros_like(arr)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
+FD_EPS = 1e-5
 
-def gradient_check(loss_fn, params, analytic, eps=1e-5):
-    """Max relative error between `analytic` and central finite differences.
+
+def gradient_check(loss_fn, params, analytic):
+    """Max relative error between `analytic` (a structure like `params`) and
+    central finite differences with step FD_EPS.
 
     `loss_fn()` must evaluate the scalar loss from the current (mutated in
     place) parameter values. Relative error per coordinate is
     |fd - an| / max(|fd|, |an|, 1e-6).
     """
     worst = 0.0
-    for name, arr in param_leaves(params):
-        g_an = analytic[name]
+    for _, arr, g_an in _paired_leaves(params, analytic):
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + eps
+            arr[idx] = orig + FD_EPS
             f_plus = loss_fn()
-            arr[idx] = orig - eps
+            arr[idx] = orig - FD_EPS
             f_minus = loss_fn()
             arr[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
+            fd = (f_plus - f_minus) / (2.0 * FD_EPS)
             an = g_an[idx]
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
             worst = max(worst, rel)

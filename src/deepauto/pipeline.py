@@ -12,12 +12,21 @@ from .dataprep import (KpiSeries, Windows, apply_scaler, fit_scaler, interpolate
 from .errors import DataError
 
 
-def load_series(records, step_seconds, channels=("load", "ue")):
-    """Records -> interpolated per-cell KpiSeries."""
-    series = records_to_series(records, step_seconds, channels)
+def load_series(records, step_seconds):
+    """Records -> interpolated per-cell load/ue KpiSeries."""
+    series = records_to_series(records, step_seconds)
     if not series:
         raise DataError("no load/ue records found")
     return {cell: interpolate_missing(s) for cell, s in series.items()}
+
+
+def load_rsrq_series(records, bucket_seconds):
+    """RSRQ records -> interpolated per-cell histogram KpiSeries."""
+    cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
+    if not cells:
+        raise DataError("no rsrq records found")
+    return {cell: interpolate_missing(rsrq_series(records, cell, bucket_seconds))
+            for cell in cells}
 
 
 def _scaled(series, scaler):
@@ -72,12 +81,8 @@ def prepare_pdf_dataset(records, window, bucket_seconds=300):
 
     Histogram rows are already normalized, so there is no scaler (None).
     """
-    cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
-    if not cells:
-        raise DataError("no rsrq records found")
-    per_cell = (make_windows(interpolate_missing(rsrq_series(records, cell, bucket_seconds)),
-                             window, pdf_target=True)
-                for cell in cells)
+    per_cell = (make_windows(s, window, pdf_target=True)
+                for s in load_rsrq_series(records, bucket_seconds).values())
     train, val, test = split_4_1_1(_by_anchor(per_cell, window))
     return train, val, test, None
 

@@ -38,11 +38,7 @@ class PredictionRecord:
         d = {"cell": self.cell_id, "anchor_ts": int(self.anchor_ts),
              "model_version": self.model_version,
              "latency_ms": round(float(self.latency_ms), 3)}
-        if self.output_kind == "horizons":
-            for h, v in zip(self.horizons, self.outputs):
-                d[f"h{h}"] = float(v)
-        else:
-            d["pdf"] = [float(v) for v in self.outputs]
+        d.update(model_mod.output_fields(self.outputs, self.output_kind, self.horizons))
         return d
 
 

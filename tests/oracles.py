@@ -27,6 +27,23 @@ def lstm_step_scalar(x, h_prev, c_prev, w):
     return h, c
 
 
+# where each scalar weight named by lstm_step_scalar sits in a gate-major
+# cell: (leaf, gate index); gates are i, f, c, o and peepholes i, f, o
+GATE_SLOTS = {
+    "W_xi": ("W_x", 0), "W_xf": ("W_x", 1), "W_xc": ("W_x", 2), "W_xo": ("W_x", 3),
+    "W_hi": ("W_h", 0), "W_hf": ("W_h", 1), "W_hc": ("W_h", 2), "W_ho": ("W_h", 3),
+    "w_ci": ("w_peep", 0), "w_cf": ("w_peep", 1), "w_co": ("w_peep", 2),
+    "b_i": ("b", 0), "b_f": ("b", 1), "b_c": ("b", 2), "b_o": ("b", 3),
+}
+
+
+def gate_slot(cell, name):
+    """The view of `cell` (any object with gate-major W_x/W_h/w_peep/b
+    arrays) that holds the weight the scalar oracle calls `name`."""
+    leaf, k = GATE_SLOTS[name]
+    return getattr(cell, leaf)[k]
+
+
 def lstm_sequence_scalar(xs, w):
     h, c = 0.0, 0.0
     for x in xs:

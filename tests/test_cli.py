@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from deepauto import cli
+from deepauto import cli, dataprep
 
 
 def run_cli(argv):
@@ -128,6 +128,37 @@ def test_predict_ndjson(workspace, tmp_path):
     doc = json.loads(lines[0])
     assert set(doc) == {"cell", "anchor_ts", "h1", "h4"}
     assert 0.0 <= doc["h1"] <= 1.0
+
+
+def test_predict_pdf_model(tmp_path):
+    """A histogram model predicts from the per-cell RSRQ series: one line
+    per inference window, each a 35-bin distribution."""
+    data = tmp_path / "rsrq.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "2", "--days", "3",
+                    "--rsrq-cells", "2", "--seed", "3"]) == 0
+    config = tmp_path / "pdf.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "input_dim": 35, "output_kind": "pdf",
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 256,
+    }))
+    model = tmp_path / "pdf.bin"
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(model)]) == 0
+    out = tmp_path / "pred.ndjson"
+    assert run_cli(["predict", "--model", str(model), "--input", str(data),
+                    "--output", str(out)]) == 0
+
+    records, _ = dataprep.read_records(data)
+    cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
+    # inference anchors run from the window's history span to the series length
+    expected = sum(dataprep.rsrq_series(records, cell, 300).length - 4 + 1 for cell in cells)
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(docs) == expected > 0
+    for doc in docs:
+        assert not any(key.startswith("h") for key in doc)
+        pdf = np.array(doc["pdf"])
+        assert pdf.shape == (35,) and np.all(np.isfinite(pdf))
+        assert abs(pdf.sum() - 1.0) <= 1e-9
 
 
 def test_serve_stdin_matches_predict(workspace, tmp_path):

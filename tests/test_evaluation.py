@@ -12,38 +12,6 @@ from deepauto.errors import DataError, ShapeError
 
 
 # ---------------------------------------------------------------------------
-# naive baselines
-
-
-def test_naive_predict_repeats_last_value():
-    values = [0.1, 0.2, 0.3, 0.4]
-    np.testing.assert_array_equal(ev.naive_predict(values, 3, (1, 2, 5)),
-                                  [0.3, 0.3, 0.3])
-    with pytest.raises(DataError):
-        ev.naive_predict(values, 0)
-
-
-def test_seasonal_naive_matches_target_aggregation():
-    # period 4, horizon 2 at t=6 -> mean(values[2:4])
-    values = np.arange(10.0)
-    out = ev.seasonal_naive_predict(values, 6, period=4, horizons=(1, 2))
-    np.testing.assert_allclose(out, [2.0, 2.5])
-    with pytest.raises(DataError):
-        ev.seasonal_naive_predict(values, 3, period=4)  # t - period < 0
-    with pytest.raises(DataError):
-        ev.seasonal_naive_predict(values, 6, period=0)
-
-
-def test_seasonal_naive_exact_on_periodic_signal():
-    period = 7
-    values = np.tile(np.array([0.1, 0.5, 0.9, 0.3, 0.2, 0.8, 0.4]), 6)
-    for t in range(period, len(values) - 3):
-        pred = ev.seasonal_naive_predict(values, t, period, horizons=(1, 3))
-        truth = [np.mean(values[t:t + h]) for h in (1, 3)]
-        np.testing.assert_allclose(pred, truth, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # ridge AR
 
 

@@ -1,5 +1,8 @@
 import math
+import struct
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,9 +138,9 @@ def test_branch_ablation_consistency():
     sample = make_samples(config, 1, seed=3)
 
     # manual composition: recent branch + external embedding + fusion layers
-    state, _ = nn.lstm_forward_sequence(sample.arrays["recent"][0], params.lstm_r)
+    state, _ = nn.lstm_forward_sequence(sample.arrays["recent"], params.lstm_r)
     h_ext, _ = nn.dense_forward(sample.arrays["external"][0], params.ext_net[0])
-    expected = np.concatenate([state.h, h_ext])
+    expected = np.concatenate([state.h[0], h_ext])
     for layer in params.fusion_net:
         expected, _ = nn.dense_forward(expected, layer)
     np.testing.assert_array_equal(dm.forward(sample, params, config), expected)
@@ -152,10 +155,7 @@ def test_micro_forward_matches_scalar_composition():
     params = dm.DeepAutoParams.init(config, np.random.default_rng(8))
     sample = make_samples(config, 1, seed=5)
 
-    w = {name: float(getattr(params.lstm_r, name)[0] if name.startswith(("w_", "b_"))
-                     else getattr(params.lstm_r, name)[0, 0])
-         for name in ("W_xi", "W_hi", "w_ci", "b_i", "W_xf", "W_hf", "w_cf", "b_f",
-                      "W_xc", "W_hc", "b_c", "W_xo", "W_ho", "w_co", "b_o")}
+    w = {name: oracles.gate_slot(params.lstm_r, name).item() for name in oracles.GATE_SLOTS}
     h, _ = oracles.lstm_sequence_scalar([float(x) for x in sample.arrays["recent"][0, :, 0]], w)
     hid, out = params.fusion_net
     z = [math.tanh(float(hid.W[j, 0]) * h + float(hid.b[j])) for j in range(hid.out_dim)]
@@ -172,9 +172,8 @@ def run_gradient_check(config, seed=0, tol=1e-4):
     params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
     arrays = make_samples(config, 6, seed=seed + 1).arrays
     loss, grads = dm.loss_and_gradients(arrays, params, config)
-    analytic = {name: grads[name] for name, _ in nn.param_leaves(params)}
     err = nn.gradient_check(lambda: dm.batch_loss(arrays, params, config),
-                            params, analytic)
+                            params, grads)
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -359,7 +358,6 @@ def test_bad_magic_rejected():
     params, config, scaler = roundtrip_setup()
     blob = bytearray(dm.save(params, config, scaler))
     blob[0:4] = b"NOPE"
-    import zlib, struct
     payload = bytes(blob[:-4])
     blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     with pytest.raises(ModelFormatError, match="magic"):
@@ -373,3 +371,34 @@ def test_loader_adopts_file_config():
     _, loaded_config, _ = dm.load(blob)
     assert loaded_config.hidden_r == 8
     assert loaded_config.window.to_dict() == config.window.to_dict()
+
+
+def test_unknown_version_rejected():
+    params, config, scaler = roundtrip_setup()
+    blob = bytearray(dm.save(params, config, scaler))
+    blob[4:8] = struct.pack("<I", 3)
+    payload = bytes(blob[:-4])
+    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    with pytest.raises(ModelFormatError, match="version 3"):
+        dm.load(blob)
+
+
+def test_version_1_file_loads():
+    """tests/data/model_v1.bin was written by the format-1 writer from
+    roundtrip_setup() (per-gate LSTM tensors)."""
+    blob = (Path(__file__).parent / "data" / "model_v1.bin").read_bytes()
+    assert struct.unpack("<I", blob[4:8]) == (1,)
+    params, config, scaler = dm.load(blob)
+    expected, expected_config, expected_scaler = roundtrip_setup()
+    assert config.to_dict() == expected_config.to_dict()
+    np.testing.assert_array_equal(scaler.maxs, expected_scaler.maxs)
+    for (n1, a1), (n2, a2) in zip(nn.param_leaves(params), nn.param_leaves(expected)):
+        assert n1 == n2
+        assert a1.tobytes() == a2.tobytes()
+
+    v2 = dm.save(params, config, scaler)
+    assert struct.unpack("<I", v2[4:8]) == (dm.FORMAT_VERSION,) == (2,)
+    reloaded, _, _ = dm.load(v2)
+    samples = make_samples(config, 5, seed=22)
+    np.testing.assert_array_equal(dm.predict_samples(samples, params, config),
+                                  dm.predict_samples(samples, reloaded, config))

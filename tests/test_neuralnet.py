@@ -20,8 +20,7 @@ def uniform_weights(value):
 def scalar_params(w):
     p = nn.LstmCellParams.zeros(1, 1)
     for name, val in w.items():
-        arr = getattr(p, name)
-        arr[...] = val
+        oracles.gate_slot(p, name)[...] = val
     return p
 
 
@@ -49,27 +48,17 @@ def test_sigmoid_monotone_and_stable():
 
 def test_lstm_zero_params_zero_state():
     p = nn.LstmCellParams.zeros(3, 2)
-    state, _ = nn.lstm_cell_forward(np.array([1.0, -2.0, 0.5]),
-                                    nn.LstmState.zeros(2), p)
+    state, _ = nn.lstm_forward_sequence(np.array([[[1.0, -2.0, 0.5]]]), p)
     assert np.all(state.h == 0.0)
     assert np.all(state.c == 0.0)
-
-
-def test_lstm_zero_params_nonzero_cell():
-    p = nn.LstmCellParams.zeros(1, 1)
-    prev = nn.LstmState(h=np.array([0.3]), c=np.array([1.0]))
-    state, _ = nn.lstm_cell_forward(np.array([0.7]), prev, p)
-    # gates sigmoid(0)=0.5 -> c = 0.5, h = 0.5*tanh(0.5)
-    assert state.c[0] == pytest.approx(0.5, abs=1e-15)
-    assert state.h[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-12)
-    assert state.h[0] == pytest.approx(0.2310585786, abs=1e-9)
 
 
 def test_lstm_step_matches_scalar_oracle():
     w = uniform_weights(0.1)
     w["b_i"] = w["b_f"] = w["b_c"] = w["b_o"] = 0.0
     p = scalar_params(w)
-    state, _ = nn.lstm_cell_forward(np.array([1.0]), nn.LstmState.zeros(1), p)
+    batch, _ = nn.lstm_forward_sequence(np.array([[[1.0]]]), p)
+    state = nn.LstmState(h=batch.h[0], c=batch.c[0])  # the batch's one row
     h_ref, c_ref = oracles.lstm_step_scalar(1.0, 0.0, 0.0, w)
     assert state.h[0] == pytest.approx(h_ref, abs=1e-14)
     assert state.c[0] == pytest.approx(c_ref, abs=1e-14)
@@ -80,32 +69,24 @@ def test_lstm_sequence_matches_chained_oracle():
     w = {name: float(rng.uniform(-0.4, 0.4)) for name in uniform_weights(0).keys()}
     p = scalar_params(w)
     xs = [0.5, -0.2, 0.9]
-    state, caches = nn.lstm_forward_sequence(np.array(xs)[:, None], p)
+    batch, caches = nn.lstm_forward_sequence(np.array(xs)[None, :, None], p)
+    state = nn.LstmState(h=batch.h[0], c=batch.c[0])
     h_ref, c_ref = oracles.lstm_sequence_scalar(xs, w)
     assert len(caches) == 3
     assert state.h[0] == pytest.approx(h_ref, abs=1e-13)
     assert state.c[0] == pytest.approx(c_ref, abs=1e-13)
 
 
-def test_lstm_sequence_single_step_equals_cell():
-    rng = np.random.default_rng(3)
-    p = nn.LstmCellParams.init(2, 3, rng)
-    x = rng.normal(size=(1, 2))
-    s1, _ = nn.lstm_forward_sequence(x, p)
-    s2, _ = nn.lstm_cell_forward(x[0], nn.LstmState.zeros(3), p)
-    np.testing.assert_array_equal(s1.h, s2.h)
-
-
 def test_lstm_empty_sequence_rejected():
     p = nn.LstmCellParams.zeros(2, 2)
     with pytest.raises(ShapeError):
-        nn.lstm_forward_sequence(np.zeros((0, 2)), p)
+        nn.lstm_forward_sequence(np.zeros((1, 0, 2)), p)
 
 
 def test_lstm_dimension_mismatch():
     p = nn.LstmCellParams.zeros(2, 2)
     with pytest.raises(ShapeError):
-        nn.lstm_cell_forward(np.zeros(3), nn.LstmState.zeros(2), p)
+        nn.lstm_forward_sequence(np.zeros((1, 1, 3)), p)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -113,7 +94,7 @@ def test_lstm_dimension_mismatch():
 def test_lstm_hidden_state_bounded(seed):
     rng = np.random.default_rng(seed)
     p = nn.LstmCellParams.init(3, 4, rng)
-    xs = rng.normal(scale=3.0, size=(5, 3))
+    xs = rng.normal(scale=3.0, size=(1, 5, 3))
     state, _ = nn.lstm_forward_sequence(xs, p)
     assert np.all(np.abs(state.h) < 1.0)
     assert np.all(np.isfinite(state.c))
@@ -133,13 +114,12 @@ def lstm_loss_closure(xs, p, w_out):
 def check_lstm_gradients(seed, input_dim, hidden_dim, steps, tol):
     rng = np.random.default_rng(seed)
     p = nn.LstmCellParams.init(input_dim, hidden_dim, rng)
-    xs = rng.normal(size=(steps, input_dim))
+    xs = rng.normal(size=(1, steps, input_dim))
     w_out = rng.normal(size=hidden_dim)
 
     _, state, caches = lstm_loss_closure(xs, p, w_out)()
-    g, _, _, _ = nn.lstm_backward_sequence(caches, w_out, p)
-    analytic = {name: arr for name, arr in nn.param_leaves(g)}
-    err = nn.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], p, analytic)
+    g = nn.lstm_backward_sequence(caches, w_out[None, :], p)
+    err = nn.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], p, g)
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -159,57 +139,31 @@ def test_lstm_backward_many_draws():
 def test_lstm_backward_zero_upstream():
     rng = np.random.default_rng(2)
     p = nn.LstmCellParams.init(2, 3, rng)
-    _, caches = nn.lstm_forward_sequence(rng.normal(size=(4, 2)), p)
-    g, dxs, _, _ = nn.lstm_backward_sequence(caches, np.zeros(3), p)
+    _, caches = nn.lstm_forward_sequence(rng.normal(size=(1, 4, 2)), p)
+    g = nn.lstm_backward_sequence(caches, np.zeros((1, 3)), p)
     for _, arr in nn.param_leaves(g):
         assert np.all(arr == 0.0)
-    assert np.all(dxs == 0.0)
 
 
-def test_lstm_backward_without_dx_same_param_grads():
+def test_lstm_backward_rejects_upstream_shape():
     rng = np.random.default_rng(22)
     p = nn.LstmCellParams.init(2, 3, rng)
     _, caches = nn.lstm_forward_sequence(rng.normal(size=(6, 5, 2)), p)
-    dh = rng.normal(size=(6, 3))
-    g, dxs, dh0, dc0 = nn.lstm_backward_sequence(caches, dh, p)
-    g2, no_dxs, dh0_2, dc0_2 = nn.lstm_backward_sequence(caches, dh, p, need_dx=False)
-    assert dxs.shape == (6, 5, 2) and no_dxs is None
-    for (name, a), (_, b) in zip(nn.param_leaves(g), nn.param_leaves(g2)):
-        np.testing.assert_array_equal(a, b, err_msg=name)
-    np.testing.assert_array_equal(dh0, dh0_2)
-    np.testing.assert_array_equal(dc0, dc0_2)
+    with pytest.raises(ShapeError):
+        nn.lstm_backward_sequence(caches, np.zeros((5, 3)), p)
+    with pytest.raises(ShapeError):
+        nn.lstm_backward_sequence([], np.zeros((6, 3)), p)
 
 
 def test_lstm_forward_without_cache_same_state():
     rng = np.random.default_rng(23)
     p = nn.LstmCellParams.init(2, 3, rng)
     xs = rng.normal(size=(4, 7, 2))
-    init = nn.LstmState(h=rng.normal(size=3), c=rng.normal(size=3))
-    s1, caches = nn.lstm_forward_sequence(xs, p, init=init)
-    s2, none = nn.lstm_forward_sequence(xs, p, init=init, cache=False)
+    s1, caches = nn.lstm_forward_sequence(xs, p)
+    s2, none = nn.lstm_forward_sequence(xs, p, cache=False)
     assert len(caches) == 7 and none is None
     np.testing.assert_array_equal(s1.h, s2.h)
     np.testing.assert_array_equal(s1.c, s2.c)
-
-
-def test_lstm_input_gradients_match_fd():
-    rng = np.random.default_rng(21)
-    p = nn.LstmCellParams.init(2, 3, rng)
-    xs = rng.normal(size=(4, 2))
-    w_out = rng.normal(size=3)
-    _, caches = nn.lstm_forward_sequence(xs, p)
-    _, dxs, _, _ = nn.lstm_backward_sequence(caches, w_out, p)
-    eps = 1e-5
-    for t in range(4):
-        for d in range(2):
-            orig = xs[t, d]
-            xs[t, d] = orig + eps
-            up = float(np.dot(nn.lstm_forward_sequence(xs, p)[0].h, w_out))
-            xs[t, d] = orig - eps
-            down = float(np.dot(nn.lstm_forward_sequence(xs, p)[0].h, w_out))
-            xs[t, d] = orig
-            fd = (up - down) / (2 * eps)
-            assert fd == pytest.approx(dxs[t, d], rel=1e-4, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +209,7 @@ def test_dense_backward_matches_fd(activation):
 
     y, cache = nn.dense_forward(x, p)
     g, dx = nn.dense_backward(cache, w_out, p)
-    analytic = {"W": g.W, "b": g.b}
-    err = nn.gradient_check(loss, p, analytic)
+    err = nn.gradient_check(loss, p, g)
     assert err <= 1e-6
 
 
@@ -373,7 +326,7 @@ def test_kl_grad_logits_matches_fd():
 
 def test_adam_zero_gradient_keeps_params():
     p = nn.DenseParams(W=np.array([[1.0]]), b=np.array([2.0]), activation="identity")
-    grads = nn.GradientBundle({"W": np.zeros((1, 1)), "b": np.zeros(1)})
+    grads = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1))
     state = nn.AdamState()
     nn.adam_step(p, grads, state, lr=0.005)
     assert p.W[0, 0] == 1.0 and p.b[0] == 2.0
@@ -381,7 +334,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_closed_form():
     p = nn.DenseParams(W=np.array([[0.0]]), b=np.array([0.0]), activation="identity")
-    grads = nn.GradientBundle({"W": np.array([[1.0]]), "b": np.zeros(1)})
+    grads = nn.DenseParams(W=np.array([[1.0]]), b=np.zeros(1))
     nn.adam_step(p, grads, nn.AdamState(), lr=0.005)
     assert p.W[0, 0] == pytest.approx(oracles.adam_first_step(1.0, 0.005), abs=1e-12)
     assert p.W[0, 0] == pytest.approx(-0.005, abs=1e-8)
@@ -393,7 +346,7 @@ def test_adam_deterministic():
         p = nn.DenseParams.init(3, 2, "identity", rng)
         state = nn.AdamState()
         for _ in range(10):
-            grads = nn.GradientBundle({"W": rng.normal(size=(2, 3)), "b": rng.normal(size=2)})
+            grads = nn.DenseParams(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
             nn.adam_step(p, grads, state, lr=0.01)
         return p.W.tobytes() + p.b.tobytes()
 
@@ -402,9 +355,21 @@ def test_adam_deterministic():
 
 def test_adam_rejects_bad_lr():
     p = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1), activation="identity")
-    grads = nn.GradientBundle({"W": np.zeros((1, 1)), "b": np.zeros(1)})
+    grads = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1))
     with pytest.raises(ConfigError):
         nn.adam_step(p, grads, nn.AdamState(), lr=0.0)
+
+
+def test_adam_rejects_incongruent_gradients():
+    p = nn.LstmCellParams.zeros(2, 3)
+    state = nn.AdamState()
+    wrong_shape = nn.LstmCellParams.zeros(2, 4)
+    with pytest.raises(ShapeError):
+        nn.adam_step(p, wrong_shape, state, lr=0.005)
+    wrong_structure = nn.DenseParams(W=np.zeros((3, 2)), b=np.zeros(3))
+    with pytest.raises(ShapeError):
+        nn.adam_step(p, wrong_structure, state, lr=0.005)
+    assert state.t == 0 and not state.m  # rejected before any update
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +384,7 @@ def test_gradient_check_linear_exact():
         y, _ = nn.dense_forward(x, p)
         return float(y[0])
 
-    analytic = {"W": x[None, :].copy(), "b": np.ones(1)}
+    analytic = nn.DenseParams(W=x[None, :].copy(), b=np.ones(1))
     assert nn.gradient_check(loss, p, analytic) <= 1e-10
 
 
@@ -435,5 +400,5 @@ def test_gradient_check_detects_corruption():
 
     _, cache = nn.dense_forward(x, p)
     g, _ = nn.dense_backward(cache, w_out, p)
-    corrupted = {"W": g.W * 1.1, "b": g.b * 1.1}
+    corrupted = nn.DenseParams(W=g.W * 1.1, b=g.b * 1.1)
     assert nn.gradient_check(loss, p, corrupted) >= 0.05
