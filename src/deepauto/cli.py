@@ -67,10 +67,14 @@ def cmd_generate(args):
     return 0
 
 
-def _load_records(path):
-    records, rejected = dataprep.read_records(path)
+def _warn_rejected(path, rejected):
     if rejected:
         log.warning("rejected %d malformed records from %s", rejected, path)
+
+
+def _load_records(path):
+    records, rejected = dataprep.read_records(path)
+    _warn_rejected(path, rejected)
     return records
 
 
@@ -209,11 +213,16 @@ def cmd_acf(args):
 
 def cmd_predict(args):
     params, config, scaler = model_mod.load_file(args.model)
-    records = _load_records(args.input)
-    if config.output_kind == "pdf":
-        series = pipeline.load_rsrq_series(records, args.step_seconds or 300)
-    else:
-        series = pipeline.load_series(records, args.step_seconds or 900)
+    # the records stream from the file into the series, never held as a list
+    rejected = []
+    records = dataprep.iter_records(args.input, rejected)
+    try:
+        if config.output_kind == "pdf":
+            series = pipeline.load_rsrq_series(records, args.step_seconds or 300)
+        else:
+            series = pipeline.load_series(records, args.step_seconds or 900)
+    finally:
+        _warn_rejected(args.input, len(rejected))
     samples = pipeline.prediction_samples(series, config.window, scaler)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     try:

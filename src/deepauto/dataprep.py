@@ -61,19 +61,28 @@ def parse_record(line):
     return {"topic": topic, "cell": cell, "ts": ts, "value": float(value)}
 
 
-def read_records(path):
-    """Read an NDJSON file; returns (records, n_rejected)."""
-    records, rejected = [], 0
+def iter_records(path, rejected):
+    """Yield the parsed records of an NDJSON file one at a time, appending
+    the 1-based line number of every line that fails to parse to the list
+    `rejected`; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(parse_record(line))
+                rec = parse_record(line)
             except DataError:
-                rejected += 1
-    return records, rejected
+                rejected.append(number)
+                continue
+            yield rec
+
+
+def read_records(path):
+    """Read an NDJSON file; returns (records, n_rejected)."""
+    rejected = []
+    records = list(iter_records(path, rejected))
+    return records, len(rejected)
 
 
 def write_records(path, records):
@@ -126,9 +135,9 @@ class KpiSeries:
 def records_to_series(records, step_seconds, channels=("load", "ue")):
     """Bucket records at floor(ts/step) per (cell, topic); duplicates averaged.
 
-    Returns {cell_id: KpiSeries}; each cell's series starts at its own first
-    bucket. Accumulation follows record order so streaming and batch paths
-    agree bit-for-bit.
+    `records` may be any iterable, read once. Returns {cell_id: KpiSeries};
+    each cell's series starts at its own first bucket. Accumulation follows
+    record order so streaming and batch paths agree bit-for-bit.
     """
     channels = list(channels)
     sums, counts = {}, {}
@@ -139,20 +148,22 @@ def records_to_series(records, step_seconds, channels=("load", "ue")):
         sums[key] = sums.get(key, 0.0) + rec["value"]
         counts[key] = counts.get(key, 0) + 1
 
-    cells = sorted({cell for cell, _, _ in sums})
+    # one pass groups the keys by cell, so the cost is linear in the keys
+    by_cell = {}
+    for key in sums:
+        by_cell.setdefault(key[0], []).append(key)
+    column = {ch: ci for ci, ch in enumerate(channels)}
     out = {}
-    for cell in cells:
-        buckets = [b for (c, _, b) in sums if c == cell]
-        first, last = min(buckets), max(buckets)
-        T = last - first + 1
+    for cell in sorted(by_cell):
+        keys = by_cell[cell]
+        first = min(b for _, _, b in keys)
+        T = max(b for _, _, b in keys) - first + 1
         values = np.zeros((T, len(channels)))
         missing = np.ones((T, len(channels)), dtype=bool)
-        for ci, ch in enumerate(channels):
-            for b in range(first, last + 1):
-                key = (cell, ch, b)
-                if key in sums:
-                    values[b - first, ci] = sums[key] / counts[key]
-                    missing[b - first, ci] = False
+        for key in keys:
+            t, ci = key[2] - first, column[key[1]]
+            values[t, ci] = sums[key] / counts[key]
+            missing[t, ci] = False
         out[cell] = KpiSeries(
             cell_id=cell, start_ts=first * step_seconds,
             step_seconds=step_seconds, channels=channels,
@@ -345,7 +356,10 @@ class Windows:
 
     @classmethod
     def concat(cls, parts):
-        """Stack the rows of several Windows with the same keys, in order."""
+        """Stack the rows of several Windows with the same keys, in order;
+        a single Windows comes back as it is."""
+        if len(parts) == 1:
+            return parts[0]
         return cls({k: np.concatenate([p.arrays[k] for p in parts]) for k in parts[0].arrays},
                    np.concatenate([p.cell_ids for p in parts]),
                    np.concatenate([p.anchor_ts for p in parts]))

@@ -172,8 +172,10 @@ def forward_batch(arrays, params, config, cache=True):
     """Run the full network on a batch's arrays (Windows.arrays); returns
     (Yhat, caches).
 
-    With `cache=False` (inference) the LSTM branches keep no per-step state
-    and caches is None; Yhat is bit-identical to the cached pass.
+    With `cache=False` (inference) no layer keeps per-step state, caches is
+    None, and every product is row-wise: each row of Yhat is batch-invariant,
+    bit-identical to the same row run alone and to the cached pass at batch
+    1 (see the `neuralnet` module notes).
     """
     _check_shapes(arrays, config)
     parts, caches = [], {}
@@ -192,7 +194,7 @@ def forward_batch(arrays, params, config, cache=True):
         h = arrays["external"]
         ext_caches = []
         for layer in params.ext_net:
-            h, layer_cache = nn.dense_forward(h, layer)
+            h, layer_cache = nn.dense_forward(h, layer, cache=cache)
             ext_caches.append(layer_cache)
         caches["ext"] = ext_caches
         parts.append(h)
@@ -200,17 +202,11 @@ def forward_batch(arrays, params, config, cache=True):
     fusion_caches = []
     h = fused
     for layer in params.fusion_net:
-        h, layer_cache = nn.dense_forward(h, layer)
+        h, layer_cache = nn.dense_forward(h, layer, cache=cache)
         fusion_caches.append(layer_cache)
     caches["fusion"] = fusion_caches
     caches["parts"] = [p.shape[1] for p in parts]
     return h, (caches if cache else None)
-
-
-def forward(sample, params, config):
-    """Prediction for a one-row Windows; shares the batch code path (batch of 1)."""
-    yhat, _ = forward_batch(sample.arrays, params, config, cache=False)
-    return yhat[0]
 
 
 def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
@@ -289,9 +285,14 @@ def output_fields(yhat, output_kind, horizons):
 
 
 def predict_samples(samples, params, config):
-    """Per-row forward pass (batch of 1 each) over a Windows, so that
-    streaming and batch prediction paths are bit-identical."""
-    return np.stack([forward(samples[k:k + 1], params, config) for k in range(len(samples))])
+    """Predictions (N, out_dim) for the rows of a Windows: the cache-free
+    forward pass over consecutive slices of `config.batch_size` rows, which
+    bounds memory. Rows are batch-invariant, so neither the slicing nor the
+    other rows change any output: streaming and batch prediction are
+    bit-identical."""
+    return np.concatenate([
+        forward_batch(samples[a:a + config.batch_size].arrays, params, config, cache=False)[0]
+        for a in range(0, len(samples), config.batch_size)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,18 @@ An LSTM cell is stored gate-major: `W_x` (4, hidden, input), `W_h`
 forget, candidate, output; the diagonal peepholes `w_peep` (3, hidden) are
 in the order input, forget, output.
 
-Memory contract of the LSTM passes: `lstm_forward_sequence(..., cache=True)`
-keeps one step cache per time step, O(batch * steps * hidden) floats, which
-`lstm_backward_sequence` needs. With `cache=False` it keeps no step state
-and returns `None` for the caches: the pass holds O(batch * hidden) floats,
-and the final state is bit-identical to the cached pass. Inference uses
-`cache=False`.
+Two forward passes share the layer math. The cached (training) pass,
+`lstm_forward_sequence(..., cache=True)` and `dense_forward(..., cache=True)`,
+keeps what the backward passes need (for the LSTM one step cache per time
+step, O(batch * steps * hidden) floats) and multiplies the whole batch in
+one BLAS call per gate. The cache-free (inference) pass keeps no step
+state, so it holds O(batch * hidden) floats, and computes every product row
+by row (`_rowwise_matmul`): each row goes through the same vector-matrix
+call, with the same shapes and strides, that a batch of one makes. A
+cache-free row's bits therefore cannot depend on the batch around it:
+cache-free rows are batch-invariant and equal the cached pass at batch 1.
+A batched BLAS product may round a row differently from that row alone, so
+on larger batches the two passes can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -201,7 +207,21 @@ def clone_params(params):
 # LSTM forward / backward
 
 
-def _lstm_step(x, h_prev, c_prev, p):
+def _rowwise_matmul(x, w_t):
+    """`x @ w_t` for a (batch, in) `x` and an (..., in, out) `w_t`, with one
+    BLAS vector-matrix call per (leading index of `w_t`, row of `x`).
+
+    Each call sees the shapes and strides of a batch of one, so a row's
+    result is independent of the other rows; the batched `np.matmul` may
+    block rows differently and round them differently. A batch of one
+    makes those same calls through `np.matmul` itself, with less set-up.
+    """
+    if len(x) == 1:
+        return np.matmul(x, w_t)
+    return np.matmul(x[:, None, :], w_t[..., None, :, :])[..., 0, :]
+
+
+def _lstm_step(x, h_prev, c_prev, p, product):
     """The cell math on validated (batch, dim) float64 arrays:
 
     i = sig(W_x[0] x + W_h[0] h' + w_peep[0]*c' + b[0])
@@ -211,13 +231,14 @@ def _lstm_step(x, h_prev, c_prev, p):
     o = sig(W_x[3] x + W_h[3] h' + w_peep[2]*c + b[3])
     h = o*tanh(c)
 
-    The four gate pre-activations come from two stacked products, one
-    (4, batch, hidden) array `a` that then holds the activated gates i, f,
-    tanh(z), o. Returns (h, c, cache); cache is the tuple
-    (x, h_prev, c_prev, a, c, tc) that the backward pass reads.
+    The four gate pre-activations come from two stacked products, made by
+    `product` (`np.matmul` or `_rowwise_matmul`), into one (4, batch,
+    hidden) array `a` that then holds the activated gates i, f, tanh(z), o.
+    Returns (h, c, cache); cache is the tuple (x, h_prev, c_prev, a, c, tc)
+    that the backward pass reads.
     """
-    a = np.matmul(x, p.W_x.transpose(0, 2, 1))
-    a += np.matmul(h_prev, p.W_h.transpose(0, 2, 1))
+    a = product(x, p.W_x.transpose(0, 2, 1))
+    a += product(h_prev, p.W_h.transpose(0, 2, 1))
     i, f, tz, o = a
     i += p.w_peep[0] * c_prev
     i += p.b[0]
@@ -242,7 +263,8 @@ def lstm_forward_sequence(xs, p, cache=True):
     (final LstmState, caches).
 
     The branch output is the hidden state after the last step. `caches`
-    holds one step cache per step, or is None when `cache=False`.
+    holds one step cache per step, or is None when `cache=False`, whose
+    products are row-wise (see the module notes).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != p.input_dim:
@@ -252,8 +274,9 @@ def lstm_forward_sequence(xs, p, cache=True):
 
     h = c = np.zeros((xs.shape[0], p.hidden_dim))
     caches = [] if cache else None
+    product = np.matmul if cache else _rowwise_matmul
     for t in range(xs.shape[1]):
-        h, c, step = _lstm_step(xs[:, t, :], h, c, p)
+        h, c, step = _lstm_step(xs[:, t, :], h, c, p, product)
         if cache:
             caches.append(step)
     return LstmState(h=h, c=c), caches
@@ -322,13 +345,16 @@ def _as_batch(x, dim, what):
     return x, squeeze
 
 
-def dense_forward(x, p):
-    """W x + b followed by the configured activation."""
+def dense_forward(x, p, cache=True):
+    """W x + b followed by the configured activation; returns (y, cache).
+
+    With `cache=False` (inference) the product is row-wise and the cache is
+    None (see the module notes)."""
     x, squeeze = _as_batch(x, p.in_dim, "dense input")
-    z = x @ p.W.T + p.b
+    z = (np.matmul if cache else _rowwise_matmul)(x, p.W.T) + p.b
     y = apply_activation(z, p.activation)
-    cache = {"x": x, "z": z, "y": y, "squeeze": squeeze}
-    return (y[0] if squeeze else y), cache
+    return (y[0] if squeeze else y), ({"x": x, "z": z, "y": y, "squeeze": squeeze}
+                                      if cache else None)
 
 
 def dense_backward(cache, dy, p):

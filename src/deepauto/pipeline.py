@@ -13,7 +13,8 @@ from .errors import DataError
 
 
 def load_series(records, step_seconds):
-    """Records -> interpolated per-cell load/ue KpiSeries."""
+    """Records (any iterable, read once) -> interpolated per-cell load/ue
+    KpiSeries."""
     series = records_to_series(records, step_seconds)
     if not series:
         raise DataError("no load/ue records found")
@@ -21,12 +22,17 @@ def load_series(records, step_seconds):
 
 
 def load_rsrq_series(records, bucket_seconds):
-    """RSRQ records -> interpolated per-cell histogram KpiSeries."""
-    cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
-    if not cells:
+    """RSRQ records (any iterable, read once) -> interpolated per-cell
+    histogram KpiSeries. One pass groups the reports by cell, in record
+    order, so the cost is linear in records and cells."""
+    by_cell = {}
+    for r in records:
+        if r["topic"] == "rsrq":
+            by_cell.setdefault(r["cell"], []).append(r)
+    if not by_cell:
         raise DataError("no rsrq records found")
-    return {cell: interpolate_missing(rsrq_series(records, cell, bucket_seconds))
-            for cell in cells}
+    return {cell: interpolate_missing(rsrq_series(by_cell[cell], cell, bucket_seconds))
+            for cell in sorted(by_cell)}
 
 
 def _scaled(series, scaler):

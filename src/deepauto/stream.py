@@ -20,7 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dataprep, model as model_mod
-from .dataprep import RSRQ_BINS, KpiSeries, apply_scaler, make_windows
+from .dataprep import RSRQ_BINS, KpiSeries, Windows, apply_scaler, make_windows
 from .errors import DataError, ModelFormatError, OutOfRangeError
 
 
@@ -188,7 +188,6 @@ class Engine:
         if arrival is None:
             arrival = time.monotonic()
         with self._lock:
-            predictions = []
             if self.histogram:
                 if rec["topic"] != "rsrq":
                     return []  # other topics are not errors, just irrelevant
@@ -211,22 +210,19 @@ class Engine:
                 return []
 
             # a record in a later bucket closes everything before it
+            pending = []
             prior = buf.max_open()
             if prior is not None and bucket > prior:
-                for closed in buf.close_through(bucket - 1):
-                    p = self._predict(rec["cell"], buf, closed + 1, arrival)
-                    if p is not None:
-                        predictions.append(p)
+                self._close(rec["cell"], buf, bucket - 1, pending)
             buf.add(bucket, channel, value)
 
             # watermark: the stream as a whole has moved on by >= 2 buckets
             if self.global_max_bucket is None or bucket > self.global_max_bucket:
                 self.global_max_bucket = bucket
-                predictions.extend(self._advance_watermark(arrival))
-            return predictions
+                self._advance_watermark(pending)
+            return self._predict(pending, arrival)
 
-    def _advance_watermark(self, arrival):
-        predictions = []
+    def _advance_watermark(self, pending):
         horizon = self.global_max_bucket - 2
         for cell, buf in self.cells.items():
             tops = buf.max_open()
@@ -234,56 +230,68 @@ class Engine:
                 continue
             upto = min(horizon, tops)
             last = buf.last_closed if buf.last_closed is not None else buf.first_bucket - 1
-            if upto <= last:
-                continue
-            for closed in buf.close_through(upto):
-                p = self._predict(cell, buf, closed + 1, arrival)
-                if p is not None:
-                    predictions.append(p)
-        return predictions
+            if upto > last:
+                self._close(cell, buf, upto, pending)
 
     def flush(self):
         """End of stream: close every open bucket and predict."""
         with self._lock:
             arrival = time.monotonic()
-            predictions = []
+            pending = []
             for cell, buf in self.cells.items():
                 top = buf.max_open()
-                if top is None:
-                    continue
-                for closed in buf.close_through(top):
-                    p = self._predict(cell, buf, closed + 1, arrival)
-                    if p is not None:
-                        predictions.append(p)
-            return predictions
+                if top is not None:
+                    self._close(cell, buf, top, pending)
+            return self._predict(pending, arrival)
 
     # -- prediction ---------------------------------------------------------
 
-    def _predict(self, cell, buf, anchor, arrival):
-        config = self.config
+    def _close(self, cell, buf, upto, pending):
+        """Close `cell`'s buckets through `upto` and append (cell, anchor,
+        scaled history rows) to `pending` for every anchor that has its full
+        history. The rows are read right after the close, before a later
+        close can evict them."""
+        span = self.config.window.history_span()
+        for closed in buf.close_through(upto):
+            rows = buf.window(closed + 1, span)
+            if rows is None:
+                continue  # still warming up
+            if not self.histogram and self.scaler is not None:
+                rows = apply_scaler(rows, self.scaler)
+            pending.append((cell, closed + 1, rows))
+
+    def _predict(self, pending, arrival):
+        """PredictionRecords of the pending anchors, in order: one forward
+        pass per `config.batch_size` of them, which bounds the memory a
+        flush over many cells takes. Cache-free rows are batch-invariant,
+        so every output equals the batch path's bit for bit."""
+        if not pending:
+            return []
+        config, step = self.config, self.step_seconds
         span = config.window.history_span()
-        rows = buf.window(anchor, span)
-        if rows is None:
-            return None  # still warming up
-        if not self.histogram and self.scaler is not None:
-            rows = apply_scaler(rows, self.scaler)
-        anchor_ts = anchor * self.step_seconds
-        # the rows are a series whose only inference anchor is t = span
-        series = KpiSeries(cell_id=cell, start_ts=anchor_ts - span * self.step_seconds,
-                           step_seconds=self.step_seconds, channels=self.channels,
-                           values=rows, missing_mask=np.zeros(rows.shape, dtype=bool))
-        windows = make_windows(series, config.window, require_targets=False)
-        outputs = model_mod.forward(windows, self.params, config)
-        record = PredictionRecord(
-            cell_id=cell, anchor_ts=anchor_ts, outputs=outputs,
-            output_kind=config.output_kind, horizons=config.horizons,
-            model_version=self.model_version,
-            latency_ms=(time.monotonic() - arrival) * 1000.0,
-        )
-        self.latest_prediction[cell] = record
-        self.counters["predictions"] += 1
-        self.latencies.append(record.latency_ms)
-        return record
+        records = []
+        for a in range(0, len(pending), config.batch_size):
+            chunk = pending[a:a + config.batch_size]
+            # each row's history is a series whose only inference anchor is t = span
+            windows = Windows.concat([
+                make_windows(KpiSeries(cell_id=cell, start_ts=(anchor - span) * step,
+                                       step_seconds=step, channels=self.channels, values=rows,
+                                       missing_mask=np.zeros(rows.shape, dtype=bool)),
+                             config.window, require_targets=False)
+                for cell, anchor, rows in chunk])
+            outputs, _ = model_mod.forward_batch(windows.arrays, self.params, config,
+                                                 cache=False)
+            latency_ms = (time.monotonic() - arrival) * 1000.0
+            for (cell, anchor, _), y in zip(chunk, outputs):
+                record = PredictionRecord(
+                    cell_id=cell, anchor_ts=anchor * step, outputs=y,
+                    output_kind=config.output_kind, horizons=config.horizons,
+                    model_version=self.model_version, latency_ms=latency_ms)
+                self.latest_prediction[cell] = record
+                self.latencies.append(latency_ms)
+                records.append(record)
+        self.counters["predictions"] += len(records)
+        return records
 
     # -- queries / control --------------------------------------------------
 

@@ -110,3 +110,32 @@ def adam_first_step(g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = m / (1 - beta1)
     v_hat = v / (1 - beta2)
     return -lr * m_hat / (math.sqrt(v_hat) + eps)
+
+
+def records_to_series_rescan(records, step_seconds, channels=("load", "ue")):
+    """The per-cell rescan that bucketing replaced: accumulate (cell, topic,
+    bucket) sums in record order, then, for each cell, scan every key again
+    for that cell's buckets. Returns {cell: (first bucket, values, missing)}
+    with values and missing as (buckets, channels) lists of lists."""
+    channels = list(channels)
+    sums, counts = {}, {}
+    for rec in records:
+        if rec["topic"] not in channels:
+            continue
+        key = (rec["cell"], rec["topic"], rec["ts"] // step_seconds)
+        sums[key] = sums.get(key, 0.0) + rec["value"]
+        counts[key] = counts.get(key, 0) + 1
+    out = {}
+    for cell in sorted({cell for cell, _, _ in sums}):
+        buckets = [b for (c, _, b) in sums if c == cell]
+        first, last = min(buckets), max(buckets)
+        values = [[0.0] * len(channels) for _ in range(first, last + 1)]
+        missing = [[True] * len(channels) for _ in range(first, last + 1)]
+        for ci, ch in enumerate(channels):
+            for b in range(first, last + 1):
+                key = (cell, ch, b)
+                if key in sums:
+                    values[b - first][ci] = sums[key] / counts[key]
+                    missing[b - first][ci] = False
+        out[cell] = (first, values, missing)
+    return out

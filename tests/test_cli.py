@@ -130,6 +130,27 @@ def test_predict_ndjson(workspace, tmp_path):
     assert 0.0 <= doc["h1"] <= 1.0
 
 
+def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
+    """Records stream from the file, and the rejected-lines warning still
+    counts every malformed line; the predictions are those of the clean
+    file."""
+    clean = tmp_path / "clean.ndjson"
+    assert run_cli(["predict", "--model", str(workspace["model"]),
+                    "--input", str(workspace["data"]), "--output", str(clean)]) == 0
+    lines = workspace["data"].read_text().splitlines()
+    dirty = tmp_path / "dirty.ndjson"
+    dirty.write_text("\n".join(["not json"] + lines[:5] + ["", '{"topic":"load"}']
+                               + lines[5:] + ['{"topic":"load","cell":"a","ts":0,"value":2}'])
+                     + "\n")
+    out = tmp_path / "pred.ndjson"
+    with caplog.at_level("WARNING", logger="deepauto"):
+        assert run_cli(["predict", "--model", str(workspace["model"]),
+                        "--input", str(dirty), "--output", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"rejected 3 malformed records from {dirty}"]
+    assert out.read_text() == clean.read_text()
+
+
 def test_predict_pdf_model(tmp_path):
     """A histogram model predicts from the per-cell RSRQ series: one line
     per inference window, each a 35-bin distribution."""

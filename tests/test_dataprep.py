@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepauto import dataprep as dp
+from deepauto import pipeline, synthgen
 from deepauto.errors import DataError, OutOfRangeError, ShapeError
 
 import oracles
@@ -75,6 +76,45 @@ def test_records_to_series_buckets_and_averages():
     assert series.values[2, 0] == pytest.approx(0.8)
     assert series.missing_mask[0, 1] == False  # noqa: E712
     assert series.missing_mask[2, 1]           # no ue record in bucket 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_records_to_series_matches_rescan_oracle(seed):
+    """Grouping keys by cell gives the per-cell rescan's series bit for bit,
+    on records with gaps, duplicates (same and neighbouring timestamps) and
+    shuffled order."""
+    records = synthgen.generate(synthgen.SynthConfig(
+        n_cells=6, days=1.0, missing_rate=0.1, rsrq_cells=1, seed=seed))
+    rng = np.random.default_rng(seed)
+    dupes = [dict(records[k], ts=records[k]["ts"] + int(rng.integers(0, 60)),
+                  value=records[k]["value"] * 0.5)
+             for k in rng.choice(len(records), size=len(records) // 5)]
+    records = records + dupes
+    records = [records[k] for k in rng.permutation(len(records))]
+    step = 900
+    series = dp.records_to_series(iter(records), step)
+    expected = oracles.records_to_series_rescan(records, step)
+    assert list(series) == list(expected)
+    for cell, (first, values, missing) in expected.items():
+        s = series[cell]
+        assert s.start_ts == first * step and s.channels == ["load", "ue"]
+        assert s.values.tobytes() == np.array(values).tobytes()
+        np.testing.assert_array_equal(s.missing_mask, missing)
+    assert any(np.array(m).any() for _, _, m in expected.values())  # gaps exist
+
+
+def test_load_rsrq_series_matches_per_cell_filter():
+    """One grouping pass gives every cell the series the per-cell filter
+    over all records gives, bit for bit, and reads the records once."""
+    records = synthgen.generate(synthgen.SynthConfig(
+        n_cells=3, days=0.5, rsrq_cells=3, seed=4))
+    records = [records[k] for k in np.random.default_rng(4).permutation(len(records))]
+    series = pipeline.load_rsrq_series(iter(records), 300)
+    assert list(series) == ["cell_0000", "cell_0001", "cell_0002"]
+    for cell, s in series.items():
+        expected = dp.interpolate_missing(dp.rsrq_series(records, cell, 300))
+        assert s.start_ts == expected.start_ts and s.channels == expected.channels
+        assert s.values.tobytes() == expected.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepauto import model as dm
 from deepauto import neuralnet as nn
@@ -63,7 +65,7 @@ def test_forward_all_zero_params_sigmoid_head():
     config = micro_config()
     params = zero_params(config)
     sample = make_samples(config, 1)
-    out = dm.forward(sample, params, config)
+    out = dm.predict_samples(sample, params, config)[0]
     np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
 
@@ -71,7 +73,7 @@ def test_forward_all_zero_params_pdf_head():
     config = micro_config(output_kind="pdf", pdf_bins=35, input_dim=35)
     params = zero_params(config)
     sample = make_samples(config, 1)
-    out = dm.forward(sample, params, config)
+    out = dm.predict_samples(sample, params, config)[0]
     np.testing.assert_allclose(out, 1 / 35, atol=1e-15)
 
 
@@ -81,7 +83,7 @@ def test_forward_shape_mismatch():
     sample = make_samples(config, 1)
     sample.arrays["recent"] = sample.arrays["recent"][:, :, :1]
     with pytest.raises(ShapeError):
-        dm.forward(sample, params, config)
+        dm.predict_samples(sample, params, config)
 
 
 def test_pdf_head_normalized():
@@ -98,10 +100,43 @@ def test_forward_batch_cache_free_bit_equal(batch):
     config = micro_config()
     params = dm.DeepAutoParams.init(config, np.random.default_rng(12))
     arrays = make_samples(config, batch, seed=13).arrays
-    cached, caches = dm.forward_batch(arrays, params, config)
+    _, caches = dm.forward_batch(arrays, params, config)
     free, no_caches = dm.forward_batch(arrays, params, config, cache=False)
     assert len(caches["recent"]) == config.window.n_r and no_caches is None
+    # the cached pass one row at a time: a batched product may round a row
+    # differently, the row-wise cache-free pass may not
+    cached = np.concatenate([dm.forward_batch({k: v[r:r + 1] for k, v in arrays.items()},
+                                              params, config)[0] for r in range(batch)])
     np.testing.assert_array_equal(free, cached)
+
+
+@given(st.sampled_from(["horizons", "pdf"]), st.sampled_from([3, 16, 33]),
+       st.integers(1, 80), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_forward_batch_cache_free_rows_batch_invariant(kind, hidden, n, seed, data):
+    """Every row of a cache-free batch is bit-equal to that row run alone
+    (cached or not), for any batch size, any subset of rows in any order, and
+    strided (non-contiguous) slices of a Windows at any offset."""
+    pdf = kind == "pdf"
+    config = micro_config(output_kind=kind, input_dim=35 if pdf else 2,
+                          hidden_r=hidden, hidden_p=hidden, fusion_hidden=hidden,
+                          use_external=data.draw(st.booleans()))
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
+    pool = make_samples(config, n + 7, seed=seed % 1000)
+    alone = [dm.forward_batch(pool[k:k + 1].arrays, params, config)[0][0]
+             for k in range(len(pool))]
+    assert all(np.array_equal(dm.forward_batch(pool[k:k + 1].arrays, params, config,
+                                               cache=False)[0][0], alone[k])
+               for k in range(0, len(pool), 5))
+
+    subset = data.draw(st.permutations(range(len(pool))))[:data.draw(st.integers(1, len(pool)))]
+    start, stride = data.draw(st.integers(0, len(pool) - 1)), data.draw(st.integers(1, 3))
+    strided = (pool[start::stride], range(start, len(pool), stride))  # views, not copies
+    for batch, rows in ((pool[np.array(subset)], subset), strided):
+        yhat, _ = dm.forward_batch(batch.arrays, params, config, cache=False)
+        assert yhat.shape == (len(rows), config.out_dim)
+        for r, k in enumerate(rows):
+            assert yhat[r].tobytes() == alone[k].tobytes(), (r, k)
 
 
 def test_batch_loss_memory_independent_of_steps():
@@ -143,7 +178,7 @@ def test_branch_ablation_consistency():
     expected = np.concatenate([state.h[0], h_ext])
     for layer in params.fusion_net:
         expected, _ = nn.dense_forward(expected, layer)
-    np.testing.assert_array_equal(dm.forward(sample, params, config), expected)
+    np.testing.assert_array_equal(dm.predict_samples(sample, params, config)[0], expected)
 
 
 def test_micro_forward_matches_scalar_composition():
@@ -161,7 +196,7 @@ def test_micro_forward_matches_scalar_composition():
     z = [math.tanh(float(hid.W[j, 0]) * h + float(hid.b[j])) for j in range(hid.out_dim)]
     logit = sum(float(out.W[0, j]) * z[j] for j in range(hid.out_dim)) + float(out.b[0])
     expected = oracles.sigmoid(logit)
-    assert dm.forward(sample, params, config)[0] == pytest.approx(expected, abs=1e-12)
+    assert dm.predict_samples(sample, params, config)[0][0] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

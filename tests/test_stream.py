@@ -278,7 +278,7 @@ def test_stream_matches_batch_predictions_bitwise():
     offline = {}
     samples = pipeline.prediction_samples(series, window, scaler)
     for k, s in enumerate(samples):
-        offline[(s.cell_id, s.anchor_ts)] = dm.forward(samples[k:k + 1], params, config)
+        offline[(s.cell_id, s.anchor_ts)] = dm.predict_samples(samples[k:k + 1], params, config)[0]
 
     eng = stream.Engine(params, config, scaler, step_seconds=sc.step_seconds)
     online = {}
@@ -288,6 +288,63 @@ def test_stream_matches_batch_predictions_bitwise():
     assert set(online) == set(offline)
     for key in offline:
         assert offline[key].tobytes() == online[key].tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [1024, 4])
+def test_engine_runs_one_forward_per_batch_of_closes(monkeypatch, batch_size):
+    """An ingest that advances the watermark past many cells, and a flush
+    over many cells, each run one forward pass per `batch_size` predictions;
+    the predictions come out in close order (the ingesting cell's own
+    anchors, then the other cells in arrival order) and equal the batch path
+    bit for bit."""
+    step, cells = 900, [f"C{k}" for k in range(6)]
+    window = WindowSpec(n_r=2)
+    config = dm.DeepAutoConfig(window=window, input_dim=2, horizons=(1, 8), hidden_r=5,
+                               fusion_hidden=6, ext_embed_dim=3, batch_size=batch_size)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+
+    def both(cell, bucket):
+        return [rec("load", cell, bucket, float(rng.uniform()), step),
+                rec("ue", cell, bucket, float(rng.uniform(0, 50)), step)]
+
+    # C0 runs one bucket ahead: it holds bucket 6 open, the others bucket 5
+    warm = [r for cell in cells for b in range(7 if cell == "C0" else 6) for r in both(cell, b)]
+    trigger = both("C0", 7)
+    catch_up = [r for cell in cells[1:] for b in (6, 7) for r in both(cell, b)]
+    records = warm + trigger + catch_up
+    series = pipeline.load_series(records, step)
+    scaler = fit_scaler(np.concatenate([s.values for s in series.values()]), ("load", "ue"))
+
+    def chunks(n):
+        return [min(batch_size, n - a) for a in range(0, n, batch_size)]
+
+    calls = []
+    forward_batch = dm.forward_batch
+    monkeypatch.setattr(dm, "forward_batch",
+                        lambda arrays, *a, **kw: calls.append(len(arrays["recent"]))
+                        or forward_batch(arrays, *a, **kw))
+    eng = stream.Engine(params, config, scaler, step_seconds=step)
+    online = []
+    for r in warm + trigger + catch_up:
+        calls.clear()
+        preds = eng.ingest(r)
+        assert calls == chunks(len(preds))
+        if r is trigger[0]:
+            assert [(p.cell_id, p.anchor_ts // step) for p in preds] == \
+                [("C0", 7)] + [(cell, 6) for cell in cells[1:]]
+        online += preds
+    calls.clear()
+    flushed = eng.flush()
+    assert calls == chunks(len(cells))
+    assert [(p.cell_id, p.anchor_ts // step) for p in flushed] == [(cell, 8) for cell in cells]
+    online += flushed
+
+    samples = pipeline.prediction_samples(series, window, scaler)
+    offline = {key: y for key, y in zip(samples, dm.predict_samples(samples, params, config))}
+    assert len(online) == len(offline) == len(cells) * 7
+    for p in online:
+        assert p.outputs.tobytes() == offline[(p.cell_id, p.anchor_ts)].tobytes()
 
 
 # ---------------------------------------------------------------------------
