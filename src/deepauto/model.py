@@ -321,11 +321,25 @@ class TrainReport:
         }
 
 
+def _compute_copy(params):
+    """The float32 working copy of float64 master weights that one training
+    step computes with. The output layer stays float64, so the head's
+    activations, the targets and the losses stay float64 too: a float32
+    softmax row sums to 1 only to about 1e-7, which kl_loss's 1e-9 row-sum
+    check would reject."""
+    work = nn.clone_params(params, np.float32)
+    work.fusion_net[-1] = params.fusion_net[-1]
+    return work
+
+
 def train(train_samples, val_samples, config, params=None):
     """Mini-batch Adam over Windows with seeded shuffling and early stopping.
 
-    Returns (best-validation parameters, TrainReport). Deterministic for a
-    fixed seed, config, and dataset.
+    Every step computes in float32 (`_compute_copy`); Adam updates the
+    float64 master weights, which are what is returned. Mixed precision with
+    float64 masters follows Micikevicius et al., "Mixed Precision Training",
+    ICLR 2018. Returns (best-validation parameters, TrainReport).
+    Deterministic for a fixed seed, config, and dataset.
     """
     if not train_samples or not val_samples:
         raise ShapeError("train and val splits must be non-empty")
@@ -346,14 +360,14 @@ def train(train_samples, val_samples, config, params=None):
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, config.batch_size):
             batch = train_samples[order[start:start + config.batch_size]]
-            loss, grads = loss_and_gradients(batch, params, config)
+            loss, grads = loss_and_gradients(batch, _compute_copy(params), config)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
             nn.adam_step(params, grads, opt, config.lr)
             epoch_loss += loss
             n_batches += 1
         train_losses.append(epoch_loss / n_batches)
-        val_loss = batch_loss(val_samples, params, config)
+        val_loss = batch_loss(val_samples, _compute_copy(params), config)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"validation loss became {val_loss} at epoch {epoch}")
         val_losses.append(val_loss)

@@ -2,7 +2,12 @@
 layers, regression/distribution losses, Adam, and a finite-difference
 gradient checker.
 
-Everything is float64 numpy. Parameters live in plain dataclasses; the
+Every kernel computes in the dtype of its parameters: the LSTM passes cast
+each step's input and allocate their state, gradients and accumulators in
+`W_x`'s dtype, and the dense passes cast their input and upstream gradient
+to `W`'s. The activations keep a floating input's dtype. Parameters are
+float64 except for the float32 working copy that training computes with, so
+every other path runs in float64. Parameters live in plain dataclasses; the
 generic `param_leaves` walker exposes them as (name, array) pairs so the
 optimizer and the gradient checker stay agnostic of the model structure.
 Gradients come back as the same dataclasses as the parameters, so the
@@ -44,11 +49,12 @@ ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax", "tanh")
 
 
 def _sigmoid_(a):
-    """Logistic sigmoid of float64 array `a`, in place, as 0.5*tanh(a/2) + 0.5.
+    """Logistic sigmoid of floating array `a`, in place, as 0.5*tanh(a/2) + 0.5.
 
     tanh saturates to +-1 on both tails, so nothing overflows and no branch
-    is needed. Results agree with 1/(1+e^-a) to within 2.3e-16 absolute, so
-    values below about 1e-16 (a < -37) lose their relative precision.
+    is needed. In float64, results agree with 1/(1+e^-a) to within 2.3e-16
+    absolute, so values below about 1e-16 (a < -37) lose their relative
+    precision.
     """
     a *= 0.5
     np.tanh(a, out=a)
@@ -57,16 +63,22 @@ def _sigmoid_(a):
     return a
 
 
+def _float_dtype(x):
+    """A floating input's own dtype; float64 for anything else."""
+    dtype = np.asarray(x).dtype
+    return dtype if dtype.kind == "f" else np.dtype(np.float64)
+
+
 def sigmoid(x):
     """Logistic sigmoid, numerically stable on both tails."""
-    out = _sigmoid_(np.array(x, dtype=np.float64))
+    out = _sigmoid_(np.array(x, dtype=_float_dtype(x)))
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def softmax(x, axis=-1):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_float_dtype(x))
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
@@ -104,12 +116,12 @@ class LstmCellParams:
     b: np.ndarray       # (4, hidden)
 
     @classmethod
-    def zeros(cls, input_dim, hidden_dim):
+    def zeros(cls, input_dim, hidden_dim, dtype=np.float64):
         d, h = int(input_dim), int(hidden_dim)
         if d <= 0 or h <= 0:
             raise ConfigError("LSTM dims must be positive")
-        return cls(W_x=np.zeros((4, h, d)), W_h=np.zeros((4, h, h)),
-                   w_peep=np.zeros((3, h)), b=np.zeros((4, h)))
+        return cls(W_x=np.zeros((4, h, d), dtype), W_h=np.zeros((4, h, h), dtype),
+                   w_peep=np.zeros((3, h), dtype), b=np.zeros((4, h), dtype))
 
     @classmethod
     def init(cls, input_dim, hidden_dim, rng):
@@ -188,18 +200,19 @@ def param_leaves(obj, prefix=""):
     # scalars / strings / None: not parameters
 
 
-def clone_params(params):
-    """Deep copy of a parameter structure (arrays copied)."""
+def clone_params(params, dtype=None):
+    """Deep copy of a parameter structure (arrays copied), with every array
+    cast to `dtype` when one is given."""
     if isinstance(params, np.ndarray):
-        return params.copy()
+        return params.astype(dtype or params.dtype)
     if dataclasses.is_dataclass(params):
-        kwargs = {f.name: clone_params(getattr(params, f.name))
+        kwargs = {f.name: clone_params(getattr(params, f.name), dtype)
                   for f in dataclasses.fields(params)}
         return type(params)(**kwargs)
     if isinstance(params, list):
-        return [clone_params(x) for x in params]
+        return [clone_params(x, dtype) for x in params]
     if isinstance(params, tuple):
-        return tuple(clone_params(x) for x in params)
+        return tuple(clone_params(x, dtype) for x in params)
     return params
 
 
@@ -222,7 +235,7 @@ def _rowwise_matmul(x, w_t):
 
 
 def _lstm_step(x, h_prev, c_prev, p, product):
-    """The cell math on validated (batch, dim) float64 arrays:
+    """The cell math on validated (batch, dim) arrays of the parameters' dtype:
 
     i = sig(W_x[0] x + W_h[0] h' + w_peep[0]*c' + b[0])
     f = sig(W_x[1] x + W_h[1] h' + w_peep[1]*c' + b[1])
@@ -264,19 +277,22 @@ def lstm_forward_sequence(xs, p, cache=True):
 
     The branch output is the hidden state after the last step. `caches`
     holds one step cache per step, or is None when `cache=False`, whose
-    products are row-wise (see the module notes).
+    products are row-wise (see the module notes). Each step's input is cast
+    to the parameters' dtype as it is read, so a cache-free pass over a whole
+    float64 validation set never holds a float32 copy of it.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs)
     if xs.ndim != 3 or xs.shape[2] != p.input_dim:
         raise ShapeError(f"sequence shape {xs.shape} incompatible with input_dim {p.input_dim}")
     if xs.shape[1] == 0:
         raise ShapeError("empty LSTM input sequence")
 
-    h = c = np.zeros((xs.shape[0], p.hidden_dim))
+    dtype = p.W_x.dtype
+    h = c = np.zeros((xs.shape[0], p.hidden_dim), dtype)
     caches = [] if cache else None
     product = np.matmul if cache else _rowwise_matmul
     for t in range(xs.shape[1]):
-        h, c, step = _lstm_step(xs[:, t, :], h, c, p, product)
+        h, c, step = _lstm_step(xs[:, t, :].astype(dtype, copy=False), h, c, p, product)
         if cache:
             caches.append(step)
     return LstmState(h=h, c=c), caches
@@ -289,11 +305,11 @@ def lstm_backward_sequence(caches, dh_final, p):
     """
     if not caches:
         raise ShapeError("no caches to backpropagate through")
-    dh = np.asarray(dh_final, dtype=np.float64)
+    dh = np.asarray(dh_final, dtype=p.W_x.dtype)
     if dh.shape != caches[0][1].shape:
         raise ShapeError(f"upstream gradient shape {dh.shape} does not match the caches")
 
-    g = LstmCellParams.zeros(p.input_dim, p.hidden_dim)
+    g = LstmCellParams.zeros(p.input_dim, p.hidden_dim, dh.dtype)
     dc_carry = np.zeros_like(dh)
     for x, h_prev, c_prev, a, c, tc in reversed(caches):
         i, f, tz, o = a
@@ -335,32 +351,30 @@ def lstm_backward_sequence(caches, dh_final, p):
 # dense layer
 
 
-def _as_batch(x, dim, what):
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+def _as_batch(x, dtype, dim, what):
+    """`x` as a (batch, dim) array of `dtype`."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != dim:
-        raise ShapeError(f"{what}: expected (*, {dim}), got {x.shape}")
-    return x, squeeze
+        raise ShapeError(f"{what}: expected (batch, {dim}), got {x.shape}")
+    return x
 
 
 def dense_forward(x, p, cache=True):
-    """W x + b followed by the configured activation; returns (y, cache).
+    """W x + b followed by the configured activation, on a (batch, in_dim)
+    `x`; returns (y, cache).
 
     With `cache=False` (inference) the product is row-wise and the cache is
     None (see the module notes)."""
-    x, squeeze = _as_batch(x, p.in_dim, "dense input")
+    x = _as_batch(x, p.W.dtype, p.in_dim, "dense input")
     z = (np.matmul if cache else _rowwise_matmul)(x, p.W.T) + p.b
     y = apply_activation(z, p.activation)
-    return (y[0] if squeeze else y), ({"x": x, "z": z, "y": y, "squeeze": squeeze}
-                                      if cache else None)
+    return y, ({"x": x, "z": z, "y": y} if cache else None)
 
 
 def dense_backward(cache, dy, p):
     """Gradients of a dense layer; returns (DenseParams grads, dx)."""
     x, z, y = cache["x"], cache["z"], cache["y"]
-    dy, _ = _as_batch(dy, p.out_dim, "dense upstream")
+    dy = _as_batch(dy, p.W.dtype, p.out_dim, "dense upstream")
     if p.activation == "identity":
         dz = dy
     elif p.activation == "relu":
@@ -374,10 +388,7 @@ def dense_backward(cache, dy, p):
     else:
         raise ConfigError(f"unknown activation {p.activation!r}")
     grads = DenseParams(W=dz.T @ x, b=np.sum(dz, axis=0), activation=p.activation)
-    dx = dz @ p.W
-    if cache["squeeze"]:
-        dx = dx[0]
-    return grads, dx
+    return grads, dz @ p.W
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +495,16 @@ def _paired_leaves(params, grads):
 def adam_step(params, grads, state, lr):
     """In-place Adam update; deterministic given identical inputs.
 
-    `grads` is a structure like `params` (same leaves and shapes)."""
+    `grads` is a structure like `params` (same leaves and shapes); each
+    gradient is cast to its parameter's dtype, so float32 gradients update
+    float64 master weights in float64."""
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
     leaves = _paired_leaves(params, grads)
     state.t += 1
     t = state.t
     for name, arr, g in leaves:
+        g = g.astype(arr.dtype, copy=False)
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:

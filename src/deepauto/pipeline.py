@@ -95,8 +95,13 @@ def prepare_pdf_dataset(records, window, bucket_seconds=300):
 
 def prediction_samples(series_by_cell, window, scaler):
     """Inference-mode Windows (no targets) for batch prediction; the same
-    windows the streaming engine builds online."""
+    windows the streaming engine builds online. Raises DataError when no
+    cell spans the window's history."""
     per_cell = (make_windows(_scaled(s, scaler) if scaler is not None else s, window,
                              require_targets=False)
                 for _, s in sorted(series_by_cell.items()))
-    return _by_anchor(per_cell, window)
+    samples = _by_anchor(per_cell, window)
+    if not len(samples):
+        raise DataError(f"no cell has the {window.history_span()} steps of history "
+                        "that a prediction needs")
+    return samples

@@ -130,6 +130,21 @@ def test_predict_ndjson(workspace, tmp_path):
     assert 0.0 <= doc["h1"] <= 1.0
 
 
+def test_predict_without_a_full_window_exits_2(workspace, tmp_path, capsys):
+    """A file in which no cell spans the model's history (n_p=2 periods of
+    96 steps) is a data error: exit 2 with the span named, and no output
+    file."""
+    records, _ = dataprep.read_records(workspace["data"])
+    start = min(r["ts"] for r in records)
+    short = tmp_path / "short.ndjson"
+    dataprep.write_records(short, [r for r in records if r["ts"] < start + 40 * 900])
+    out = tmp_path / "pred.ndjson"
+    assert run_cli(["predict", "--model", str(workspace["model"]),
+                    "--input", str(short), "--output", str(out)]) == 2
+    assert "192 steps of history" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
     """Records stream from the file, and the rejected-lines warning still
     counts every malformed line; the predictions are those of the clean

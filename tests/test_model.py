@@ -111,17 +111,21 @@ def test_forward_batch_cache_free_bit_equal(batch):
 
 
 @given(st.sampled_from(["horizons", "pdf"]), st.sampled_from([3, 16, 33]),
-       st.integers(1, 80), st.integers(0, 2**32 - 1), st.data())
+       st.integers(1, 80), st.integers(0, 2**32 - 1),
+       st.sampled_from(["float64", "float32"]), st.data())
 @settings(max_examples=40, deadline=None)
-def test_forward_batch_cache_free_rows_batch_invariant(kind, hidden, n, seed, data):
+def test_forward_batch_cache_free_rows_batch_invariant(kind, hidden, n, seed, dtype, data):
     """Every row of a cache-free batch is bit-equal to that row run alone
     (cached or not), for any batch size, any subset of rows in any order, and
-    strided (non-contiguous) slices of a Windows at any offset."""
+    strided (non-contiguous) slices of a Windows at any offset; with float64
+    parameters and with training's float32 working copy."""
     pdf = kind == "pdf"
     config = micro_config(output_kind=kind, input_dim=35 if pdf else 2,
                           hidden_r=hidden, hidden_p=hidden, fusion_hidden=hidden,
                           use_external=data.draw(st.booleans()))
     params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
+    if dtype == "float32":
+        params = dm._compute_copy(params)
     pool = make_samples(config, n + 7, seed=seed % 1000)
     alone = [dm.forward_batch(pool[k:k + 1].arrays, params, config)[0][0]
              for k in range(len(pool))]
@@ -174,11 +178,12 @@ def test_branch_ablation_consistency():
 
     # manual composition: recent branch + external embedding + fusion layers
     state, _ = nn.lstm_forward_sequence(sample.arrays["recent"], params.lstm_r)
-    h_ext, _ = nn.dense_forward(sample.arrays["external"][0], params.ext_net[0])
-    expected = np.concatenate([state.h[0], h_ext])
+    h_ext, _ = nn.dense_forward(sample.arrays["external"], params.ext_net[0])
+    expected = np.concatenate([state.h, h_ext], axis=1)
     for layer in params.fusion_net:
         expected, _ = nn.dense_forward(expected, layer)
-    np.testing.assert_array_equal(dm.predict_samples(sample, params, config)[0], expected)
+    assert expected.shape == (1, config.out_dim)
+    np.testing.assert_array_equal(dm.predict_samples(sample, params, config)[0], expected[0])
 
 
 def test_micro_forward_matches_scalar_composition():
@@ -226,6 +231,30 @@ def test_gradients_no_external_no_seasonal():
     run_gradient_check(config)
 
 
+@pytest.mark.parametrize("kind", ["horizons", "pdf"])
+def test_float32_gradients_match_float64(kind):
+    """Criterion 1's micro model: the float32 working copy that training
+    steps with gives the loss within 1e-6 and every gradient leaf within
+    1e-5 of its largest float64 entry (float32 epsilon is 1.2e-7)."""
+    pdf = kind == "pdf"
+    config = micro_config(output_kind=kind, input_dim=4 if pdf else 2, pdf_bins=4,
+                          hidden_r=4, hidden_p=3, hidden_s=3, ext_embed_dim=3,
+                          fusion_hidden=4)
+    rng = np.random.default_rng(3)
+    params = dm.DeepAutoParams.init(config, rng)
+    for _, arr in nn.param_leaves(params):
+        zero = arr == 0.0        # zero-initialized embedding layer and biases
+        arr[zero] = rng.uniform(-0.3, 0.3, size=int(zero.sum()))
+    arrays = make_samples(config, 6, seed=4).arrays
+    loss64, grads64 = dm.loss_and_gradients(arrays, params, config)
+    loss32, grads32 = dm.loss_and_gradients(arrays, dm._compute_copy(params), config)
+    assert loss32 == pytest.approx(loss64, rel=1e-6)
+    for (name, g64), (_, g32) in zip(nn.param_leaves(grads64), nn.param_leaves(grads32)):
+        head = name.startswith(f"fusion_net[{len(params.fusion_net) - 1}]")
+        assert g32.dtype == (np.float64 if head else np.float32), name
+        assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64)), name
+
+
 def test_perfect_predictions_zero_loss():
     config = micro_config(window=WindowSpec(n_r=2), use_external=False, horizons=(1,))
     params = dm.DeepAutoParams.init(config, np.random.default_rng(3))
@@ -271,6 +300,20 @@ def test_training_deterministic():
     blob2, losses2 = run()
     assert blob1 == blob2
     assert losses1 == losses2
+
+
+def test_train_returns_float64_params_saved_as_v2_f8():
+    """Training computes in float32, but the returned parameters are the
+    float64 master weights and the model file stores them as format-2 <f8."""
+    config = micro_config(max_epochs=2)
+    samples = make_samples(config, 30, seed=23)
+    params, _ = dm.train(samples[:20], samples[20:], config)
+    leaves = list(nn.param_leaves(params))
+    assert {arr.dtype for _, arr in leaves} == {np.dtype(np.float64)}
+    blob = dm.save(params, config, None)
+    assert struct.unpack("<I", blob[4:8]) == (2,)
+    for _, arr in leaves:
+        assert arr.astype("<f8").tobytes() in blob
 
 
 def test_early_stopping_on_plateau(monkeypatch):

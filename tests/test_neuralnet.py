@@ -168,28 +168,48 @@ def test_lstm_forward_without_cache_same_state():
     np.testing.assert_array_equal(np.concatenate([s.c for s in rows]), s2.c)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kernels_compute_in_the_parameters_dtype(dtype):
+    """From float64 inputs, states, caches, outputs and gradients all come
+    out in the parameters' dtype."""
+    rng = np.random.default_rng(24)
+    p = nn.clone_params(nn.LstmCellParams.init(2, 3, rng), dtype)
+    state, caches = nn.lstm_forward_sequence(rng.normal(size=(4, 5, 2)), p)
+    assert {a.dtype for a in (state.h, state.c, *caches[-1])} == {np.dtype(dtype)}
+    g = nn.lstm_backward_sequence(caches, rng.normal(size=(4, 3)), p)
+    assert {a.dtype for _, a in nn.param_leaves(g)} == {np.dtype(dtype)}
+    assert nn.lstm_forward_sequence(rng.normal(size=(4, 5, 2)), p, cache=False)[0].h.dtype == dtype
+
+    for activation in ("tanh", "sigmoid", "softmax"):
+        d = nn.clone_params(nn.DenseParams.init(3, 2, activation, rng), dtype)
+        y, cache = nn.dense_forward(state.h.astype(np.float64), d)
+        grads, dx = nn.dense_backward(cache, rng.normal(size=(4, 2)), d)
+        assert {y.dtype, dx.dtype, grads.W.dtype, grads.b.dtype} == {np.dtype(dtype)}
+
+
 # ---------------------------------------------------------------------------
 # dense layer
 
 
 def test_dense_identity():
     p = nn.DenseParams(W=np.eye(3), b=np.zeros(3), activation="identity")
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = nn.dense_forward(x, p)
     np.testing.assert_array_equal(y, x)
 
 
 def test_dense_softmax_symmetry():
     p = nn.DenseParams(W=np.zeros((3, 2)), b=np.zeros(3), activation="softmax")
-    y, _ = nn.dense_forward(np.array([1.0, 2.0]), p)
-    np.testing.assert_allclose(y, [1 / 3] * 3, atol=1e-15)
+    y, _ = nn.dense_forward(np.array([[1.0, 2.0]]), p)
+    np.testing.assert_allclose(y, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_dense_sigmoid_closed_form():
     p = nn.DenseParams(W=np.array([[1.0, 1.0]]), b=np.array([1.0]), activation="sigmoid")
-    y, _ = nn.dense_forward(np.array([1.0, 1.0]), p)
-    assert y[0] == pytest.approx(oracles.sigmoid(3.0), abs=1e-15)
-    assert y[0] == pytest.approx(0.9525741268, abs=1e-9)
+    y, _ = nn.dense_forward(np.array([[1.0, 1.0]]), p)
+    assert y.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(oracles.sigmoid(3.0), abs=1e-15)
+    assert y[0, 0] == pytest.approx(0.9525741268, abs=1e-9)
 
 
 def test_softmax_rows_sum_to_one():
@@ -380,25 +400,25 @@ def test_adam_rejects_incongruent_gradients():
 
 def test_gradient_check_linear_exact():
     p = nn.DenseParams(W=np.array([[2.0, -1.0]]), b=np.array([0.5]), activation="identity")
-    x = np.array([0.3, 0.7])
+    x = np.array([[0.3, 0.7]])
 
     def loss():
         y, _ = nn.dense_forward(x, p)
-        return float(y[0])
+        return float(y[0, 0])
 
-    analytic = nn.DenseParams(W=x[None, :].copy(), b=np.ones(1))
+    analytic = nn.DenseParams(W=x.copy(), b=np.ones(1))
     assert nn.gradient_check(loss, p, analytic) <= 1e-10
 
 
 def test_gradient_check_detects_corruption():
     rng = np.random.default_rng(77)
     p = nn.DenseParams.init(3, 2, "sigmoid", rng)
-    x = rng.normal(size=3)
-    w_out = rng.normal(size=2)
+    x = rng.normal(size=(1, 3))
+    w_out = rng.normal(size=(1, 2))
 
     def loss():
         y, _ = nn.dense_forward(x, p)
-        return float(np.dot(y, w_out))
+        return float(np.sum(y * w_out))
 
     _, cache = nn.dense_forward(x, p)
     g, _ = nn.dense_backward(cache, w_out, p)
