@@ -30,13 +30,29 @@ EXTERNAL_DIM = 14
 # record IO
 
 
+_decode_json = json.JSONDecoder().raw_decode
+JSON_WHITESPACE = " \t\n\r"
+
+
 def parse_record(line):
-    """Parse one NDJSON measurement line; raises DataError on bad input,
-    OutOfRangeError (a DataError) on a value outside its topic's range."""
+    """Parse one NDJSON measurement line (str, or bytes in a JSON encoding);
+    raises DataError on bad input, OutOfRangeError (a DataError) on a value
+    outside its topic's range.
+
+    The line must hold exactly one JSON object, with only JSON whitespace
+    around it: `json.loads`'s rule, decoded without its per-call set-up.
+    `ts` must be an integer that is not a boolean; `value` a number, not a
+    boolean, that is finite as a float.
+    """
     try:
-        rec = json.loads(line)
+        if isinstance(line, (bytes, bytearray)):
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+        line = line.strip(JSON_WHITESPACE)
+        rec, end = _decode_json(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed JSON: {exc}") from exc
+    if end != len(line):
+        raise DataError("malformed JSON: extra data after the object")
     if not isinstance(rec, dict):
         raise DataError("record is not an object")
     topic = rec.get("topic")
@@ -46,10 +62,16 @@ def parse_record(line):
     if not isinstance(cell, str) or not cell:
         raise DataError("missing cell id")
     ts = rec.get("ts")
-    if not isinstance(ts, int):
+    if not isinstance(ts, int) or isinstance(ts, bool):
         raise DataError("ts must be an integer epoch second")
     value = rec.get("value")
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DataError("value must be a finite number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DataError("value must be a finite number") from None
+    if not math.isfinite(value):
         raise DataError("value must be a finite number")
     if topic == "rsrq":
         if value != int(value) or not 0 <= value <= RSRQ_BINS - 1:
@@ -58,7 +80,7 @@ def parse_record(line):
         raise OutOfRangeError(f"load value out of range: {value}")
     if topic == "ue" and value < 0:
         raise OutOfRangeError(f"ue count negative: {value}")
-    return {"topic": topic, "cell": cell, "ts": ts, "value": float(value)}
+    return {"topic": topic, "cell": cell, "ts": ts, "value": value}
 
 
 def iter_records(path, rejected):

@@ -30,6 +30,15 @@ cache-free row's bits therefore cannot depend on the batch around it:
 cache-free rows are batch-invariant and equal the cached pass at batch 1.
 A batched BLAS product may round a row differently from that row alone, so
 on larger batches the two passes can differ in the last bit.
+
+At batch 1 a step's cost is the number of NumPy calls, not arithmetic, so
+the LSTM step fuses its element-wise gate ops (one op for the i and f
+peepholes, one for the i, f and z biases, one sigmoid over i and f) and a
+sequence transposes its weights once. Fusing changes no element's order of
+operations, only how many elements one call covers, so every pass gives the
+same bits as one op per gate. The two products are never fused into one
+`[x, h]` product or hoisted out of the step loop: either would change the
+summation order.
 """
 
 from __future__ import annotations
@@ -54,12 +63,15 @@ def _sigmoid_(a):
     tanh saturates to +-1 on both tails, so nothing overflows and no branch
     is needed. In float64, results agree with 1/(1+e^-a) to within 2.3e-16
     absolute, so values below about 1e-16 (a < -37) lose their relative
-    precision.
+    precision. The constant has `a`'s own dtype: a Python float takes a
+    slower scalar path in an in-place op, and a float64 one would round a
+    float32 array differently.
     """
-    a *= 0.5
+    half = a.dtype.type(0.5)
+    a *= half
     np.tanh(a, out=a)
-    a *= 0.5
-    a += 0.5
+    a *= half
+    a += half
     return a
 
 
@@ -84,19 +96,17 @@ def softmax(x, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
-def apply_activation(z, activation):
+def apply_activation_(z, activation):
+    """The activation of floating array `z`, computed in place where the
+    activation allows (identity, relu, sigmoid, tanh), so `z` is consumed."""
     if activation == "identity":
         return z
     if activation == "relu":
-        return relu(z)
+        return np.maximum(z, 0.0, out=z)
     if activation == "sigmoid":
-        return sigmoid(z)
+        return _sigmoid_(z)
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if activation == "softmax":
         return softmax(z, axis=-1)
     raise ConfigError(f"unknown activation {activation!r}")
@@ -234,7 +244,7 @@ def _rowwise_matmul(x, w_t):
     return np.matmul(x[:, None, :], w_t[..., None, :, :])[..., 0, :]
 
 
-def _lstm_step(x, h_prev, c_prev, p, product):
+def _lstm_step(x, h_prev, c_prev, p, w_xt, w_ht, product):
     """The cell math on validated (batch, dim) arrays of the parameters' dtype:
 
     i = sig(W_x[0] x + W_h[0] h' + w_peep[0]*c' + b[0])
@@ -245,24 +255,25 @@ def _lstm_step(x, h_prev, c_prev, p, product):
     h = o*tanh(c)
 
     The four gate pre-activations come from two stacked products, made by
-    `product` (`np.matmul` or `_rowwise_matmul`), into one (4, batch,
-    hidden) array `a` that then holds the activated gates i, f, tanh(z), o.
+    `product` (`np.matmul` or `_rowwise_matmul`) with the transposed weights
+    `w_xt`, `w_ht`, into one (4, batch, hidden) array `a` that then holds
+    the activated gates i, f, tanh(z), o. The element-wise gate ops are
+    fused: one op adds the i and f peephole terms, one adds the i, f and z
+    biases, one sigmoid activates i and f. Every element still goes through
+    the same operations in the same order (product, product, peephole, bias,
+    activation), so the fused step rounds exactly as one op per gate would.
     Returns (h, c, cache); cache is the tuple (x, h_prev, c_prev, a, c, tc)
     that the backward pass reads.
     """
-    a = product(x, p.W_x.transpose(0, 2, 1))
-    a += product(h_prev, p.W_h.transpose(0, 2, 1))
-    i, f, tz, o = a
-    i += p.w_peep[0] * c_prev
-    i += p.b[0]
-    _sigmoid_(i)
-    f += p.w_peep[1] * c_prev
-    f += p.b[1]
-    _sigmoid_(f)
-    tz += p.b[2]
-    np.tanh(tz, out=tz)
-    c = f * c_prev
-    c += i * tz
+    a = product(x, w_xt)
+    a += product(h_prev, w_ht)
+    a[:2] += p.w_peep[:2, None, :] * c_prev
+    a[:3] += p.b[:3, None, :]
+    _sigmoid_(a[:2])
+    np.tanh(a[2], out=a[2])
+    c = a[1] * c_prev
+    c += a[0] * a[2]
+    o = a[3]
     o += p.w_peep[2] * c
     o += p.b[3]
     _sigmoid_(o)
@@ -291,8 +302,10 @@ def lstm_forward_sequence(xs, p, cache=True):
     h = c = np.zeros((xs.shape[0], p.hidden_dim), dtype)
     caches = [] if cache else None
     product = np.matmul if cache else _rowwise_matmul
+    w_xt, w_ht = p.W_x.transpose(0, 2, 1), p.W_h.transpose(0, 2, 1)
     for t in range(xs.shape[1]):
-        h, c, step = _lstm_step(xs[:, t, :].astype(dtype, copy=False), h, c, p, product)
+        h, c, step = _lstm_step(xs[:, t, :].astype(dtype, copy=False), h, c, p,
+                                w_xt, w_ht, product)
         if cache:
             caches.append(step)
     return LstmState(h=h, c=c), caches
@@ -363,12 +376,16 @@ def dense_forward(x, p, cache=True):
     """W x + b followed by the configured activation, on a (batch, in_dim)
     `x`; returns (y, cache).
 
-    With `cache=False` (inference) the product is row-wise and the cache is
-    None (see the module notes)."""
+    With `cache=False` (inference) the product is row-wise, the activation
+    overwrites the fresh pre-activation, and the cache is None (see the
+    module notes)."""
     x = _as_batch(x, p.W.dtype, p.in_dim, "dense input")
-    z = (np.matmul if cache else _rowwise_matmul)(x, p.W.T) + p.b
-    y = apply_activation(z, p.activation)
-    return y, ({"x": x, "z": z, "y": y} if cache else None)
+    z = (np.matmul if cache else _rowwise_matmul)(x, p.W.T)
+    z += p.b
+    if not cache:
+        return apply_activation_(z, p.activation), None
+    y = apply_activation_(z.copy(), p.activation)
+    return y, {"x": x, "z": z, "y": y}
 
 
 def dense_backward(cache, dy, p):

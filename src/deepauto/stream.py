@@ -46,8 +46,8 @@ class CellBuffer:
     """Per-cell bucketed state: open (accumulating) and closed buckets.
 
     Bucket indices are absolute (ts // step_seconds); closed values are a
-    dict index -> channel vector, in bucket order, evicted beyond the window
-    capacity.
+    dict index -> channel vector, contiguous from `oldest` to `last_closed`,
+    evicted beyond the window capacity.
     """
 
     def __init__(self, n_channels, capacity, histogram=False):
@@ -56,12 +56,12 @@ class CellBuffer:
         self.histogram = histogram
         self.open = {}       # idx -> (sum vector, count vector)
         self.closed = {}     # idx -> value vector (NaN where missing)
-        self.first_bucket = None
+        self.oldest = None   # first bucket added, later the oldest not yet evicted
         self.last_closed = None
 
     def add(self, bucket, channel, value):
-        if self.first_bucket is None:
-            self.first_bucket = bucket
+        if self.oldest is None:
+            self.oldest = bucket
         if bucket not in self.open:
             self.open[bucket] = (np.zeros(self.n_channels), np.zeros(self.n_channels))
         sums, counts = self.open[bucket]
@@ -73,9 +73,9 @@ class CellBuffer:
 
     def close_through(self, upto):
         """Close every bucket <= upto; returns the closed indices in order."""
-        if self.first_bucket is None:
+        if self.oldest is None:
             return []
-        start = self.first_bucket if self.last_closed is None else self.last_closed + 1
+        start = self.oldest if self.last_closed is None else self.last_closed + 1
         closed = []
         for b in range(start, upto + 1):
             sums_counts = self.open.pop(b, None)
@@ -95,8 +95,9 @@ class CellBuffer:
         # evict history beyond what any window can need
         if self.last_closed is not None:
             cutoff = self.last_closed - self.capacity
-            for b in [b for b in self.closed if b < cutoff]:
+            for b in range(self.oldest, cutoff):
                 del self.closed[b]
+            self.oldest = max(self.oldest, cutoff)
         return closed
 
     def window(self, anchor, span):
@@ -107,7 +108,7 @@ class CellBuffer:
         linear/nearest interpolation rule.
         """
         lo = anchor - span
-        if not self.closed or lo < next(iter(self.closed)) or self.last_closed < anchor - 1:
+        if self.last_closed is None or lo < self.oldest or self.last_closed < anchor - 1:
             return None
         # closed buckets are contiguous from the oldest held to last_closed
         rows = np.array([self.closed[b] for b in range(lo, anchor)])
@@ -229,7 +230,7 @@ class Engine:
             if tops is None:
                 continue
             upto = min(horizon, tops)
-            last = buf.last_closed if buf.last_closed is not None else buf.first_bucket - 1
+            last = buf.last_closed if buf.last_closed is not None else buf.oldest - 1
             if upto > last:
                 self._close(cell, buf, upto, pending)
 

@@ -1,11 +1,15 @@
 """Independent brute-force oracles, deliberately written with the stdlib
-`math` module and plain loops so they share no code with the package.
+`math` module and plain loops so they share no code with the package (the
+record-parser oracle raises the package's error classes, nothing more).
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
 """
 
+import json
 import math
+
+from deepauto.errors import DataError, OutOfRangeError
 
 
 def sigmoid(x):
@@ -139,3 +143,35 @@ def records_to_series_rescan(records, step_seconds, channels=("load", "ue")):
                     missing[b - first][ci] = False
         out[cell] = (first, values, missing)
     return out
+
+
+def parse_record_loads(line):
+    """The `json.loads` record parser that the direct decode replaced,
+    unchanged: it accepts a boolean `ts`, and an integer `value` too large
+    for a float makes `math.isfinite` raise OverflowError."""
+    try:
+        rec = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"malformed JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise DataError("record is not an object")
+    topic = rec.get("topic")
+    if topic not in ("load", "ue", "rsrq"):
+        raise DataError(f"unknown topic {topic!r}")
+    cell = rec.get("cell")
+    if not isinstance(cell, str) or not cell:
+        raise DataError("missing cell id")
+    ts = rec.get("ts")
+    if not isinstance(ts, int):
+        raise DataError("ts must be an integer epoch second")
+    value = rec.get("value")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise DataError("value must be a finite number")
+    if topic == "rsrq":
+        if value != int(value) or not 0 <= value <= 35 - 1:
+            raise OutOfRangeError(f"rsrq value out of range: {value}")
+    if topic == "load" and not 0.0 <= value <= 1.0:
+        raise OutOfRangeError(f"load value out of range: {value}")
+    if topic == "ue" and value < 0:
+        raise OutOfRangeError(f"ue count negative: {value}")
+    return {"topic": topic, "cell": cell, "ts": ts, "value": float(value)}

@@ -41,6 +41,9 @@ def test_parse_record_roundtrip():
     '{"topic":"rsrq","cell":"a","ts":1,"value":35}',
     '{"topic":"ue","cell":"a","ts":1,"value":-3}',
     '{"topic":"load","cell":"","ts":1,"value":0.5}',
+    '{"topic":"load","cell":"a","ts":true,"value":0.5}',
+    '{"topic":"ue","cell":"a","ts":1,"value":1%s}' % ("0" * 400),
+    '{"topic":"load","cell":"a","ts":1,"value":0.5} x',
 ])
 def test_parse_record_rejects(line):
     with pytest.raises(DataError):
@@ -55,12 +58,93 @@ def test_parse_record_rejects(line):
     ('{"topic":"ue","cell":"a","ts":1,"value":-3}', True),
     ('{"topic":"load","cell":"a","ts":1,"value":"0.5"}', False),
     ('{"topic":"load","cell":"a","ts":1.5,"value":0.5}', False),
+    ('{"topic":"load","cell":"a","ts":false,"value":0.5}', False),
+    ('{"topic":"ue","cell":"a","ts":1,"value":-1%s}' % ("0" * 400), False),
     ("not json", False),
 ])
 def test_parse_record_range_errors_are_out_of_range(line, out_of_range):
     with pytest.raises(DataError) as info:
         dp.parse_record(line)
     assert isinstance(info.value, OutOfRangeError) == out_of_range
+
+
+def _dumped(*values):
+    return st.sampled_from(values).map(json.dumps)
+
+
+# the JSON text a field of a generated line may hold: valid values of each
+# topic, exponents, NaN/Infinity literals, booleans, huge integers, strings
+_TS = st.one_of(st.integers(-10**12, 10**12).map(str), st.integers(0, 10**9).map(str),
+                _dumped(True, False, 1.5, "120", None),
+                st.sampled_from(["1e3", "1" + "0" * 30]))
+_VALUE = st.one_of(
+    st.floats(0.0, 1.0).map(json.dumps), st.integers(-3, 40).map(str),
+    st.integers(0, 34).map(str),
+    st.floats().map(json.dumps), _dumped(True, False, None, "0.5", []),
+    st.sampled_from(["5E-1", "0.5e0", "2e1", "1e400", "-0.0", "NaN", "Infinity",
+                     "-Infinity", "1" + "0" * 400, "-" + "9" * 400]))
+_CELL = st.one_of(
+    st.builds(lambda text, ascii: json.dumps(text, ensure_ascii=ascii),
+              st.text(min_size=1, max_size=4), st.booleans()),
+    st.from_regex(r"cell_[0-9]{1,4}", fullmatch=True).map(json.dumps),
+    st.sampled_from(['"cell_\\u0041"', '"\\u00e9\\ud800"', '""', "5", "null"]))
+_FIELDS = {"topic": _dumped("load", "ue", "rsrq", "load", "ue", "rsrq", "bogus"),
+           "cell": _CELL, "ts": _TS, "value": _VALUE}
+
+
+@st.composite
+def record_lines(draw):
+    """NDJSON-ish lines: an object of the four fields, some dropped or
+    repeated (duplicate keys), in any order, given as str or as bytes; some
+    lines are non-object JSON, padded with a non-JSON whitespace character,
+    followed by garbage or a second object, or end in an undecodable byte."""
+    pairs = [(k, draw(tok)) for k, tok in _FIELDS.items() if draw(st.integers(0, 9))]
+    pairs += draw(st.lists(st.sampled_from(sorted(_FIELDS)).flatmap(
+        lambda k: _FIELDS[k].map(lambda tok: (k, tok))), max_size=1))
+    pairs = draw(st.permutations(pairs))
+    sep = draw(st.sampled_from([",", ", "]))
+    body = "{" + sep.join(f'"{k}":{tok}' for k, tok in pairs) + "}"
+    if not draw(st.integers(0, 7)):
+        body = draw(st.sampled_from(["[1, 2]", "1", '"load"', "null", ""]))
+    pad = st.text(alphabet=" \t\n\r", max_size=2)
+    tail = draw(st.sampled_from([""] * 20 + ["x", "}", ",", ' {"a": 1}', "{}"]))
+    line = draw(pad) + body + tail + draw(pad)
+    if not draw(st.integers(0, 4)):
+        odd = draw(st.sampled_from("\x0b\x0c\xa0\u2028"))
+        line = odd + line if draw(st.booleans()) else line + odd
+    encoding = draw(st.sampled_from(["str"] * 4 + ["utf-8", "utf-16", "bad-utf-8"]))
+    if encoding == "str":
+        return line
+    if encoding == "bad-utf-8":
+        return line.encode("utf-8", "surrogatepass") + b"\xff"
+    return line.encode(encoding, "surrogatepass")
+
+
+@settings(max_examples=800, deadline=None)
+@given(record_lines())
+def test_parse_record_matches_json_loads_oracle(line):
+    """The direct decode returns the dict the json.loads parser returned, or
+    raises the same class; the only differences are the two mended holes,
+    a boolean ts and an integer value too large for a float, which are now
+    DataErrors (not range errors)."""
+    try:
+        expected = oracles.parse_record_loads(line)
+    except OverflowError:
+        expected = DataError  # math.isfinite on a huge integer value
+    except DataError as exc:
+        expected = type(exc)
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and isinstance(doc.get("ts"), bool):
+        expected = DataError  # whatever the value, and it is checked after ts
+    if isinstance(expected, dict):
+        assert dp.parse_record(line) == expected
+    else:
+        with pytest.raises(DataError) as info:
+            dp.parse_record(line)
+        assert type(info.value) is expected
 
 
 def test_records_to_series_buckets_and_averages():

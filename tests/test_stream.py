@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -142,6 +143,49 @@ def test_engine_counts_out_of_range_apart_from_malformed():
     assert h["malformed"] == 1
     assert h["out_of_range"] == 3
     assert h["ingested"] == 0
+
+
+def test_engine_counts_huge_integer_value_as_malformed():
+    """A value too large for a float is a malformed line, counted, and the
+    line after it still ingests."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    assert eng.ingest_line('{"topic":"ue","cell":"A","ts":0,"value":1%s}' % ("0" * 400)) == []
+    eng.ingest_line(json.dumps({"topic": "ue", "cell": "A", "ts": 0, "value": 4}))
+    h = eng.health()
+    assert h["malformed"] == 1 and h["out_of_range"] == 0
+    assert h["ingested"] == 1
+
+
+def test_long_gap_ingests_in_linear_time():
+    """A 2e5-bucket gap in one cell closes in one pass (the oldest held
+    bucket is an int, not a walk over the dict's deleted slots), holds no
+    more than the window capacity, and once the window has refilled the
+    cell predicts what a fresh engine fed only the post-gap records does."""
+    config = dm.DeepAutoConfig(window=WindowSpec(n_r=3), input_dim=2, horizons=(1, 8),
+                               hidden_r=4, ext_embed_dim=2)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(2))
+    before, after = range(4), range(200_000, 200_008)
+
+    def records(buckets):
+        return [rec(topic, "A", b, 0.1 + 0.01 * (b % 7) if topic == "load" else 3.0 + b % 5)
+                for b in buckets for topic in ("load", "ue")]
+
+    eng = stream.Engine(params, config, scaler=None)
+    feed(eng, records(before))
+    start = time.perf_counter()
+    preds = feed(eng, records(after))
+    assert time.perf_counter() - start < 10.0  # ~0.3 s; the dict walk took ~28 s
+    buf = eng.cells["A"]
+    assert len(buf.closed) <= eng.capacity + 1 and buf.oldest == min(buf.closed)
+
+    fresh = stream.Engine(params, config, scaler=None)
+    expected = feed(fresh, records(after))
+    assert expected
+    tail = {p.anchor_ts: p.outputs for p in preds if p.anchor_ts >= expected[0].anchor_ts}
+    assert list(tail) == [p.anchor_ts for p in expected]
+    for p in expected:
+        np.testing.assert_array_equal(tail[p.anchor_ts], p.outputs)
 
 
 def test_watermark_closes_stalled_cells():
