@@ -172,7 +172,9 @@ def forward_batch(arrays, params, config, cache=True):
     """Run the full network on a batch's arrays (Windows.arrays); returns
     (Yhat, caches).
 
-    With `cache=False` (inference) no layer keeps per-step state, caches is
+    The cached pass (the default) multiplies the whole batch at once; it
+    serves training steps, validation losses and the grid's metric. With
+    `cache=False` (predictions) no layer keeps per-step state, caches is
     None, and every product is row-wise: each row of Yhat is batch-invariant,
     bit-identical to the same row run alone and to the cached pass at batch
     1 (see the `neuralnet` module notes).
@@ -219,7 +221,7 @@ def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
         layer = params.fusion_net[li]
         cache = caches["fusion"][li]
         if li == len(params.fusion_net) - 1 and skip_head_activation:
-            g_layer = nn.DenseParams(W=d.T @ cache["x"], b=np.sum(d, axis=0),
+            g_layer = nn.DenseParams(W=d.T @ cache["x"], b=nn.batch_sum(d),
                                      activation=layer.activation)
             d = d @ layer.W
         else:
@@ -267,10 +269,25 @@ def loss_and_gradients(batch, params, config):
     return loss, grads
 
 
-def batch_loss(batch, params, config):
+def _outputs(batch, params, config, cache):
+    """Yhat (N, out_dim) of a Windows or its arrays: `forward_batch` over
+    consecutive slices of `config.batch_size` rows, which bounds memory by
+    one slice; a cached slice's step caches are dropped with its pass."""
     arrays = _arrays(batch)
-    yhat, _ = forward_batch(arrays, params, config, cache=False)
-    Y = arrays["target"]
+    _check_shapes(arrays, config)  # an empty batch has no slice to check
+    return np.concatenate([
+        forward_batch({k: v[a:a + config.batch_size] for k, v in arrays.items()},
+                      params, config, cache=cache)[0]
+        for a in range(0, len(arrays["recent"]), config.batch_size)])
+
+
+def batch_loss(batch, params, config):
+    """Loss (MMSE or mean KL) of a Windows or its arrays, from the cached
+    training pass run over `config.batch_size` slices (`_outputs`): a loss
+    needs no batch invariance, so it takes the batched products, and it
+    holds at most one slice's caches."""
+    yhat = _outputs(batch, params, config, cache=True)
+    Y = _arrays(batch)["target"]
     if config.output_kind == "horizons":
         return nn.mmse_loss(Y, yhat, config.alpha)
     return nn.kl_loss(Y, yhat)
@@ -290,9 +307,7 @@ def predict_samples(samples, params, config):
     bounds memory. Rows are batch-invariant, so neither the slicing nor the
     other rows change any output: streaming and batch prediction are
     bit-identical."""
-    return np.concatenate([
-        forward_batch(samples[a:a + config.batch_size].arrays, params, config, cache=False)[0]
-        for a in range(0, len(samples), config.batch_size)])
+    return _outputs(samples, params, config, cache=False)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +321,7 @@ class TrainReport:
     best_epoch: int
     best_val_loss: float
     wall_seconds: float
+    epoch_seconds: list   # wall time of each epoch, its validation pass included
     config: dict
     test_metrics: dict = None
 
@@ -316,6 +332,7 @@ class TrainReport:
             "best_epoch": self.best_epoch,
             "best_val_loss": self.best_val_loss,
             "wall_seconds": self.wall_seconds,
+            "epoch_seconds": self.epoch_seconds,
             "config": self.config,
             "test_metrics": self.test_metrics,
         }
@@ -352,10 +369,11 @@ def train(train_samples, val_samples, config, params=None):
     best_val = float("inf")
     best_epoch = -1
     best_params = nn.clone_params(params)
-    train_losses, val_losses = [], []
+    train_losses, val_losses, epoch_seconds = [], [], []
     n = len(train_samples)
 
     for epoch in range(config.max_epochs):
+        t_epoch = time.monotonic()
         order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, config.batch_size):
@@ -371,6 +389,7 @@ def train(train_samples, val_samples, config, params=None):
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"validation loss became {val_loss} at epoch {epoch}")
         val_losses.append(val_loss)
+        epoch_seconds.append(time.monotonic() - t_epoch)
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -384,6 +403,7 @@ def train(train_samples, val_samples, config, params=None):
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
         wall_seconds=time.monotonic() - t0,
+        epoch_seconds=epoch_seconds,
         config=config.to_dict(),
     )
     return best_params, report
@@ -415,7 +435,7 @@ def grid_search(build_samples, candidates, base_config):
         try:
             train_s, val_s = build_samples(config)
             params, report = train(train_s, val_s, config)
-            yhat, _ = forward_batch(val_s.arrays, params, config, cache=False)
+            yhat = _outputs(val_s, params, config, cache=True)
             Y = val_s.arrays["target"]
             if config.output_kind == "horizons":
                 row["val_metric"] = float(np.sqrt(np.mean((Y - yhat) ** 2)))

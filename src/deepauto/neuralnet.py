@@ -18,18 +18,27 @@ An LSTM cell is stored gate-major: `W_x` (4, hidden, input), `W_h`
 forget, candidate, output; the diagonal peepholes `w_peep` (3, hidden) are
 in the order input, forget, output.
 
-Two forward passes share the layer math. The cached (training) pass,
+Two forward passes share the layer math. The cached (batched) pass,
 `lstm_forward_sequence(..., cache=True)` and `dense_forward(..., cache=True)`,
 keeps what the backward passes need (for the LSTM one step cache per time
 step, O(batch * steps * hidden) floats) and multiplies the whole batch in
-one BLAS call per gate. The cache-free (inference) pass keeps no step
-state, so it holds O(batch * hidden) floats, and computes every product row
-by row (`_rowwise_matmul`): each row goes through the same vector-matrix
-call, with the same shapes and strides, that a batch of one makes. A
-cache-free row's bits therefore cannot depend on the batch around it:
-cache-free rows are batch-invariant and equal the cached pass at batch 1.
-A batched BLAS product may round a row differently from that row alone, so
-on larger batches the two passes can differ in the last bit.
+one BLAS call per gate; it serves training and every loss or metric the
+trainer computes (validation loss, grid metric). The cache-free pass
+keeps no step state, so it holds O(batch * hidden) floats, and computes
+every product row by row (`_rowwise_matmul`): each row goes
+through the same vector-matrix call, with the same shapes and strides, that
+a batch of one makes. A cache-free row's bits therefore cannot depend on
+the batch around it: cache-free rows are batch-invariant and equal the
+cached pass at batch 1. It serves only predictions (`predict`, the engine,
+and the test-set predictions that `train` and `evaluate` score), where that
+matters. A batched BLAS product may round a row differently from that row
+alone, so on larger batches the two passes can differ in the last bit.
+
+The backward passes reduce over the batch axis with one rule: a sum over
+rows is a product with a ones vector of the batch length (`batch_sum`).
+That is one BLAS call, where `np.sum(..., axis=0)` adds row by row with an
+inner loop only `hidden` long. Only the summation order differs from
+`np.sum`, so gradients move in their low bits, not more.
 
 At batch 1 a step's cost is the number of NumPy calls, not arithmetic, so
 the LSTM step fuses its element-wise gate ops (one op for the i and f
@@ -311,6 +320,12 @@ def lstm_forward_sequence(xs, p, cache=True):
     return LstmState(h=h, c=c), caches
 
 
+def batch_sum(a):
+    """Sum of a (..., batch, n) array over its batch axis, as one BLAS
+    product with a ones vector of the batch length (see the module notes)."""
+    return np.matmul(np.ones(a.shape[-2], a.dtype), a)
+
+
 def lstm_backward_sequence(caches, dh_final, p):
     """BPTT over a cached forward pass; returns the parameter gradients as
     an LstmCellParams. `dh_final` is the (batch, hidden) upstream gradient
@@ -324,6 +339,7 @@ def lstm_backward_sequence(caches, dh_final, p):
 
     g = LstmCellParams.zeros(p.input_dim, p.hidden_dim, dh.dtype)
     dc_carry = np.zeros_like(dh)
+    ones = np.ones(len(dh), dh.dtype)  # batch_sum's vector, made once per sequence
     for x, h_prev, c_prev, a, c, tc in reversed(caches):
         i, f, tz, o = a
         da = np.empty_like(a)
@@ -347,10 +363,9 @@ def lstm_backward_sequence(caches, dh_final, p):
 
         g.W_x += np.matmul(da.transpose(0, 2, 1), x)
         g.W_h += np.matmul(da.transpose(0, 2, 1), h_prev)
-        g.w_peep[0] += np.sum(da_i * c_prev, axis=0)
-        g.w_peep[1] += np.sum(da_f * c_prev, axis=0)
-        g.w_peep[2] += np.sum(da_o * c, axis=0)
-        g.b += da.sum(axis=1)
+        g.w_peep[:2] += np.matmul(ones, da[:2] * c_prev)
+        g.w_peep[2] += np.matmul(ones, da_o * c)
+        g.b += np.matmul(ones, da)
 
         dh = np.matmul(da, p.W_h).sum(axis=0)
         dc *= f
@@ -404,7 +419,7 @@ def dense_backward(cache, dy, p):
         dz = y * (dy - np.sum(dy * y, axis=-1, keepdims=True))
     else:
         raise ConfigError(f"unknown activation {p.activation!r}")
-    grads = DenseParams(W=dz.T @ x, b=np.sum(dz, axis=0), activation=p.activation)
+    grads = DenseParams(W=dz.T @ x, b=batch_sum(dz), activation=p.activation)
     return grads, dz @ p.W
 
 

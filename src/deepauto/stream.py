@@ -56,11 +56,13 @@ class CellBuffer:
         self.histogram = histogram
         self.open = {}       # idx -> (sum vector, count vector)
         self.closed = {}     # idx -> value vector (NaN where missing)
-        self.oldest = None   # first bucket added, later the oldest not yet evicted
+        self.oldest = None   # earliest bucket added, later the oldest not yet evicted
         self.last_closed = None
 
     def add(self, bucket, channel, value):
-        if self.oldest is None:
+        # before the first close an earlier bucket may still arrive, and the
+        # first close starts at `oldest`
+        if self.last_closed is None and (self.oldest is None or bucket < self.oldest):
             self.oldest = bucket
         if bucket not in self.open:
             self.open[bucket] = (np.zeros(self.n_channels), np.zeros(self.n_channels))
@@ -102,10 +104,10 @@ class CellBuffer:
 
     def window(self, anchor, span):
         """(span, C) history rows for indices [anchor-span, anchor); None if
-        the history reaches before the oldest bucket still held (the first
-        bucket, or the oldest not yet evicted), reaches past the last closed
-        bucket, or a channel is all-NaN. Interior gaps are filled with the
-        linear/nearest interpolation rule.
+        the history reaches before the oldest bucket still held (the earliest
+        bucket added, or the oldest not yet evicted), reaches past the last
+        closed bucket, or a channel is all-NaN. Interior gaps are filled with
+        the linear/nearest interpolation rule.
         """
         lo = anchor - span
         if self.last_closed is None or lo < self.oldest or self.last_closed < anchor - 1:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles, deliberately written with the stdlib
 `math` module and plain loops so they share no code with the package (the
 record-parser oracle raises the package's error classes, nothing more).
+The BPTT oracle is NumPy: what it pins is the order of the batch sums.
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -8,6 +9,8 @@ through these functions rather than copied from the implementation.
 
 import json
 import math
+
+import numpy as np
 
 from deepauto.errors import DataError, OutOfRangeError
 
@@ -175,3 +178,32 @@ def parse_record_loads(line):
     if topic == "ue" and value < 0:
         raise OutOfRangeError(f"ue count negative: {value}")
     return {"topic": topic, "cell": cell, "ts": ts, "value": float(value)}
+
+
+def lstm_backward_axis_sums(caches, dh_final, p):
+    """The BPTT that BLAS batch sums replaced: each step reduces the peephole
+    and bias gradients over the batch with `np.sum`. Reads the package's step
+    caches (x, h_prev, c_prev, activated gates, c, tanh c) and a gate-major
+    cell `p`; returns {"W_x", "W_h", "w_peep", "b"} gradient arrays."""
+    dh = np.asarray(dh_final, dtype=p.W_x.dtype)
+    g = {name: np.zeros_like(getattr(p, name)) for name in ("W_x", "W_h", "w_peep", "b")}
+    dc_carry = np.zeros_like(dh)
+    for x, h_prev, c_prev, a, c, tc in reversed(caches):
+        i, f, tz, o = a
+        da_o = dh * tc * o * (1.0 - o)
+        dc = dh * o * (1.0 - tc * tc) + dc_carry + da_o * p.w_peep[2]
+        dz = dc * i * (1.0 - tz * tz)
+        da_i = dc * tz * i * (1.0 - i)
+        da_f = dc * c_prev * f * (1.0 - f)
+        da = np.stack([da_i, da_f, dz, da_o])
+
+        g["W_x"] += np.matmul(da.transpose(0, 2, 1), x)
+        g["W_h"] += np.matmul(da.transpose(0, 2, 1), h_prev)
+        g["w_peep"][0] += np.sum(da_i * c_prev, axis=0)
+        g["w_peep"][1] += np.sum(da_f * c_prev, axis=0)
+        g["w_peep"][2] += np.sum(da_o * c, axis=0)
+        g["b"] += da.sum(axis=1)
+
+        dh = np.matmul(da, p.W_h).sum(axis=0)
+        dc_carry = dc * f + da_i * p.w_peep[0] + da_f * p.w_peep[1]
+    return g

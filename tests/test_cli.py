@@ -61,6 +61,7 @@ def test_train_outputs(workspace):
     report = json.loads(workspace["report"].read_text())
     assert report["best_epoch"] == 0
     assert "h1" in report["test_metrics"] and "rmse" in report["test_metrics"]["h1"]
+    assert len(report["epoch_seconds"]) == len(report["val_losses"])
     assert workspace["model"].stat().st_size > 0
 
 

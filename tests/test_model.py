@@ -144,8 +144,9 @@ def test_forward_batch_cache_free_rows_batch_invariant(kind, hidden, n, seed, dt
 
 
 def test_batch_loss_memory_independent_of_steps():
-    """The cache-free validation pass holds O(batch * hidden) floats, not
-    O(batch * steps * hidden) like the cached training forward."""
+    """The validation loss holds at most one `batch_size` slice's step
+    caches, not O(rows * steps * hidden) floats like a cached forward over
+    every row."""
     config = micro_config(window=WindowSpec(n_r=20), hidden_r=32, use_external=False)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(14))
     rng = np.random.default_rng(15)
@@ -165,6 +166,50 @@ def test_batch_loss_memory_independent_of_steps():
     cached = peak_bytes(lambda: dm.forward_batch(arrays, params, config))
     free = peak_bytes(lambda: dm.batch_loss(arrays, params, config))
     assert free < cached / 4, (free, cached)
+
+
+def cached_chunk_outputs(arrays, params, config):
+    n, size = len(arrays["recent"]), config.batch_size
+    return np.concatenate([
+        dm.forward_batch({k: v[a:a + size] for k, v in arrays.items()}, params, config)[0]
+        for a in range(0, n, size)])
+
+
+@pytest.mark.parametrize("kind", ["horizons", "pdf"])
+def test_batch_loss_is_loss_of_cached_chunk_outputs(kind):
+    """The validation loss is the loss of the cached pass's outputs over
+    `batch_size` slices, bit for bit, and in float64 it agrees with the
+    loss of the row-wise cache-free pass to 1e-12 relative."""
+    pdf = kind == "pdf"
+    config = micro_config(output_kind=kind, input_dim=5 if pdf else 2, pdf_bins=5)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(17))
+    samples = make_samples(config, 21, seed=18)  # 8 + 8 + 5 rows
+    Y = samples.arrays["target"]
+
+    def loss(yhat):
+        return nn.kl_loss(Y, yhat) if pdf else nn.mmse_loss(Y, yhat, config.alpha)
+
+    for p in (params, dm._compute_copy(params)):
+        want = loss(cached_chunk_outputs(samples.arrays, p, config))
+        assert dm.batch_loss(samples, p, config) == want
+        assert dm.batch_loss(samples.arrays, p, config) == want
+    free, _ = dm.forward_batch(samples.arrays, params, config, cache=False)
+    assert dm.batch_loss(samples, params, config) == pytest.approx(loss(free), rel=1e-12)
+
+
+def test_batch_loss_and_train_never_run_the_row_wise_pass(monkeypatch):
+    config = micro_config(max_epochs=2)
+    samples = make_samples(config, 30, seed=19)
+
+    def row_wise(*args):
+        raise AssertionError("row-wise product in a loss or training pass")
+
+    monkeypatch.setattr(nn, "_rowwise_matmul", row_wise)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(20))
+    dm.batch_loss(samples, params, config)
+    dm.train(samples[:20], samples[20:], config)
+    with pytest.raises(AssertionError):
+        dm.predict_samples(samples, params, config)
 
 
 def test_branch_ablation_consistency():
@@ -300,6 +345,15 @@ def test_training_deterministic():
     blob2, losses2 = run()
     assert blob1 == blob2
     assert losses1 == losses2
+
+
+def test_train_report_epoch_seconds():
+    config = micro_config(max_epochs=4, patience=10)
+    samples = make_samples(config, 30, seed=21)
+    _, report = dm.train(samples[:20], samples[20:], config)
+    assert len(report.epoch_seconds) == len(report.val_losses) == 4
+    assert all(t > 0 for t in report.epoch_seconds)
+    assert report.to_dict()["epoch_seconds"] == report.epoch_seconds
 
 
 def test_train_returns_float64_params_saved_as_v2_f8():

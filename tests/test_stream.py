@@ -334,6 +334,33 @@ def test_stream_matches_batch_predictions_bitwise():
         assert offline[key].tobytes() == online[key].tobytes()
 
 
+def test_bucket_before_first_close_is_closed_and_predicted():
+    """A bucket older than the cell's first one, arriving before the cell
+    has closed anything, is closed with the rest: nothing stays open after
+    `flush()`, and the stream predicts the same anchors as the batch path,
+    bit for bit (constant values, so interpolating bucket 4 from its
+    neighbours or from the rows held gives the same row)."""
+    step, window = 60, WindowSpec(n_r=2)
+    config = dm.DeepAutoConfig(window=window, input_dim=2, horizons=(1, 8), hidden_r=3,
+                               ext_embed_dim=2)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(41))
+    scaler = fit_scaler(np.array([[0.0, 0.0], [1.0, 40.0]]), ("load", "ue"))
+    records = [r for b in (5, 3, *range(6, 12))
+               for r in (rec("load", "A", b, 0.4, step), rec("ue", "A", b, 10.0, step))]
+
+    eng = stream.Engine(params, config, scaler, step_seconds=step)
+    online = feed(eng, records) + eng.flush()
+    assert eng.cells["A"].open == {}
+    assert eng.health()["late_dropped"] == 0
+
+    samples = pipeline.prediction_samples(pipeline.load_series(records, step), window, scaler)
+    offline = dm.predict_samples(samples, params, config)
+    assert [p.anchor_ts // step for p in online] == list(samples.anchor_ts // step) \
+        == list(range(5, 13))
+    for p, y in zip(online, offline):
+        assert p.outputs.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("batch_size", [1024, 4])
 def test_engine_runs_one_forward_per_batch_of_closes(monkeypatch, batch_size):
     """An ingest that advances the watermark past many cells, and a flush
