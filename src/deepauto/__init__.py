@@ -6,8 +6,7 @@ external-feature embedding, plus the surrounding data pipeline, baselines,
 synthetic data generator, and a streaming prediction service.
 """
 
-from . import (cli, dataprep, evaluation, model, neuralnet, pipeline, spatial,
-               stream, synthgen)
+from . import cli, dataprep, evaluation, model, neuralnet, pipeline, stream, synthgen
 from .errors import (ConfigError, DataError, DeepAutoError, ModelFormatError,
                      OutOfRangeError, ShapeError, TrainingDiverged)
 
@@ -15,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "cli", "dataprep", "evaluation", "model", "neuralnet", "pipeline",
-    "spatial", "stream", "synthgen",
+    "stream", "synthgen",
     "ConfigError", "DataError", "DeepAutoError", "ModelFormatError",
     "OutOfRangeError", "ShapeError", "TrainingDiverged",
 ]

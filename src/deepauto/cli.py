@@ -17,7 +17,8 @@ import threading
 
 import numpy as np
 
-from . import dataprep, evaluation, model as model_mod, pipeline, stream, synthgen
+from . import (dataprep, evaluation, model as model_mod, neuralnet as nn, pipeline, stream,
+               synthgen)
 from .dataprep import WindowSpec, autocorrelation
 from .errors import DeepAutoError
 from .model import DeepAutoConfig
@@ -80,10 +81,10 @@ def _load_records(path):
 
 def _build_splits(args, config):
     records = _load_records(args.input)
+    step = args.step_seconds or config.default_step_seconds
     if config.output_kind == "pdf":
-        return pipeline.prepare_pdf_dataset(records, config.window,
-                                            bucket_seconds=args.step_seconds or 300)
-    series = pipeline.load_series(records, args.step_seconds or 900)
+        return pipeline.prepare_pdf_dataset(records, config.window, step)
+    series = pipeline.load_series(records, step)
     return pipeline.prepare_load_dataset(series, config.window, config.horizons,
                                          target_channel=config.target_channel)
 
@@ -111,7 +112,7 @@ def cmd_train(args):
     train_s, val_s, test_s, scaler = _build_splits(args, config)
     params, report = model_mod.train(train_s, val_s, config)
 
-    yhat, _ = model_mod.forward_batch(test_s.arrays, params, config, cache=False)
+    yhat = model_mod.predict_samples(test_s, params, config)
     Y = test_s.arrays["target"]
     if config.output_kind == "horizons":
         report.test_metrics = {
@@ -120,7 +121,7 @@ def cmd_train(args):
                       "mape": evaluation.mape_thresholded(Y[:, k], yhat[:, k], args.threshold)}
             for k, h in enumerate(config.horizons)}
     else:
-        report.test_metrics = {"kl": evaluation.kl_eval(Y, yhat)}
+        report.test_metrics = {"kl": nn.kl_loss(Y, yhat)}
 
     model_mod.save_file(args.model, params, config, scaler)
     _write_json(args.report, report.to_dict())
@@ -136,7 +137,7 @@ def cmd_grid(args):
     candidates = [(WindowSpec.from_dict(c["window"]), bool(c.get("use_external", False)))
                   for c in cand_doc]
     records = _load_records(args.input)
-    step = args.step_seconds or 900
+    step = args.step_seconds or config.default_step_seconds
 
     if config.output_kind == "pdf":
         def build(cfg):
@@ -156,30 +157,20 @@ def cmd_grid(args):
 
 
 def cmd_evaluate(args):
-    params, config, scaler = model_mod.load_file(args.model)
-    records = _load_records(args.input)
-    step = args.step_seconds or 900
+    params, config, _ = model_mod.load_file(args.model)
+    train_s, val_s, test_s, split_scaler = _build_splits(args, config)
+    Y = test_s.arrays["target"]
+    yhat = model_mod.predict_samples(test_s, params, config)
+    naive = test_s.arrays["recent"][:, -1]
     if config.output_kind == "pdf":
-        _, _, test_s, _ = pipeline.prepare_pdf_dataset(records, config.window,
-                                                       args.step_seconds or 300)
-        arrays = test_s.arrays
-        yhat, _ = model_mod.forward_batch(arrays, params, config, cache=False)
-        naive = arrays["recent"][:, -1]
-        report = {"rows": [
-            {"algorithm": "deepauto", "kl": evaluation.kl_eval(arrays["target"], yhat)},
-            {"algorithm": "naive", "kl": evaluation.kl_eval(arrays["target"], naive)},
-        ]}
-        _write_json(args.output, report)
+        _write_json(args.output, {"rows": [
+            {"algorithm": "deepauto", "kl": nn.kl_loss(Y, yhat)},
+            {"algorithm": "naive", "kl": nn.kl_loss(Y, naive)},
+        ]})
         return 0
 
-    series = pipeline.load_series(records, step)
-    train_s, val_s, test_s, split_scaler = pipeline.prepare_load_dataset(
-        series, config.window, config.horizons, config.target_channel)
-    Y = test_s.arrays["target"]
-    yhat, _ = model_mod.forward_batch(test_s.arrays, params, config, cache=False)
-
     col = split_scaler.channels.index(config.target_channel)
-    naive = np.repeat(test_s.arrays["recent"][:, -1, col][:, None], Y.shape[1], axis=1)
+    naive = np.repeat(naive[:, col][:, None], Y.shape[1], axis=1)
 
     fit_s = dataprep.Windows.concat([train_s, val_s])
     coef = evaluation.linear_ar_fit(evaluation.samples_to_design(fit_s),
@@ -216,11 +207,12 @@ def cmd_predict(args):
     # the records stream from the file into the series, never held as a list
     rejected = []
     records = dataprep.iter_records(args.input, rejected)
+    step = args.step_seconds or config.default_step_seconds
     try:
         if config.output_kind == "pdf":
-            series = pipeline.load_rsrq_series(records, args.step_seconds or 300)
+            series = pipeline.load_rsrq_series(records, step)
         else:
-            series = pipeline.load_series(records, args.step_seconds or 900)
+            series = pipeline.load_series(records, step)
     finally:
         _warn_rejected(args.input, len(rejected))
     samples = pipeline.prediction_samples(series, config.window, scaler)

@@ -194,21 +194,31 @@ def records_to_series(records, step_seconds, channels=("load", "ue")):
     return out
 
 
+def fill_gaps(values, missing):
+    """Fill the `missing` entries of each column of `values` in place: linear
+    between present neighbors, nearest value at edges. Returns the index of
+    the first column with no present entry (it and later columns are left
+    as they are), or None when every column was filled."""
+    t = np.arange(values.shape[0])
+    for c in range(values.shape[1]):
+        present = ~missing[:, c]
+        if not present.any():
+            return c
+        if not present.all():
+            idx = np.flatnonzero(present)
+            # np.interp holds edge values flat, which is the nearest-value rule
+            values[:, c] = np.interp(t, idx, values[idx, c])
+    return None
+
+
 def interpolate_missing(series):
-    """Fill gaps: linear between present neighbors, nearest value at edges."""
+    """Fill gaps (`fill_gaps`); raises DataError on an all-missing channel."""
     values = series.values.copy()
     mask = series.missing_mask
-    for c in range(values.shape[1]):
-        present = ~mask[:, c]
-        if not present.any():
-            raise DataError(
-                f"cell {series.cell_id}: channel {series.channels[c]!r} is entirely missing")
-        if present.all():
-            continue
-        idx = np.flatnonzero(present)
-        t = np.arange(values.shape[0])
-        # np.interp holds edge values flat, which is the nearest-value rule
-        values[:, c] = np.interp(t, idx, values[idx, c])
+    empty = fill_gaps(values, mask)
+    if empty is not None:
+        raise DataError(
+            f"cell {series.cell_id}: channel {series.channels[empty]!r} is entirely missing")
     return KpiSeries(
         cell_id=series.cell_id, start_ts=series.start_ts,
         step_seconds=series.step_seconds, channels=list(series.channels),
@@ -507,7 +517,7 @@ def rsrq_histogram(reports, bucket_seconds=300):
     return ts_out, pdf, missing, rejected
 
 
-def rsrq_series(records, cell_id, bucket_seconds=300):
+def rsrq_series(records, cell_id, bucket_seconds):
     """RSRQ records of one cell -> KpiSeries of 35 histogram channels."""
     reports = [(r["ts"], r["value"]) for r in records
                if r["topic"] == "rsrq" and r["cell"] == cell_id]

@@ -1,13 +1,13 @@
 """Baselines and metrics for the comparison methodology: a ridge
-autoregressive baseline, RMSE / MAE / load-thresholded MAPE, KL evaluation,
-and the multi-model report. The naive (last value) baseline is the last
-step of each window's recent branch, built where it is compared."""
+autoregressive baseline, RMSE / MAE / load-thresholded MAPE, and the
+multi-model report. Histogram models are scored with the training loss,
+`neuralnet.kl_loss`. The naive (last value) baseline is the last step of
+each window's recent branch, built where it is compared."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import neuralnet as nn
 from .errors import DataError, ShapeError
 
 
@@ -88,11 +88,6 @@ def _flat_pair(Y, Yhat):
     if Y.shape != Yhat.shape:
         raise ShapeError(f"shape mismatch {Y.shape} vs {Yhat.shape}")
     return Y.ravel(), Yhat.ravel()
-
-
-def kl_eval(P, Q):
-    """Evaluation-only mean KL divergence, same math as the training loss."""
-    return nn.kl_loss(P, Q)
 
 
 # ---------------------------------------------------------------------------

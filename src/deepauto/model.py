@@ -78,6 +78,12 @@ class DeepAutoConfig:
         return len(self.horizons) if self.output_kind == "horizons" else self.pdf_bins
 
     @property
+    def default_step_seconds(self):
+        """Bucket width when none is given: 300 s for RSRQ histogram (pdf)
+        models, 900 s for load models."""
+        return 300 if self.output_kind == "pdf" else 900
+
+    @property
     def fusion_in_dim(self):
         dim = self.hidden_r
         if self.window.n_p > 0:
@@ -305,8 +311,8 @@ def predict_samples(samples, params, config):
     """Predictions (N, out_dim) for the rows of a Windows: the cache-free
     forward pass over consecutive slices of `config.batch_size` rows, which
     bounds memory. Rows are batch-invariant, so neither the slicing nor the
-    other rows change any output: streaming and batch prediction are
-    bit-identical."""
+    other rows change any output: the streaming engine gets the same bits
+    for the same window."""
     return _outputs(samples, params, config, cache=False)
 
 

@@ -82,7 +82,7 @@ def prepare_load_dataset(series_by_cell, window, horizons, target_channel="load"
     return train, val, test, scaler
 
 
-def prepare_pdf_dataset(records, window, bucket_seconds=300):
+def prepare_pdf_dataset(records, window, bucket_seconds):
     """RSRQ records -> histogram Windows with a 4:1:1 split.
 
     Histogram rows are already normalized, so there is no scaler (None).

@@ -4,8 +4,8 @@ every completed bucket, and expose the latest predictions plus health
 counters over HTTP.
 
 The wire format matches the historical file format, so any recorded file
-can be replayed through the engine and must produce bit-identical
-predictions to the batch path.
+can be replayed through the engine; with no missing bucket it produces
+bit-identical predictions to the batch path.
 """
 
 from __future__ import annotations
@@ -106,22 +106,19 @@ class CellBuffer:
         """(span, C) history rows for indices [anchor-span, anchor); None if
         the history reaches before the oldest bucket still held (the earliest
         bucket added, or the oldest not yet evicted), reaches past the last
-        closed bucket, or a channel is all-NaN. Interior gaps are filled with
-        the linear/nearest interpolation rule.
+        closed bucket, or a channel is all-NaN. Gaps are filled by
+        `dataprep.fill_gaps` within the window only, so a gap at its edge is
+        held flat where the batch path, filling the whole series,
+        interpolates across the edge.
         """
         lo = anchor - span
         if self.last_closed is None or lo < self.oldest or self.last_closed < anchor - 1:
             return None
         # closed buckets are contiguous from the oldest held to last_closed
         rows = np.array([self.closed[b] for b in range(lo, anchor)])
-        if np.isnan(rows).any():
-            t = np.arange(span)
-            for c in range(self.n_channels):
-                present = ~np.isnan(rows[:, c])
-                if not present.any():
-                    return None
-                if not present.all():
-                    rows[:, c] = np.interp(t, np.flatnonzero(present), rows[present, c])
+        missing = np.isnan(rows)
+        if missing.any() and dataprep.fill_gaps(rows, missing) is not None:
+            return None
         return rows
 
 
@@ -160,7 +157,7 @@ class Engine:
         else:
             channels = list(scaler.channels) if scaler is not None else ["load", "ue"]
         if self.step_seconds is None:
-            self.step_seconds = 300 if histogram else 900
+            self.step_seconds = config.default_step_seconds
         self.capacity = config.window.history_span() + 2
         if (channels, histogram) != (self.channels, self.histogram):
             self.cells = {cell: CellBuffer(len(channels), self.capacity, histogram)

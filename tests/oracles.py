@@ -100,14 +100,28 @@ def acf_scalar(xs, max_lag):
             for k in range(max_lag + 1)]
 
 
-def pearson_scalar(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    return cov / math.sqrt(vx * vy)
+def fill_gaps_scalar(column, missing):
+    """One column with its missing entries filled: a straight line between
+    the nearest present entries on either side, the nearest present value
+    past either end. None if no entry is present."""
+    present = [i for i, m in enumerate(missing) if not m]
+    if not present:
+        return None
+    out = []
+    for i, x in enumerate(column):
+        if not missing[i]:
+            out.append(x)
+            continue
+        before = [j for j in present if j < i]
+        after = [j for j in present if j > i]
+        if not before:
+            out.append(column[after[0]])
+        elif not after:
+            out.append(column[before[-1]])
+        else:
+            a, b = before[-1], after[0]
+            out.append(column[a] + (column[b] - column[a]) * (i - a) / (b - a))
+    return out
 
 
 def adam_first_step(g, lr, beta1=0.9, beta2=0.999, eps=1e-8):

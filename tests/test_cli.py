@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from deepauto import cli, dataprep
+from deepauto import cli, dataprep, evaluation, model as dm, neuralnet as nn, pipeline
 
 
 def run_cli(argv):
@@ -89,6 +89,32 @@ def test_evaluate_report(workspace, tmp_path, capsys):
     assert algos == {"deepauto", "naive", "ridge_ar"}
     assert all("rmse" in r for r in rows)
     assert "algorithm" in capsys.readouterr().out  # table printed
+
+
+def test_evaluate_scores_in_batch_slices_with_the_bits_of_one_forward(workspace, tmp_path):
+    """`evaluate` predicts the test set `batch_size` rows at a time; the
+    report is the one a single forward over the whole test set gives."""
+    params, config, scaler = dm.load_file(workspace["model"])
+    config.batch_size = 3
+    small = tmp_path / "small_batches.bin"
+    dm.save_file(small, params, config, scaler)
+    reports = []
+    for model in (workspace["model"], small):
+        out = tmp_path / "eval.json"
+        assert run_cli(["evaluate", "--input", str(workspace["data"]),
+                        "--model", str(model), "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+
+    records, _ = dataprep.read_records(workspace["data"])
+    _, _, test_s, _ = pipeline.prepare_load_dataset(
+        pipeline.load_series(records, 900), config.window, config.horizons)
+    assert len(test_s) > config.batch_size
+    yhat, _ = dm.forward_batch(test_s.arrays, params, config, cache=False)
+    Y = test_s.arrays["target"]
+    rows = [r for r in reports[1]["rows"] if r["algorithm"] == "deepauto"]
+    assert [r["rmse"] for r in rows] == [evaluation.rmse(Y[:, k], yhat[:, k])
+                                         for k in range(len(config.horizons))]
 
 
 def test_grid_report(workspace, tmp_path):
@@ -196,6 +222,69 @@ def test_predict_pdf_model(tmp_path):
         pdf = np.array(doc["pdf"])
         assert pdf.shape == (35,) and np.all(np.isfinite(pdf))
         assert abs(pdf.sum() - 1.0) <= 1e-9
+
+
+def test_grid_on_pdf_config_builds_train_windows(tmp_path, monkeypatch):
+    """Without --step-seconds, `grid` buckets RSRQ reports as wide as
+    `train` does, so a candidate with the config's window gets the very
+    train and validation windows `train` fits on."""
+    data = tmp_path / "rsrq.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "2", "--days", "3",
+                    "--rsrq-cells", "2", "--seed", "3"]) == 0
+    config = tmp_path / "pdf.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "input_dim": 35, "output_kind": "pdf",
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 256,
+    }))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps([{"window": {"n_r": 4}}]))
+
+    built = []
+    prepare = cli.pipeline.prepare_pdf_dataset
+
+    def recording_prepare(*args, **kwargs):
+        splits = prepare(*args, **kwargs)
+        built.append(splits[:2])
+        return splits
+
+    monkeypatch.setattr(cli.pipeline, "prepare_pdf_dataset", recording_prepare)
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(tmp_path / "pdf.bin")]) == 0
+    assert run_cli(["grid", "--input", str(data), "--config", str(config),
+                    "--candidates", str(cand), "--output", str(tmp_path / "grid.json")]) == 0
+    assert len(built) == 2
+    for trained, searched in zip(*built):
+        assert trained.arrays.keys() == searched.arrays.keys()
+        for key in trained.arrays:
+            assert np.array_equal(trained.arrays[key], searched.arrays[key])
+        assert np.array_equal(trained.anchor_ts, searched.anchor_ts)
+
+
+def test_evaluate_pdf_model_scores_train_test_windows(tmp_path):
+    """Without --step-seconds, `evaluate` on a histogram model buckets RSRQ
+    reports at 300 s as `train` does, so its KL on the test windows is the
+    one the training report holds; the naive row is the KL of the last
+    recent histogram."""
+    data = tmp_path / "rsrq.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "2", "--days", "3",
+                    "--rsrq-cells", "2", "--seed", "4"]) == 0
+    config = tmp_path / "pdf.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "input_dim": 35, "output_kind": "pdf",
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 16,
+    }))
+    model, report = tmp_path / "pdf.bin", tmp_path / "report.json"
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(model), "--report", str(report)]) == 0
+    out = tmp_path / "eval.json"
+    assert run_cli(["evaluate", "--input", str(data), "--model", str(model),
+                    "--output", str(out)]) == 0
+    rows = {r["algorithm"]: r["kl"] for r in json.loads(out.read_text())["rows"]}
+    assert rows["deepauto"] == json.loads(report.read_text())["test_metrics"]["kl"]
+
+    records, _ = dataprep.read_records(data)
+    _, _, test_s, _ = pipeline.prepare_pdf_dataset(records, dataprep.WindowSpec(n_r=4), 300)
+    assert rows["naive"] == nn.kl_loss(test_s.arrays["target"], test_s.arrays["recent"][:, -1])
 
 
 def test_serve_stdin_matches_predict(workspace, tmp_path):

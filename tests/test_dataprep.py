@@ -241,6 +241,57 @@ def test_interpolate_idempotent():
     np.testing.assert_array_equal(once.values, twice.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fill_gaps_matches_scalar_oracle(length, n_channels, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, size=(length, n_channels))
+    missing = rng.random((length, n_channels)) < 0.5
+    missing[rng.integers(length), :] = False  # every column keeps one entry
+    filled = values.copy()
+    assert dp.fill_gaps(filled, missing) is None
+    for c in range(n_channels):
+        expected = oracles.fill_gaps_scalar(list(values[:, c]), list(missing[:, c]))
+        np.testing.assert_allclose(filled[:, c], expected, rtol=0, atol=1e-12)
+        # present entries are never rewritten
+        assert filled[~missing[:, c], c].tobytes() == values[~missing[:, c], c].tobytes()
+
+
+def test_fill_gaps_stops_at_first_empty_column():
+    """The index of the first all-missing column comes back; that column and
+    every later one are left as they were."""
+    values = np.array([[1.0, 5.0, 7.0, 0.0],
+                       [0.0, 6.0, 0.0, 0.0],
+                       [3.0, 8.0, 0.0, 9.0]])
+    missing = np.array([[False, True, True, True],
+                        [True, True, True, True],
+                        [False, True, True, False]])
+    out = values.copy()
+    assert dp.fill_gaps(out, missing) == 1
+    np.testing.assert_array_equal(out[:, 0], [1.0, 2.0, 3.0])
+    assert out[:, 1:].tobytes() == values[:, 1:].tobytes()
+
+
+def test_fill_gaps_without_missing_keeps_bits():
+    values = np.random.default_rng(2).uniform(size=(9, 3))
+    out = values.copy()
+    assert dp.fill_gaps(out, np.zeros(values.shape, dtype=bool)) is None
+    assert out.tobytes() == values.tobytes()
+
+
+def test_interpolate_missing_is_fill_gaps_on_a_copy():
+    rng = np.random.default_rng(8)
+    values = rng.uniform(size=(30, 2))
+    missing = rng.random((30, 2)) < 0.3
+    missing[0] = False
+    s = series_from(values, missing=missing)
+    out = dp.interpolate_missing(s)
+    expected = values.copy()
+    assert dp.fill_gaps(expected, missing) is None
+    assert out.values.tobytes() == expected.tobytes()
+    assert s.values.tobytes() == values.tobytes()  # the input series is untouched
+
+
 # ---------------------------------------------------------------------------
 # scaling
 

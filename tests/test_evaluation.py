@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from deepauto import evaluation as ev
 from deepauto.dataprep import EXTERNAL_DIM, Windows
 from deepauto.errors import DataError, ShapeError
@@ -120,13 +119,6 @@ def test_mape_thresholded():
     assert ev.mape_thresholded(np.array([0.1, 0.2]), np.array([0.1, 0.2]), 0.7) is None
     with pytest.raises(DataError):
         ev.mape_thresholded(Y, Yhat, 1.5)
-
-
-def test_kl_eval_matches_oracle():
-    P = [[0.5, 0.5], [1.0, 0.0]]
-    Q = [[0.25, 0.75], [0.5, 0.5]]
-    assert ev.kl_eval(np.array(P), np.array(Q)) == pytest.approx(
-        oracles.kl_scalar(P, Q), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

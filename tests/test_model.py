@@ -505,6 +505,16 @@ def test_loader_adopts_file_config():
     assert loaded_config.window.to_dict() == config.window.to_dict()
 
 
+def test_default_step_seconds_follows_output_kind():
+    """The bucket width used when none is given is derived from the kind of
+    model, not stored: a file written by any version gets the same width."""
+    assert micro_config().default_step_seconds == 900
+    pdf = micro_config(output_kind="pdf", input_dim=35, pdf_bins=35)
+    assert pdf.default_step_seconds == 300
+    assert "default_step_seconds" not in pdf.to_dict()
+    assert dm.DeepAutoConfig.from_dict(pdf.to_dict()).default_step_seconds == 300
+
+
 def test_unknown_version_rejected():
     params, config, scaler = roundtrip_setup()
     blob = bytearray(dm.save(params, config, scaler))

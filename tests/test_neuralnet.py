@@ -316,6 +316,11 @@ def test_kl_worked_examples():
     assert ref == pytest.approx(0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1), abs=1e-12)
     assert nn.kl_loss([[0.5, 0.5]], [[0.9, 0.1]]) == pytest.approx(ref, abs=1e-12)
     assert nn.kl_loss([[0.5, 0.5]], [[0.9, 0.1]]) == pytest.approx(0.5108256238, abs=1e-9)
+    # a batch mean over rows, one of them with a zero-probability bin
+    P = [[0.5, 0.5], [1.0, 0.0]]
+    Q = [[0.25, 0.75], [0.5, 0.5]]
+    assert nn.kl_loss(np.array(P), np.array(Q)) == pytest.approx(
+        oracles.kl_scalar(P, Q), abs=1e-12)
 
 
 def test_kl_identity_and_validation():

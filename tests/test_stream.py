@@ -8,7 +8,7 @@ import pytest
 
 from deepauto import model as dm
 from deepauto import neuralnet as nn
-from deepauto import pipeline, stream, synthgen
+from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
 
 
@@ -57,6 +57,58 @@ def test_buffer_all_missing_channel_not_ready():
     buf.add(1, 0, 2.0)
     buf.close_through(1)
     assert buf.window(2, 2) is None  # channel 1 never observed
+
+
+def test_buffer_window_fill_matches_fill_gaps():
+    """A window with gaps is the stored rows filled by `dataprep.fill_gaps`,
+    bit for bit."""
+    rng = np.random.default_rng(4)
+    buf = stream.CellBuffer(n_channels=2, capacity=40)
+    raw = rng.uniform(size=(30, 2))
+    observed = rng.random((30, 2)) >= 0.3
+    observed[[0, 12, 29]] = True
+    for b in range(30):
+        for ch in range(2):
+            if observed[b, ch]:
+                buf.add(b, ch, raw[b, ch])
+    buf.close_through(29)
+    for anchor, span in [(30, 30), (20, 8), (13, 1)]:
+        stored = np.array([buf.closed[b] for b in range(anchor - span, anchor)])
+        expected = stored.copy()
+        assert dataprep.fill_gaps(expected, np.isnan(stored)) is None
+        assert buf.window(anchor, span).tobytes() == expected.tobytes()
+
+
+def test_buffer_window_holds_leading_gap_flat():
+    """A gap at the start of a window is filled from inside the window only:
+    held flat at the first present row, not interpolated from the bucket
+    before the window as `interpolate_missing` over the whole series does."""
+    buf = stream.CellBuffer(n_channels=1, capacity=10)
+    for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
+        buf.add(b, 0, v)
+    buf.close_through(3)
+    np.testing.assert_array_equal(buf.window(4, 4)[:, 0], [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(buf.window(4, 3)[:, 0], [3.0, 3.0, 3.0])
+
+
+def test_buffer_window_without_gaps_is_the_stored_rows():
+    buf = stream.CellBuffer(n_channels=2, capacity=10)
+    for b in range(5):
+        buf.add(b, 0, 0.1 * b)
+        buf.add(b, 1, 1.0 - 0.1 * b)
+    buf.close_through(4)
+    rows = buf.window(5, 4)
+    assert rows.tobytes() == np.array([buf.closed[b] for b in range(1, 5)]).tobytes()
+
+
+def test_engine_step_defaults_to_config_bucket_width():
+    """Without an explicit width the engine buckets as the CLI does for the
+    same model: 900 s for load models, 300 s for histogram models."""
+    params, config = zero_model()
+    assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 900
+    assert stream.Engine(params, config, None, step_seconds=60).step_seconds == 60
+    params, config = zero_model(input_dim=stream.RSRQ_BINS, output_kind="pdf")
+    assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 300
 
 
 def test_buffer_eviction():
