@@ -79,14 +79,22 @@ def _load_records(path):
     return records
 
 
-def _build_splits(args, config):
+def _split_builder(args, config):
+    """Read --input and return build(cfg) -> (train, val, test, scaler) for
+    any config of `config`'s output kind, bucketed at --step-seconds or the
+    config's default width: histogram windows for pdf models, otherwise load
+    windows from series bucketed once for every build."""
     records = _load_records(args.input)
     step = args.step_seconds or config.default_step_seconds
     if config.output_kind == "pdf":
-        return pipeline.prepare_pdf_dataset(records, config.window, step)
+        return lambda cfg: pipeline.prepare_pdf_dataset(records, cfg.window, step)
     series = pipeline.load_series(records, step)
-    return pipeline.prepare_load_dataset(series, config.window, config.horizons,
-                                         target_channel=config.target_channel)
+    return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons,
+                                                     target_channel=cfg.target_channel)
+
+
+def _build_splits(args, config):
+    return _split_builder(args, config)(config)
 
 
 def cmd_prepare(args):
@@ -136,22 +144,8 @@ def cmd_grid(args):
         cand_doc = json.load(fh)
     candidates = [(WindowSpec.from_dict(c["window"]), bool(c.get("use_external", False)))
                   for c in cand_doc]
-    records = _load_records(args.input)
-    step = args.step_seconds or config.default_step_seconds
-
-    if config.output_kind == "pdf":
-        def build(cfg):
-            tr, va, _, _ = pipeline.prepare_pdf_dataset(records, cfg.window, step)
-            return tr, va
-    else:
-        series = pipeline.load_series(records, step)
-
-        def build(cfg):
-            tr, va, _, _ = pipeline.prepare_load_dataset(
-                series, cfg.window, cfg.horizons, cfg.target_channel)
-            return tr, va
-
-    rows = model_mod.grid_search(build, candidates, config)
+    build = _split_builder(args, config)
+    rows = model_mod.grid_search(lambda cfg: build(cfg)[:2], candidates, config)
     _write_json(args.output, {"rows": rows, "config": config.to_dict()})
     return 0
 
@@ -209,10 +203,7 @@ def cmd_predict(args):
     records = dataprep.iter_records(args.input, rejected)
     step = args.step_seconds or config.default_step_seconds
     try:
-        if config.output_kind == "pdf":
-            series = pipeline.load_rsrq_series(records, step)
-        else:
-            series = pipeline.load_series(records, step)
+        series = pipeline.load_series(records, step, config.channels)
     finally:
         _warn_rejected(args.input, len(rejected))
     samples = pipeline.prediction_samples(series, config.window, scaler)

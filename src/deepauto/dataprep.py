@@ -1,10 +1,18 @@
 """Raw records -> model-ready samples.
 
-Covers NDJSON record IO, bucket alignment, linear interpolation of gaps,
-min-max scaling fitted on the training slice only, multi-scale windowing
-(recent / daily-periodic / weekly-seasonal lags), horizon target
-aggregation, temporal 4:1:1 splitting, autocorrelation, and RSRQ report
-bucketing into 35-bin histograms.
+Covers NDJSON record IO, bucketing, linear interpolation of gaps, min-max
+scaling fitted on the training slice only, multi-scale windowing (recent /
+daily-periodic / weekly-seasonal lags), horizon target aggregation,
+temporal 4:1:1 splitting, and autocorrelation.
+
+Bucketing has one rule for both KPIs and for the batch and stream paths,
+picked by the channel layout a series holds. `bucket_entry` maps a record
+to the (channel, amount) it adds to its bucket, and `bucket_values` turns a
+bucket's per-channel sums and counts into values and a missing mask. Under
+`LOAD_CHANNELS` a channel is the mean of its topic's values; under
+`RSRQ_CHANNELS` a bucket is the share of its RSRQ reports in each of the
+35 bins. `records_to_series` and the streaming engine's `CellBuffer` both
+call the two functions.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +29,11 @@ from .errors import DataError, OutOfRangeError, ShapeError
 
 TOPICS = ("load", "ue", "rsrq")
 RSRQ_BINS = 35
+
+# channel layouts of a bucket row: mean load and UE count for load models,
+# the share of RSRQ reports in each bin for histogram (pdf) models
+LOAD_CHANNELS = ("load", "ue")
+RSRQ_CHANNELS = tuple(f"rsrq_{k}" for k in range(RSRQ_BINS))
 
 # external feature vector layout: one-hot day-of-week (7), hour sin/cos,
 # minute sin/cos, then normalized band/power/bandwidth
@@ -74,13 +88,20 @@ def parse_record(line):
     if not math.isfinite(value):
         raise DataError("value must be a finite number")
     if topic == "rsrq":
-        if value != int(value) or not 0 <= value <= RSRQ_BINS - 1:
-            raise OutOfRangeError(f"rsrq value out of range: {value}")
+        rsrq_bin(value)
     if topic == "load" and not 0.0 <= value <= 1.0:
         raise OutOfRangeError(f"load value out of range: {value}")
     if topic == "ue" and value < 0:
         raise OutOfRangeError(f"ue count negative: {value}")
     return {"topic": topic, "cell": cell, "ts": ts, "value": value}
+
+
+def rsrq_bin(value):
+    """The histogram bin an RSRQ report value names; raises OutOfRangeError
+    unless the value is an integer in [0, RSRQ_BINS)."""
+    if not 0 <= value <= RSRQ_BINS - 1 or value != int(value):
+        raise OutOfRangeError(f"rsrq value out of range: {value}")
+    return int(value)
 
 
 def iter_records(path, rejected):
@@ -154,41 +175,75 @@ class KpiSeries:
             raise DataError(f"cell {self.cell_id}: no channel {name!r}") from None
 
 
-def records_to_series(records, step_seconds, channels=("load", "ue")):
-    """Bucket records at floor(ts/step) per (cell, topic); duplicates averaged.
+def bucket_entry(rec, channels):
+    """What record `rec` adds to its bucket under the channel layout
+    `channels` (a tuple): (channel index, amount), or None when the layout
+    has no channel for it. Under RSRQ_CHANNELS an rsrq report adds one count
+    to the bin its value names, and raises OutOfRangeError when the value
+    names no bin; under any other layout a record whose topic is a channel
+    adds its value."""
+    topic = rec["topic"]
+    if topic in channels:  # no topic is an RSRQ_CHANNELS name
+        return channels.index(topic), rec["value"]
+    if topic == "rsrq" and channels == RSRQ_CHANNELS:
+        return rsrq_bin(rec["value"]), 1.0
+    return None
+
+
+def bucket_values(sums, counts, channels):
+    """(values, missing) of buckets from the per-channel `sums` and `counts`
+    of their entries (arrays whose last axis is `channels`). Under
+    RSRQ_CHANNELS a bucket holds its bin counts over its total, missing in
+    every bin when no report landed; under any other layout each channel
+    holds its mean, missing where nothing landed. Missing values are 0."""
+    if channels == RSRQ_CHANNELS:
+        counts = np.broadcast_to(sums.sum(axis=-1, keepdims=True), sums.shape)
+    got = counts > 0
+    return np.divide(sums, counts, out=np.zeros(sums.shape), where=got), ~got
+
+
+def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
+    """Bucket records at floor(ts/step) per cell under the channel layout
+    `channels` (`bucket_entry`, then `bucket_values`); a record the layout
+    has no channel for, or an rsrq report that names no bin, is skipped.
 
     `records` may be any iterable, read once. Returns {cell_id: KpiSeries};
     each cell's series starts at its own first bucket. Accumulation follows
     record order so streaming and batch paths agree bit-for-bit.
     """
-    channels = list(channels)
-    sums, counts = {}, {}
+    channels = tuple(channels)
+    sums, counts = {}, {}  # (cell, bucket, channel) -> sum, count of its entries
     for rec in records:
-        if rec["topic"] not in channels:
+        try:
+            entry = bucket_entry(rec, channels)
+        except OutOfRangeError:
             continue
-        key = (rec["cell"], rec["topic"], rec["ts"] // step_seconds)
-        sums[key] = sums.get(key, 0.0) + rec["value"]
+        if entry is None:
+            continue
+        key = (rec["cell"], rec["ts"] // step_seconds, entry[0])
+        sums[key] = sums.get(key, 0.0) + entry[1]
         counts[key] = counts.get(key, 0) + 1
 
     # one pass groups the keys by cell, so the cost is linear in the keys
     by_cell = {}
     for key in sums:
         by_cell.setdefault(key[0], []).append(key)
-    column = {ch: ci for ci, ch in enumerate(channels)}
     out = {}
     for cell in sorted(by_cell):
         keys = by_cell[cell]
-        first = min(b for _, _, b in keys)
-        T = max(b for _, _, b in keys) - first + 1
-        values = np.zeros((T, len(channels)))
-        missing = np.ones((T, len(channels)), dtype=bool)
-        for key in keys:
-            t, ci = key[2] - first, column[key[1]]
-            values[t, ci] = sums[key] / counts[key]
-            missing[t, ci] = False
+        # map() and fromiter keep the per-key work out of the interpreter loop
+        buckets, columns = (np.fromiter(map(itemgetter(i), keys), np.intp, len(keys))
+                            for i in (1, 2))
+        first = int(buckets.min())
+        shape = (int(buckets.max()) - first + 1, len(channels))
+        at = (buckets - first, columns)
+        cell_sums, cell_counts = np.zeros(shape), np.zeros(shape)
+        cell_sums[at] = np.fromiter(map(sums.__getitem__, keys), np.float64, len(keys))
+        cell_counts[at] = np.fromiter(map(counts.__getitem__, keys), np.float64, len(keys))
+        values, missing = bucket_values(cell_sums, cell_counts, channels)
         out[cell] = KpiSeries(
             cell_id=cell, start_ts=first * step_seconds,
-            step_seconds=step_seconds, channels=channels,
+            step_seconds=step_seconds, channels=list(channels),
             values=values, missing_mask=missing,
         )
     return out
@@ -486,47 +541,3 @@ def autocorrelation(x, max_lag):
     for k in range(max_lag + 1):
         acf[k] = float(np.dot(d[: len(d) - k], d[k:])) / denom
     return acf
-
-
-def rsrq_histogram(reports, bucket_seconds=300):
-    """Group (ts, rsrq) reports into per-bucket normalized 35-bin PDFs.
-
-    Returns (bucket_start_ts array, (n_buckets, 35) matrix, missing bool
-    array for empty buckets, n_rejected). Out-of-range values are rejected,
-    not clamped.
-    """
-    counts = {}
-    rejected = 0
-    for ts, value in reports:
-        if value != int(value) or not 0 <= value <= RSRQ_BINS - 1:
-            rejected += 1
-            continue
-        b = int(ts) // bucket_seconds
-        row = counts.setdefault(b, np.zeros(RSRQ_BINS))
-        row[int(value)] += 1.0
-    if not counts:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, RSRQ_BINS)), np.zeros(0, dtype=bool), rejected
-    first, last = min(counts), max(counts)
-    n = last - first + 1
-    ts_out = (np.arange(first, last + 1) * bucket_seconds).astype(np.int64)
-    pdf = np.zeros((n, RSRQ_BINS))
-    missing = np.ones(n, dtype=bool)
-    for b, row in counts.items():
-        pdf[b - first] = row / row.sum()
-        missing[b - first] = False
-    return ts_out, pdf, missing, rejected
-
-
-def rsrq_series(records, cell_id, bucket_seconds):
-    """RSRQ records of one cell -> KpiSeries of 35 histogram channels."""
-    reports = [(r["ts"], r["value"]) for r in records
-               if r["topic"] == "rsrq" and r["cell"] == cell_id]
-    if not reports:
-        raise DataError(f"no rsrq reports for cell {cell_id}")
-    ts_out, pdf, missing, _ = rsrq_histogram(reports, bucket_seconds)
-    mask = np.repeat(missing[:, None], RSRQ_BINS, axis=1)
-    return KpiSeries(
-        cell_id=cell_id, start_ts=int(ts_out[0]), step_seconds=bucket_seconds,
-        channels=[f"rsrq_{i}" for i in range(RSRQ_BINS)],
-        values=pdf, missing_mask=mask,
-    )

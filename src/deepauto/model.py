@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neuralnet as nn
-from .dataprep import EXTERNAL_DIM, ScalerParams, WindowSpec
+from .dataprep import EXTERNAL_DIM, LOAD_CHANNELS, RSRQ_CHANNELS, ScalerParams, WindowSpec
 from .errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
 MAGIC = b"DAUT"
@@ -82,6 +82,12 @@ class DeepAutoConfig:
         """Bucket width when none is given: 300 s for RSRQ histogram (pdf)
         models, 900 s for load models."""
         return 300 if self.output_kind == "pdf" else 900
+
+    @property
+    def channels(self):
+        """Channel layout of the bucket rows the model reads: the RSRQ bins
+        for histogram (pdf) models, load and UE means for load models."""
+        return RSRQ_CHANNELS if self.output_kind == "pdf" else LOAD_CHANNELS
 
     @property
     def fusion_in_dim(self):

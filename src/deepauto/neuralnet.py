@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax", "tanh")
+ACTIVATIONS = ("identity", "sigmoid", "softmax", "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +107,9 @@ def softmax(x, axis=-1):
 
 def apply_activation_(z, activation):
     """The activation of floating array `z`, computed in place where the
-    activation allows (identity, relu, sigmoid, tanh), so `z` is consumed."""
+    activation allows (identity, sigmoid, tanh), so `z` is consumed."""
     if activation == "identity":
         return z
-    if activation == "relu":
-        return np.maximum(z, 0.0, out=z)
     if activation == "sigmoid":
         return _sigmoid_(z)
     if activation == "tanh":
@@ -391,26 +389,22 @@ def dense_forward(x, p, cache=True):
     """W x + b followed by the configured activation, on a (batch, in_dim)
     `x`; returns (y, cache).
 
-    With `cache=False` (inference) the product is row-wise, the activation
-    overwrites the fresh pre-activation, and the cache is None (see the
-    module notes)."""
+    The activation overwrites the fresh pre-activation: the backward pass
+    needs only `x` and `y`. With `cache=False` (inference) the product is
+    row-wise and the cache is None (see the module notes)."""
     x = _as_batch(x, p.W.dtype, p.in_dim, "dense input")
     z = (np.matmul if cache else _rowwise_matmul)(x, p.W.T)
     z += p.b
-    if not cache:
-        return apply_activation_(z, p.activation), None
-    y = apply_activation_(z.copy(), p.activation)
-    return y, {"x": x, "z": z, "y": y}
+    y = apply_activation_(z, p.activation)
+    return y, ({"x": x, "y": y} if cache else None)
 
 
 def dense_backward(cache, dy, p):
     """Gradients of a dense layer; returns (DenseParams grads, dx)."""
-    x, z, y = cache["x"], cache["z"], cache["y"]
+    x, y = cache["x"], cache["y"]
     dy = _as_batch(dy, p.W.dtype, p.out_dim, "dense upstream")
     if p.activation == "identity":
         dz = dy
-    elif p.activation == "relu":
-        dz = dy * (z > 0)
     elif p.activation == "sigmoid":
         dz = dy * y * (1.0 - y)
     elif p.activation == "tanh":

@@ -7,32 +7,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataprep import (KpiSeries, Windows, apply_scaler, fit_scaler, interpolate_missing,
-                       make_windows, records_to_series, rsrq_series, split_4_1_1)
+from .dataprep import (LOAD_CHANNELS, RSRQ_CHANNELS, KpiSeries, Windows, apply_scaler,
+                       fit_scaler, interpolate_missing, make_windows, records_to_series,
+                       split_4_1_1)
 from .errors import DataError
 
 
-def load_series(records, step_seconds):
-    """Records (any iterable, read once) -> interpolated per-cell load/ue
-    KpiSeries."""
-    series = records_to_series(records, step_seconds)
+def load_series(records, step_seconds, channels=LOAD_CHANNELS):
+    """Records (any iterable, read once) -> interpolated per-cell KpiSeries
+    under the channel layout `channels`: load/ue means by default,
+    RSRQ_CHANNELS for bin histograms."""
+    series = records_to_series(records, step_seconds, channels)
     if not series:
-        raise DataError("no load/ue records found")
+        raise DataError(f"no records fill the {channels[0]}..{channels[-1]} channels")
     return {cell: interpolate_missing(s) for cell, s in series.items()}
-
-
-def load_rsrq_series(records, bucket_seconds):
-    """RSRQ records (any iterable, read once) -> interpolated per-cell
-    histogram KpiSeries. One pass groups the reports by cell, in record
-    order, so the cost is linear in records and cells."""
-    by_cell = {}
-    for r in records:
-        if r["topic"] == "rsrq":
-            by_cell.setdefault(r["cell"], []).append(r)
-    if not by_cell:
-        raise DataError("no rsrq records found")
-    return {cell: interpolate_missing(rsrq_series(by_cell[cell], cell, bucket_seconds))
-            for cell in sorted(by_cell)}
 
 
 def _scaled(series, scaler):
@@ -88,7 +76,7 @@ def prepare_pdf_dataset(records, window, bucket_seconds):
     Histogram rows are already normalized, so there is no scaler (None).
     """
     per_cell = (make_windows(s, window, pdf_target=True)
-                for s in load_rsrq_series(records, bucket_seconds).values())
+                for s in load_series(records, bucket_seconds, RSRQ_CHANNELS).values())
     train, val, test = split_4_1_1(_by_anchor(per_cell, window))
     return train, val, test, None
 

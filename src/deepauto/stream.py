@@ -5,7 +5,10 @@ counters over HTTP.
 
 The wire format matches the historical file format, so any recorded file
 can be replayed through the engine; with no missing bucket it produces
-bit-identical predictions to the batch path.
+bit-identical predictions to the batch path. The engine buckets records
+under its model's channel layout (`DeepAutoConfig.channels`) with the
+batch path's own rule: `dataprep.bucket_entry` routes each record, and
+`dataprep.bucket_values` closes each bucket.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dataprep, model as model_mod
-from .dataprep import RSRQ_BINS, KpiSeries, Windows, apply_scaler, make_windows
+from .dataprep import KpiSeries, Windows, apply_scaler, make_windows
 from .errors import DataError, ModelFormatError, OutOfRangeError
 
 
@@ -43,54 +46,52 @@ class PredictionRecord:
 
 
 class CellBuffer:
-    """Per-cell bucketed state: open (accumulating) and closed buckets.
+    """Per-cell bucketed state under the channel layout `channels` (a
+    tuple): open (accumulating) and closed buckets.
 
     Bucket indices are absolute (ts // step_seconds); closed values are a
     dict index -> channel vector, contiguous from `oldest` to `last_closed`,
     evicted beyond the window capacity.
     """
 
-    def __init__(self, n_channels, capacity, histogram=False):
-        self.n_channels = n_channels
+    def __init__(self, channels, capacity):
+        self.channels = tuple(channels)
         self.capacity = capacity
-        self.histogram = histogram
         self.open = {}       # idx -> (sum vector, count vector)
         self.closed = {}     # idx -> value vector (NaN where missing)
         self.oldest = None   # earliest bucket added, later the oldest not yet evicted
         self.last_closed = None
 
-    def add(self, bucket, channel, value):
+    def add(self, bucket, channel, amount):
+        """Add one entry (`dataprep.bucket_entry`) to an open bucket."""
         # before the first close an earlier bucket may still arrive, and the
         # first close starts at `oldest`
         if self.last_closed is None and (self.oldest is None or bucket < self.oldest):
             self.oldest = bucket
         if bucket not in self.open:
-            self.open[bucket] = (np.zeros(self.n_channels), np.zeros(self.n_channels))
+            n = len(self.channels)
+            self.open[bucket] = (np.zeros(n), np.zeros(n))
         sums, counts = self.open[bucket]
-        sums[channel] += value
+        sums[channel] += amount
         counts[channel] += 1
 
     def max_open(self):
         return max(self.open) if self.open else None
 
     def close_through(self, upto):
-        """Close every bucket <= upto; returns the closed indices in order."""
+        """Close every bucket <= upto (`dataprep.bucket_values`, NaN where
+        missing); returns the closed indices in order."""
         if self.oldest is None:
             return []
         start = self.oldest if self.last_closed is None else self.last_closed + 1
         closed = []
         for b in range(start, upto + 1):
             sums_counts = self.open.pop(b, None)
-            row = np.full(self.n_channels, np.nan)
-            if sums_counts is not None:
-                sums, counts = sums_counts
-                if self.histogram:
-                    total = sums.sum()
-                    if total > 0:
-                        row = sums / total  # normalized bin PDF
-                else:
-                    got = counts > 0
-                    row[got] = sums[got] / counts[got]
+            if sums_counts is None:
+                row = np.full(len(self.channels), np.nan)
+            else:
+                row, missing = dataprep.bucket_values(*sums_counts, self.channels)
+                row[missing] = np.nan
             self.closed[b] = row
             self.last_closed = b
             closed.append(b)
@@ -133,7 +134,7 @@ class Engine:
         self._lock = threading.RLock()
         self.step_seconds = step_seconds
         self.cells = {}
-        self.channels = self.histogram = None
+        self.channels = None
         self._install(params, config, scaler, version=1)
         self.latest_prediction = {}
         self.counters = {"ingested": 0, "malformed": 0, "out_of_range": 0,
@@ -151,21 +152,15 @@ class Engine:
         layout stays the same, and their capacity follows the new window
         span; a new layout restarts every buffer empty, so the engine warms
         up again instead of reading rows of the old layout."""
-        histogram = config.output_kind == "pdf"
-        if histogram:
-            channels = [f"rsrq_{i}" for i in range(RSRQ_BINS)]
-        else:
-            channels = list(scaler.channels) if scaler is not None else ["load", "ue"]
+        channels = config.channels
         if self.step_seconds is None:
             self.step_seconds = config.default_step_seconds
         self.capacity = config.window.history_span() + 2
-        if (channels, histogram) != (self.channels, self.histogram):
-            self.cells = {cell: CellBuffer(len(channels), self.capacity, histogram)
-                          for cell in self.cells}
+        if channels != self.channels:
+            self.cells = {cell: CellBuffer(channels, self.capacity) for cell in self.cells}
         for buf in self.cells.values():
             buf.capacity = self.capacity
         self.channels = channels
-        self.histogram = histogram
         self.params = params
         self.config = config
         self.scaler = scaler
@@ -188,21 +183,18 @@ class Engine:
         if arrival is None:
             arrival = time.monotonic()
         with self._lock:
-            if self.histogram:
-                if rec["topic"] != "rsrq":
-                    return []  # other topics are not errors, just irrelevant
-                channel = int(rec["value"])
-                value = 1.0  # histogram count
-            else:
-                if rec["topic"] not in self.channels:
-                    return []
-                channel = self.channels.index(rec["topic"])
-                value = rec["value"]
+            try:
+                entry = dataprep.bucket_entry(rec, self.channels)
+            except OutOfRangeError:
+                self.counters["out_of_range"] += 1
+                return []
+            if entry is None:
+                return []  # a topic the layout has no channel for is not an error
             self.counters["ingested"] += 1
             bucket = rec["ts"] // self.step_seconds
             buf = self.cells.get(rec["cell"])
             if buf is None:
-                buf = CellBuffer(len(self.channels), self.capacity, self.histogram)
+                buf = CellBuffer(self.channels, self.capacity)
                 self.cells[rec["cell"]] = buf
 
             if buf.last_closed is not None and bucket <= buf.last_closed:
@@ -214,7 +206,7 @@ class Engine:
             prior = buf.max_open()
             if prior is not None and bucket > prior:
                 self._close(rec["cell"], buf, bucket - 1, pending)
-            buf.add(bucket, channel, value)
+            buf.add(bucket, *entry)
 
             # watermark: the stream as a whole has moved on by >= 2 buckets
             if self.global_max_bucket is None or bucket > self.global_max_bucket:
@@ -256,7 +248,7 @@ class Engine:
             rows = buf.window(closed + 1, span)
             if rows is None:
                 continue  # still warming up
-            if not self.histogram and self.scaler is not None:
+            if self.scaler is not None:
                 rows = apply_scaler(rows, self.scaler)
             pending.append((cell, closed + 1, rows))
 

@@ -162,6 +162,34 @@ def records_to_series_rescan(records, step_seconds, channels=("load", "ue")):
     return out
 
 
+def rsrq_series_rescan(records, step_seconds, bins):
+    """RSRQ bucketing by direct counting: for each cell with at least one
+    rsrq report that names a bin (an integer in [0, bins)), count its
+    reports per bucket and bin, then divide each bucket's counts by its
+    total. Other records are skipped. Returns {cell: (first bucket, values,
+    missing)} like `records_to_series_rescan`; a bucket with no report is
+    missing in every bin and holds zeros."""
+    counts = {}
+    for rec in records:
+        value = rec["value"]
+        if rec["topic"] == "rsrq" and 0 <= value < bins and float(value).is_integer():
+            key = (rec["ts"] // step_seconds, int(value))
+            cell = counts.setdefault(rec["cell"], {})
+            cell[key] = cell.get(key, 0) + 1
+    out = {}
+    for cell in sorted(counts):
+        buckets = [b for b, _ in counts[cell]]
+        first, last = min(buckets), max(buckets)
+        values, missing = [], []
+        for b in range(first, last + 1):
+            row = [counts[cell].get((b, k), 0) for k in range(bins)]
+            total = sum(row)
+            values.append([n / total if total else 0.0 for n in row])
+            missing.append([total == 0] * bins)
+        out[cell] = (first, values, missing)
+    return out
+
+
 def parse_record_loads(line):
     """The `json.loads` record parser that the direct decode replaced,
     unchanged: it accepts a boolean `ts`, and an integer `value` too large

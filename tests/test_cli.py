@@ -212,9 +212,9 @@ def test_predict_pdf_model(tmp_path):
                     "--output", str(out)]) == 0
 
     records, _ = dataprep.read_records(data)
-    cells = sorted({r["cell"] for r in records if r["topic"] == "rsrq"})
+    series = dataprep.records_to_series(records, 300, dataprep.RSRQ_CHANNELS)
     # inference anchors run from the window's history span to the series length
-    expected = sum(dataprep.rsrq_series(records, cell, 300).length - 4 + 1 for cell in cells)
+    expected = sum(s.length - 4 + 1 for s in series.values())
     docs = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(docs) == expected > 0
     for doc in docs:

@@ -187,18 +187,46 @@ def test_records_to_series_matches_rescan_oracle(seed):
     assert any(np.array(m).any() for _, _, m in expected.values())  # gaps exist
 
 
-def test_load_rsrq_series_matches_per_cell_filter():
-    """One grouping pass gives every cell the series the per-cell filter
-    over all records gives, bit for bit, and reads the records once."""
+def test_rsrq_series_match_oracle_and_interpolate():
+    """Under the RSRQ layout `records_to_series` gives the stdlib oracle's
+    bin shares and missing buckets bit for bit, on shuffled records with
+    empty buckets, and `load_series` with that layout interpolates them."""
     records = synthgen.generate(synthgen.SynthConfig(
         n_cells=3, days=0.5, rsrq_cells=3, seed=4))
+    records = [r for r in records if not (r["topic"] == "rsrq" and (r["ts"] // 300) % 11 == 3)]
     records = [records[k] for k in np.random.default_rng(4).permutation(len(records))]
-    series = pipeline.load_rsrq_series(iter(records), 300)
-    assert list(series) == ["cell_0000", "cell_0001", "cell_0002"]
+    series = dp.records_to_series(iter(records), 300, dp.RSRQ_CHANNELS)
+    expected = oracles.rsrq_series_rescan(records, 300, dp.RSRQ_BINS)
+    assert list(series) == list(expected) == ["cell_0000", "cell_0001", "cell_0002"]
+    for cell, (first, values, missing) in expected.items():
+        s = series[cell]
+        assert s.start_ts == first * 300 and s.channels == list(dp.RSRQ_CHANNELS)
+        assert s.values.tobytes() == np.array(values).tobytes()
+        np.testing.assert_array_equal(s.missing_mask, missing)
+        assert s.missing_mask[:, 0].any()
+    filled = pipeline.load_series(iter(records), 300, dp.RSRQ_CHANNELS)
     for cell, s in series.items():
-        expected = dp.interpolate_missing(dp.rsrq_series(records, cell, 300))
-        assert s.start_ts == expected.start_ts and s.channels == expected.channels
-        assert s.values.tobytes() == expected.values.tobytes()
+        assert filled[cell].values.tobytes() == dp.interpolate_missing(s).values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 3000),
+                          st.sampled_from([0.0, 3.0, 3.0, 17.0, 34.0, -1.0, 10.5, 35.0, 40.0]),
+                          st.sampled_from(["rsrq", "rsrq", "load"])),
+                min_size=1, max_size=40))
+def test_rsrq_bucketing_matches_oracle(reports):
+    """Any order of reports, with empty buckets, non-bin values (skipped)
+    and other topics (ignored), buckets as the stdlib oracle does."""
+    records = [{"topic": topic, "cell": cell, "ts": ts, "value": value}
+               for cell, ts, value, topic in reports]
+    series = dp.records_to_series(records, 300, dp.RSRQ_CHANNELS)
+    expected = oracles.rsrq_series_rescan(records, 300, dp.RSRQ_BINS)
+    assert list(series) == list(expected)
+    for cell, (first, values, missing) in expected.items():
+        s = series[cell]
+        assert s.start_ts == first * 300
+        assert s.values.tobytes() == np.array(values).tobytes()
+        np.testing.assert_array_equal(s.missing_mask, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -573,35 +601,41 @@ def test_acf_zero_variance():
 
 
 # ---------------------------------------------------------------------------
-# RSRQ histograms
+# RSRQ histograms: records_to_series under the RSRQ layout
+
+
+def one_cell_rsrq(reports, step=300):
+    """The RSRQ-layout series of one cell's (ts, value) reports."""
+    records = [{"topic": "rsrq", "cell": "a", "ts": ts, "value": value} for ts, value in reports]
+    return dp.records_to_series(records, step, dp.RSRQ_CHANNELS)["a"]
 
 
 def test_rsrq_single_report():
-    ts, pdf, missing, rejected = dp.rsrq_histogram([(0, 10)])
-    assert rejected == 0
-    assert pdf[0, 10] == 1.0 and pdf[0].sum() == 1.0
+    s = one_cell_rsrq([(0, 10)])
+    assert s.length == 1 and not s.missing_mask.any()
+    assert s.values[0, 10] == 1.0 and s.values[0].sum() == 1.0
 
 
 def test_rsrq_extremes():
-    _, pdf, _, _ = dp.rsrq_histogram([(0, 0), (1, 0), (2, 34), (3, 34)])
-    assert pdf[0, 0] == 0.5 and pdf[0, 34] == 0.5
+    values = one_cell_rsrq([(0, 0), (1, 0), (2, 34), (3, 34)]).values
+    assert values[0, 0] == 0.5 and values[0, 34] == 0.5
 
 
 def test_rsrq_uniform_converges():
     reports = [(i, i % 35) for i in range(35 * 300)]
-    _, pdf, _, _ = dp.rsrq_histogram(reports, bucket_seconds=35 * 300)
-    np.testing.assert_allclose(pdf[0], 1 / 35, atol=1e-12)
+    values = one_cell_rsrq(reports, step=35 * 300).values
+    np.testing.assert_allclose(values[0], 1 / 35, atol=1e-12)
 
 
-def test_rsrq_rejects_out_of_range():
-    _, pdf, _, rejected = dp.rsrq_histogram([(0, 10), (1, 40), (2, -1)])
-    assert rejected == 2
-    assert pdf[0, 10] == 1.0
+def test_rsrq_skips_non_bin_values():
+    s = one_cell_rsrq([(0, 10), (1, 40), (2, -1), (3, 10.5)])
+    assert s.length == 1
+    assert s.values[0, 10] == 1.0 and s.values[0].sum() == 1.0
 
 
 def test_rsrq_rows_normalized_and_missing_marked():
-    reports = [(0, 5), (10, 6), (700, 7)]  # bucket 0 and 2, bucket 1 empty
-    ts, pdf, missing, _ = dp.rsrq_histogram(reports, bucket_seconds=300)
-    assert list(missing) == [False, True, False]
-    present = pdf[~missing]
-    np.testing.assert_allclose(present.sum(axis=1), 1.0, atol=1e-9)
+    s = one_cell_rsrq([(0, 5), (10, 6), (700, 7)])  # bucket 0 and 2, bucket 1 empty
+    assert list(s.missing_mask[:, 0]) == [False, True, False]
+    assert s.missing_mask[1].all() and not s.missing_mask[[0, 2]].any()
+    assert not s.values[1].any()
+    np.testing.assert_allclose(s.values[[0, 2]].sum(axis=1), 1.0, atol=1e-9)

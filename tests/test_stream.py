@@ -33,7 +33,7 @@ def rec(topic, cell, bucket, value, step=900, offset=0):
 
 
 def test_buffer_duplicate_records_averaged():
-    buf = stream.CellBuffer(n_channels=1, capacity=10)
+    buf = stream.CellBuffer(("load",), capacity=10)
     buf.add(0, 0, 0.4)
     buf.add(0, 0, 0.6)
     assert buf.close_through(0) == [0]
@@ -41,7 +41,7 @@ def test_buffer_duplicate_records_averaged():
 
 
 def test_buffer_window_warming_and_gaps():
-    buf = stream.CellBuffer(n_channels=1, capacity=10)
+    buf = stream.CellBuffer(("load",), capacity=10)
     for b, v in [(0, 1.0), (2, 3.0)]:  # bucket 1 empty
         buf.add(b, 0, v)
     buf.close_through(2)
@@ -52,7 +52,7 @@ def test_buffer_window_warming_and_gaps():
 
 
 def test_buffer_all_missing_channel_not_ready():
-    buf = stream.CellBuffer(n_channels=2, capacity=10)
+    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=10)
     buf.add(0, 0, 1.0)
     buf.add(1, 0, 2.0)
     buf.close_through(1)
@@ -63,7 +63,7 @@ def test_buffer_window_fill_matches_fill_gaps():
     """A window with gaps is the stored rows filled by `dataprep.fill_gaps`,
     bit for bit."""
     rng = np.random.default_rng(4)
-    buf = stream.CellBuffer(n_channels=2, capacity=40)
+    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=40)
     raw = rng.uniform(size=(30, 2))
     observed = rng.random((30, 2)) >= 0.3
     observed[[0, 12, 29]] = True
@@ -83,7 +83,7 @@ def test_buffer_window_holds_leading_gap_flat():
     """A gap at the start of a window is filled from inside the window only:
     held flat at the first present row, not interpolated from the bucket
     before the window as `interpolate_missing` over the whole series does."""
-    buf = stream.CellBuffer(n_channels=1, capacity=10)
+    buf = stream.CellBuffer(("load",), capacity=10)
     for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
         buf.add(b, 0, v)
     buf.close_through(3)
@@ -92,7 +92,7 @@ def test_buffer_window_holds_leading_gap_flat():
 
 
 def test_buffer_window_without_gaps_is_the_stored_rows():
-    buf = stream.CellBuffer(n_channels=2, capacity=10)
+    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=10)
     for b in range(5):
         buf.add(b, 0, 0.1 * b)
         buf.add(b, 1, 1.0 - 0.1 * b)
@@ -107,12 +107,12 @@ def test_engine_step_defaults_to_config_bucket_width():
     params, config = zero_model()
     assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 900
     assert stream.Engine(params, config, None, step_seconds=60).step_seconds == 60
-    params, config = zero_model(input_dim=stream.RSRQ_BINS, output_kind="pdf")
+    params, config = zero_model(input_dim=dataprep.RSRQ_BINS, output_kind="pdf")
     assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 300
 
 
 def test_buffer_eviction():
-    buf = stream.CellBuffer(n_channels=1, capacity=3)
+    buf = stream.CellBuffer(("load",), capacity=3)
     for b in range(10):
         buf.add(b, 0, float(b))
     buf.close_through(9)
@@ -120,13 +120,19 @@ def test_buffer_eviction():
     assert len(buf.closed) <= 4
 
 
-def test_buffer_histogram_mode():
-    buf = stream.CellBuffer(n_channels=4, capacity=5, histogram=True)
-    for ch, n in [(0, 1), (2, 3)]:
-        for _ in range(n):
-            buf.add(0, ch, 1.0)
-    buf.close_through(0)
-    np.testing.assert_allclose(buf.closed[0], [0.25, 0.0, 0.75, 0.0])
+def test_buffer_rsrq_layout_closes_bin_shares():
+    """Under the RSRQ layout a closed bucket holds each bin's share of its
+    reports, and a bucket with no report is NaN in every bin."""
+    buf = stream.CellBuffer(dataprep.RSRQ_CHANNELS, capacity=5)
+    for value in (0, 2, 2, 2):
+        buf.add(0, *dataprep.bucket_entry(rec("rsrq", "A", 0, value, step=300),
+                                          dataprep.RSRQ_CHANNELS))
+    buf.add(2, 5, 1.0)
+    buf.close_through(2)
+    np.testing.assert_array_equal(buf.closed[0][:4], [0.25, 0.0, 0.75, 0.0])
+    assert buf.closed[0].sum() == 1.0
+    assert np.isnan(buf.closed[1]).all()
+    assert buf.closed[2][5] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +280,26 @@ def test_engine_pdf_mode():
     assert eng.health()["ingested"] == len(recs)
 
 
+def test_engine_counts_non_bin_rsrq_values_out_of_range():
+    """A histogram engine files nothing for an rsrq record whose value names
+    no bin and counts it as out of range, as `ingest_line` does for the same
+    value; the batch path skips such a record."""
+    params, config = zero_model(input_dim=dataprep.RSRQ_BINS, output_kind="pdf",
+                                use_external=False)
+    eng = stream.Engine(params, config, scaler=None)
+    for value in (-1, 10.5, 40):
+        assert eng.ingest(rec("rsrq", "A", 0, value, step=300)) == []
+    h = eng.health()
+    assert h["out_of_range"] == 3 and h["ingested"] == 0
+    assert eng.cells == {}
+    for value in (-1, 10.5, 40):
+        eng.ingest_line(json.dumps(rec("rsrq", "A", 0, value, step=300)))
+    assert eng.health()["out_of_range"] == 6
+    eng.ingest(rec("rsrq", "A", 0, 3, step=300))
+    assert eng.health()["ingested"] == 1
+    assert list(eng.cells["A"].open) == [0]
+
+
 # ---------------------------------------------------------------------------
 # model reload
 
@@ -384,6 +410,27 @@ def test_stream_matches_batch_predictions_bitwise():
     assert set(online) == set(offline)
     for key in offline:
         assert offline[key].tobytes() == online[key].tobytes()
+
+
+def test_stream_matches_batch_pdf_predictions_bitwise():
+    """A histogram model streamed over RSRQ reports (with load/ue records
+    it ignores) predicts every anchor the batch path predicts, bit for bit."""
+    sc = synthgen.SynthConfig(n_cells=3, days=1.0, rsrq_cells=3, seed=12)
+    records = synthgen.generate(sc)
+    window = WindowSpec(n_r=4, n_p=2, period_steps=12)
+    config = dm.DeepAutoConfig(window=window, input_dim=dataprep.RSRQ_BINS,
+                               output_kind="pdf", hidden_r=4, hidden_p=4, ext_embed_dim=3)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(12))
+
+    series = pipeline.load_series(records, 300, dataprep.RSRQ_CHANNELS)
+    samples = pipeline.prediction_samples(series, window, None)
+    offline = {key: y for key, y in zip(samples, dm.predict_samples(samples, params, config))}
+
+    eng = stream.Engine(params, config, scaler=None)
+    online = {(p.cell_id, p.anchor_ts): p.outputs for p in feed(eng, records) + eng.flush()}
+    assert len(online) == len(offline) > 3 * 200
+    for key, y in offline.items():
+        assert online[key].tobytes() == y.tobytes()
 
 
 def test_bucket_before_first_close_is_closed_and_predicted():
