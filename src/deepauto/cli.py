@@ -81,14 +81,13 @@ def _load_records(path):
 
 def _split_builder(args, config):
     """Read --input and return build(cfg) -> (train, val, test, scaler) for
-    any config of `config`'s output kind, bucketed at --step-seconds or the
-    config's default width: histogram windows for pdf models, otherwise load
-    windows from series bucketed once for every build."""
-    records = _load_records(args.input)
+    any config of `config`'s output kind, from series bucketed once for every
+    build, under its channel layout, at --step-seconds or the config's
+    default width: histogram windows for pdf models, otherwise load windows."""
     step = args.step_seconds or config.default_step_seconds
+    series = pipeline.load_series(_load_records(args.input), step, config.channels)
     if config.output_kind == "pdf":
-        return lambda cfg: pipeline.prepare_pdf_dataset(records, cfg.window, step)
-    series = pipeline.load_series(records, step)
+        return lambda cfg: pipeline.prepare_pdf_dataset(series, cfg.window)
     return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons,
                                                      target_channel=cfg.target_channel)
 

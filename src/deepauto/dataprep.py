@@ -49,15 +49,15 @@ JSON_WHITESPACE = " \t\n\r"
 
 
 def parse_record(line):
-    """Parse one NDJSON measurement line (str, or bytes in a JSON encoding);
-    raises DataError on bad input, OutOfRangeError (a DataError) on a value
-    outside its topic's range.
+    """One NDJSON measurement line, decoded and checked (`check_record`)."""
+    return check_record(decode_record(line))
 
-    The line must hold exactly one JSON object, with only JSON whitespace
-    around it: `json.loads`'s rule, decoded without its per-call set-up.
-    `ts` must be an integer that is not a boolean; `value` a number, not a
-    boolean, that is finite as a float.
-    """
+
+def decode_record(line):
+    """Decode one NDJSON line (str, or bytes in a JSON encoding); raises
+    DataError unless it holds exactly one JSON value, with only JSON
+    whitespace around it: `json.loads`'s rule, decoded without its per-call
+    set-up."""
     try:
         if isinstance(line, (bytes, bytearray)):
             line = line.decode(json.detect_encoding(line), "surrogatepass")
@@ -67,6 +67,17 @@ def parse_record(line):
         raise DataError(f"malformed JSON: {exc}") from exc
     if end != len(line):
         raise DataError("malformed JSON: extra data after the object")
+    return rec
+
+
+def check_record(rec):
+    """The measurement record a decoded value `rec` holds, with its value as
+    a float; raises DataError on bad input, OutOfRangeError (a DataError) on
+    a value outside its topic's range.
+
+    `rec` must be a dict; `ts` an integer that is not a boolean; `value` a
+    number, not a boolean, that is finite as a float.
+    """
     if not isinstance(rec, dict):
         raise DataError("record is not an object")
     topic = rec.get("topic")
@@ -469,9 +480,25 @@ def aggregate_targets(values, t, horizons=(1, 15, 60)):
     return out
 
 
+def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
+    """Windows without targets: each branch's lags of the rows `values`
+    (T, C) before each index in `anchors` (N,), and the external features of
+    `anchor_ts` (N,). Every lag must fall inside `values`."""
+    # one gather per branch keeps each (N, lags, C) array C-contiguous
+    arrays = {}
+    for name, offsets in zip(("recent", "periodic", "seasonal"), spec.lag_indices(0)):
+        if offsets:
+            arrays[name] = values[anchors[:, None] + np.asarray(offsets)]
+    external = np.empty((len(anchors), EXTERNAL_DIM))
+    for k, ts in enumerate(anchor_ts.tolist()):
+        external[k] = external_features(ts)
+    arrays["external"] = external
+    return Windows(arrays, cell_ids, anchor_ts)
+
+
 def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
                  require_targets=True, pdf_target=False):
-    """Build the Windows of every feasible anchor of one series.
+    """`lag_windows` plus targets for every feasible anchor of one series.
 
     Anchors run from spec.history_span(), the first whose lags all fall
     inside the series, to the last whose horizons end inside it; without
@@ -491,25 +518,16 @@ def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
             raise ShapeError("horizons must be >= 1")
         last = T - max(horizons)
     anchors = np.arange(spec.history_span(), last + 1)
-    anchor_ts = series.timestamp(anchors)
-
-    # one gather per branch keeps each (N, lags, C) array C-contiguous
-    arrays = {}
-    for name, offsets in zip(("recent", "periodic", "seasonal"), spec.lag_indices(0)):
-        if offsets:
-            arrays[name] = values[anchors[:, None] + np.asarray(offsets)]
-    external = np.empty((len(anchors), EXTERNAL_DIM))
-    for k, ts in enumerate(anchor_ts.tolist()):
-        external[k] = external_features(ts)
-    arrays["external"] = external
+    windows = lag_windows(values, anchors, np.full(len(anchors), series.cell_id),
+                          series.timestamp(anchors), spec)
     if require_targets:
         if pdf_target:
-            arrays["target"] = values[anchors]
+            windows.arrays["target"] = values[anchors]
         else:
             col = values[:, series.channel_index(target_channel)]
-            arrays["target"] = np.stack(
+            windows.arrays["target"] = np.stack(
                 [col[anchors[:, None] + np.arange(h)].mean(axis=1) for h in horizons], axis=1)
-    return Windows(arrays, np.full(len(anchors), series.cell_id), anchor_ts)
+    return windows
 
 
 def split_4_1_1(samples):

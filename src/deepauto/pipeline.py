@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataprep import (LOAD_CHANNELS, RSRQ_CHANNELS, KpiSeries, Windows, apply_scaler,
+from .dataprep import (LOAD_CHANNELS, KpiSeries, Windows, apply_scaler,
                        fit_scaler, interpolate_missing, make_windows, records_to_series,
                        split_4_1_1)
 from .errors import DataError
@@ -70,13 +70,13 @@ def prepare_load_dataset(series_by_cell, window, horizons, target_channel="load"
     return train, val, test, scaler
 
 
-def prepare_pdf_dataset(records, window, bucket_seconds):
-    """RSRQ records -> histogram Windows with a 4:1:1 split.
+def prepare_pdf_dataset(series_by_cell, window):
+    """Histogram series (`load_series` under RSRQ_CHANNELS) -> Windows, 4:1:1 split.
 
     Histogram rows are already normalized, so there is no scaler (None).
     """
     per_cell = (make_windows(s, window, pdf_target=True)
-                for s in load_series(records, bucket_seconds, RSRQ_CHANNELS).values())
+                for _, s in sorted(series_by_cell.items()))
     train, val, test = split_4_1_1(_by_anchor(per_cell, window))
     return train, val, test, None
 

@@ -8,12 +8,16 @@ can be replayed through the engine; with no missing bucket it produces
 bit-identical predictions to the batch path. The engine buckets records
 under its model's channel layout (`DeepAutoConfig.channels`) with the
 batch path's own rule: `dataprep.bucket_entry` routes each record, and
-`dataprep.bucket_values` closes each bucket.
+`dataprep.bucket_values` closes each bucket. Each cell holds only the rows
+of its last span closed buckets (`WindowSpec.history_span`); each close
+reads its window at once, and `dataprep.lag_windows`, the gather behind
+`make_windows`, turns the windows into model inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -23,7 +27,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dataprep, model as model_mod
-from .dataprep import KpiSeries, Windows, apply_scaler, make_windows
 from .errors import DataError, ModelFormatError, OutOfRangeError
 
 
@@ -47,27 +50,22 @@ class PredictionRecord:
 
 class CellBuffer:
     """Per-cell bucketed state under the channel layout `channels` (a
-    tuple): open (accumulating) and closed buckets.
+    tuple): open (accumulating) buckets, keyed by absolute bucket index
+    (ts // step_seconds), and the rows of the last `span` closed buckets.
 
-    Bucket indices are absolute (ts // step_seconds); closed values are a
-    dict index -> channel vector, contiguous from `oldest` to `last_closed`,
-    evicted beyond the window capacity.
+    Each close records its bucket's window at once, so no later close can
+    push rows out of the buffer before they are read.
     """
 
-    def __init__(self, channels, capacity):
+    def __init__(self, channels, span):
         self.channels = tuple(channels)
-        self.capacity = capacity
-        self.open = {}       # idx -> (sum vector, count vector)
-        self.closed = {}     # idx -> value vector (NaN where missing)
-        self.oldest = None   # earliest bucket added, later the oldest not yet evicted
+        self.open = {}                     # idx -> (sum vector, count vector)
+        self.closed = deque(maxlen=span)   # value vectors (NaN where missing), oldest first
         self.last_closed = None
+        self.empty_run = 0                 # closes in a row with no entry
 
     def add(self, bucket, channel, amount):
         """Add one entry (`dataprep.bucket_entry`) to an open bucket."""
-        # before the first close an earlier bucket may still arrive, and the
-        # first close starts at `oldest`
-        if self.last_closed is None and (self.oldest is None or bucket < self.oldest):
-            self.oldest = bucket
         if bucket not in self.open:
             n = len(self.channels)
             self.open[bucket] = (np.zeros(n), np.zeros(n))
@@ -75,48 +73,41 @@ class CellBuffer:
         sums[channel] += amount
         counts[channel] += 1
 
-    def max_open(self):
-        return max(self.open) if self.open else None
-
     def close_through(self, upto):
         """Close every bucket <= upto (`dataprep.bucket_values`, NaN where
-        missing); returns the closed indices in order."""
-        if self.oldest is None:
-            return []
-        start = self.oldest if self.last_closed is None else self.last_closed + 1
-        closed = []
+        missing), one at a time from the first ever added; returns
+        (anchor, `window()`) for each closed bucket whose anchor, the bucket
+        after it, has a window."""
+        # before the first close every bucket added is still open
+        start = min(self.open, default=upto + 1) if self.last_closed is None \
+            else self.last_closed + 1
+        windows = []
         for b in range(start, upto + 1):
             sums_counts = self.open.pop(b, None)
             if sums_counts is None:
                 row = np.full(len(self.channels), np.nan)
+                self.empty_run += 1
             else:
                 row, missing = dataprep.bucket_values(*sums_counts, self.channels)
                 row[missing] = np.nan
-            self.closed[b] = row
+                self.empty_run = 0
+            self.closed.append(row)
             self.last_closed = b
-            closed.append(b)
-        # evict history beyond what any window can need
-        if self.last_closed is not None:
-            cutoff = self.last_closed - self.capacity
-            for b in range(self.oldest, cutoff):
-                del self.closed[b]
-            self.oldest = max(self.oldest, cutoff)
-        return closed
+            rows = self.window()
+            if rows is not None:
+                windows.append((b + 1, rows))
+        return windows
 
-    def window(self, anchor, span):
-        """(span, C) history rows for indices [anchor-span, anchor); None if
-        the history reaches before the oldest bucket still held (the earliest
-        bucket added, or the oldest not yet evicted), reaches past the last
-        closed bucket, or a channel is all-NaN. Gaps are filled by
-        `dataprep.fill_gaps` within the window only, so a gap at its edge is
-        held flat where the batch path, filling the whole series,
-        interpolates across the edge.
+    def window(self):
+        """(span, C) rows of the last `span` closed buckets, with gaps filled
+        by `dataprep.fill_gaps`; None while fewer are held or while a
+        channel has no value in them. The fill sees only these rows, so a
+        gap at the window's edge is held flat where the batch path, filling
+        the whole series, interpolates across the edge.
         """
-        lo = anchor - span
-        if self.last_closed is None or lo < self.oldest or self.last_closed < anchor - 1:
+        if len(self.closed) < self.closed.maxlen or self.empty_run >= self.closed.maxlen:
             return None
-        # closed buckets are contiguous from the oldest held to last_closed
-        rows = np.array([self.closed[b] for b in range(lo, anchor)])
+        rows = np.array(self.closed)
         missing = np.isnan(rows)
         if missing.any() and dataprep.fill_gaps(rows, missing) is not None:
             return None
@@ -148,18 +139,18 @@ class Engine:
         return cls(params, config, scaler, step_seconds)
 
     def _install(self, params, config, scaler, version):
-        """Swap in a model. Buffers keep their history while the channel
-        layout stays the same, and their capacity follows the new window
-        span; a new layout restarts every buffer empty, so the engine warms
-        up again instead of reading rows of the old layout."""
+        """Swap in a model. Buffers keep the rows they hold while the
+        channel layout stays the same, and then hold as many as the new
+        window spans; a new layout restarts every buffer empty, so the
+        engine warms up again instead of reading rows of the old layout."""
         channels = config.channels
         if self.step_seconds is None:
             self.step_seconds = config.default_step_seconds
-        self.capacity = config.window.history_span() + 2
+        self.span = config.window.history_span()
         if channels != self.channels:
-            self.cells = {cell: CellBuffer(channels, self.capacity) for cell in self.cells}
+            self.cells = {cell: CellBuffer(channels, self.span) for cell in self.cells}
         for buf in self.cells.values():
-            buf.capacity = self.capacity
+            buf.closed = deque(buf.closed, maxlen=self.span)
         self.channels = channels
         self.params = params
         self.config = config
@@ -169,24 +160,29 @@ class Engine:
     # -- ingestion ----------------------------------------------------------
 
     def ingest_line(self, line, arrival=None):
+        """Decode one NDJSON line and `ingest` it; a line that is not JSON
+        counts as malformed."""
         try:
-            rec = dataprep.parse_record(line)
-        except DataError as exc:
-            reason = "out_of_range" if isinstance(exc, OutOfRangeError) else "malformed"
+            rec = dataprep.decode_record(line)
+        except DataError:
             with self._lock:
-                self.counters[reason] += 1
+                self.counters["malformed"] += 1
             return []
         return self.ingest(rec, arrival)
 
     def ingest(self, rec, arrival=None):
-        """Route one record; returns any PredictionRecords it triggered."""
+        """Check one decoded record (`dataprep.check_record`) and route it;
+        returns any PredictionRecords it triggered. A record that fails the
+        check counts as malformed or out of range and is not filed."""
         if arrival is None:
             arrival = time.monotonic()
         with self._lock:
             try:
+                rec = dataprep.check_record(rec)
                 entry = dataprep.bucket_entry(rec, self.channels)
-            except OutOfRangeError:
-                self.counters["out_of_range"] += 1
+            except DataError as exc:
+                reason = "out_of_range" if isinstance(exc, OutOfRangeError) else "malformed"
+                self.counters[reason] += 1
                 return []
             if entry is None:
                 return []  # a topic the layout has no channel for is not an error
@@ -194,7 +190,7 @@ class Engine:
             bucket = rec["ts"] // self.step_seconds
             buf = self.cells.get(rec["cell"])
             if buf is None:
-                buf = CellBuffer(self.channels, self.capacity)
+                buf = CellBuffer(self.channels, self.span)
                 self.cells[rec["cell"]] = buf
 
             if buf.last_closed is not None and bucket <= buf.last_closed:
@@ -202,79 +198,59 @@ class Engine:
                 return []
 
             # a record in a later bucket closes everything before it
-            pending = []
-            prior = buf.max_open()
-            if prior is not None and bucket > prior:
-                self._close(rec["cell"], buf, bucket - 1, pending)
+            closes = []
+            if buf.open and bucket > max(buf.open):
+                closes.append((rec["cell"], buf.close_through(bucket - 1)))
             buf.add(bucket, *entry)
 
             # watermark: the stream as a whole has moved on by >= 2 buckets
             if self.global_max_bucket is None or bucket > self.global_max_bucket:
                 self.global_max_bucket = bucket
-                self._advance_watermark(pending)
-            return self._predict(pending, arrival)
+                closes += self._close_all(bucket - 2)
+            return self._predict(closes, arrival)
 
-    def _advance_watermark(self, pending):
-        horizon = self.global_max_bucket - 2
-        for cell, buf in self.cells.items():
-            tops = buf.max_open()
-            if tops is None:
-                continue
-            upto = min(horizon, tops)
-            last = buf.last_closed if buf.last_closed is not None else buf.oldest - 1
-            if upto > last:
-                self._close(cell, buf, upto, pending)
+    def _close_all(self, horizon):
+        """(cell, `close_through` windows) of every cell with an open bucket,
+        closed through `horizon` or its last open bucket, whichever is
+        earlier."""
+        return [(cell, buf.close_through(min(horizon, max(buf.open))))
+                for cell, buf in self.cells.items() if buf.open]
 
     def flush(self):
         """End of stream: close every open bucket and predict."""
         with self._lock:
             arrival = time.monotonic()
-            pending = []
-            for cell, buf in self.cells.items():
-                top = buf.max_open()
-                if top is not None:
-                    self._close(cell, buf, top, pending)
-            return self._predict(pending, arrival)
+            return self._predict(self._close_all(math.inf), arrival)
 
     # -- prediction ---------------------------------------------------------
 
-    def _close(self, cell, buf, upto, pending):
-        """Close `cell`'s buckets through `upto` and append (cell, anchor,
-        scaled history rows) to `pending` for every anchor that has its full
-        history. The rows are read right after the close, before a later
-        close can evict them."""
-        span = self.config.window.history_span()
-        for closed in buf.close_through(upto):
-            rows = buf.window(closed + 1, span)
-            if rows is None:
-                continue  # still warming up
-            if self.scaler is not None:
-                rows = apply_scaler(rows, self.scaler)
-            pending.append((cell, closed + 1, rows))
-
-    def _predict(self, pending, arrival):
-        """PredictionRecords of the pending anchors, in order: one forward
-        pass per `config.batch_size` of them, which bounds the memory a
-        flush over many cells takes. Cache-free rows are batch-invariant,
-        so every output equals the batch path's bit for bit."""
+    def _predict(self, closes, arrival):
+        """PredictionRecords of the anchors in `closes`, (cell, windows)
+        pairs, in order: one forward pass per `config.batch_size` of them,
+        which bounds the memory a flush over many cells takes. A chunk's
+        histories are joined end to end and scaled at once, and
+        `dataprep.lag_windows`, the gather `make_windows` uses, reads
+        anchors span, 2*span, ... of them. Cache-free rows are
+        batch-invariant, so every output equals the batch path's bit for
+        bit."""
+        pending = [(cell, anchor, rows) for cell, windows in closes for anchor, rows in windows]
         if not pending:
             return []
-        config, step = self.config, self.step_seconds
-        span = config.window.history_span()
+        config, step, span = self.config, self.step_seconds, self.span
         records = []
         for a in range(0, len(pending), config.batch_size):
             chunk = pending[a:a + config.batch_size]
-            # each row's history is a series whose only inference anchor is t = span
-            windows = Windows.concat([
-                make_windows(KpiSeries(cell_id=cell, start_ts=(anchor - span) * step,
-                                       step_seconds=step, channels=self.channels, values=rows,
-                                       missing_mask=np.zeros(rows.shape, dtype=bool)),
-                             config.window, require_targets=False)
-                for cell, anchor, rows in chunk])
+            cells, anchors, histories = zip(*chunk)
+            values = np.concatenate(histories)
+            if self.scaler is not None:
+                values = dataprep.apply_scaler(values, self.scaler)
+            windows = dataprep.lag_windows(values, span * np.arange(1, len(chunk) + 1),
+                                           np.array(cells), step * np.array(anchors),
+                                           config.window)
             outputs, _ = model_mod.forward_batch(windows.arrays, self.params, config,
                                                  cache=False)
             latency_ms = (time.monotonic() - arrival) * 1000.0
-            for (cell, anchor, _), y in zip(chunk, outputs):
+            for cell, anchor, y in zip(cells, anchors, outputs):
                 record = PredictionRecord(
                     cell_id=cell, anchor_ts=anchor * step, outputs=y,
                     output_kind=config.output_kind, horizons=config.horizons,

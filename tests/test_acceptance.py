@@ -21,8 +21,8 @@ from deepauto import evaluation as ev
 from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto import pipeline, stream, synthgen
-from deepauto.dataprep import (EXTERNAL_DIM, KpiSeries, Windows, WindowSpec,
-                               apply_scaler, autocorrelation, fit_scaler,
+from deepauto.dataprep import (EXTERNAL_DIM, RSRQ_CHANNELS, KpiSeries, Windows,
+                               WindowSpec, apply_scaler, autocorrelation, fit_scaler,
                                interpolate_missing, invert_scaler, split_4_1_1,
                                write_records)
 from deepauto.errors import ModelFormatError
@@ -206,7 +206,8 @@ def test_criterion_5_histogram_kl():
     sc = synthgen.SynthConfig(n_cells=5, days=14.0, rsrq_cells=5, seed=SEED)
     records = [r for r in synthgen.generate(sc) if r["topic"] == "rsrq"]
     window = WindowSpec(n_r=8)
-    train_s, val_s, test_s, _ = pipeline.prepare_pdf_dataset(records, window, 300)
+    train_s, val_s, test_s, _ = pipeline.prepare_pdf_dataset(
+        pipeline.load_series(records, 300, RSRQ_CHANNELS), window)
     config = dm.DeepAutoConfig(window=window, input_dim=35, output_kind="pdf",
                                pdf_bins=35, use_external=False,
                                max_epochs=8, patience=8, seed=SEED)

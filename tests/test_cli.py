@@ -260,6 +260,31 @@ def test_grid_on_pdf_config_builds_train_windows(tmp_path, monkeypatch):
         assert np.array_equal(trained.anchor_ts, searched.anchor_ts)
 
 
+def test_grid_on_pdf_config_buckets_records_once(tmp_path, monkeypatch):
+    """A pdf `grid` buckets the RSRQ reports once and shares the series
+    with every candidate."""
+    data = tmp_path / "rsrq.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "2", "--days", "2",
+                    "--rsrq-cells", "2", "--seed", "3"]) == 0
+    config = tmp_path / "pdf.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "input_dim": 35, "output_kind": "pdf",
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 256,
+    }))
+    cand = tmp_path / "cand.json"
+    cand.write_text(json.dumps([{"window": {"n_r": 4}}, {"window": {"n_r": 3}}]))
+
+    calls = []
+    records_to_series = cli.pipeline.records_to_series
+    monkeypatch.setattr(cli.pipeline, "records_to_series",
+                        lambda *a, **kw: calls.append(a[1:]) or records_to_series(*a, **kw))
+    out = tmp_path / "grid.json"
+    assert run_cli(["grid", "--input", str(data), "--config", str(config),
+                    "--candidates", str(cand), "--output", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 2
+    assert calls == [(300, dataprep.RSRQ_CHANNELS)]
+
+
 def test_evaluate_pdf_model_scores_train_test_windows(tmp_path):
     """Without --step-seconds, `evaluate` on a histogram model buckets RSRQ
     reports at 300 s as `train` does, so its KL on the test windows is the
@@ -283,7 +308,8 @@ def test_evaluate_pdf_model_scores_train_test_windows(tmp_path):
     assert rows["deepauto"] == json.loads(report.read_text())["test_metrics"]["kl"]
 
     records, _ = dataprep.read_records(data)
-    _, _, test_s, _ = pipeline.prepare_pdf_dataset(records, dataprep.WindowSpec(n_r=4), 300)
+    _, _, test_s, _ = pipeline.prepare_pdf_dataset(
+        pipeline.load_series(records, 300, dataprep.RSRQ_CHANNELS), dataprep.WindowSpec(n_r=4))
     assert rows["naive"] == nn.kl_loss(test_s.arrays["target"], test_s.arrays["recent"][:, -1])
 
 

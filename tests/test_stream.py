@@ -33,72 +33,82 @@ def rec(topic, cell, bucket, value, step=900, offset=0):
 
 
 def test_buffer_duplicate_records_averaged():
-    buf = stream.CellBuffer(("load",), capacity=10)
+    buf = stream.CellBuffer(("load",), span=1)
     buf.add(0, 0, 0.4)
     buf.add(0, 0, 0.6)
-    assert buf.close_through(0) == [0]
-    assert buf.closed[0][0] == pytest.approx(0.5)
+    assert [anchor for anchor, _ in buf.close_through(0)] == [1]
+    assert buf.closed[-1][0] == pytest.approx(0.5)
 
 
 def test_buffer_window_warming_and_gaps():
-    buf = stream.CellBuffer(("load",), capacity=10)
-    for b, v in [(0, 1.0), (2, 3.0)]:  # bucket 1 empty
-        buf.add(b, 0, v)
-    buf.close_through(2)
-    assert buf.window(3, 4) is None        # would reach before first bucket
-    rows = buf.window(3, 3)
+    short, long = stream.CellBuffer(("load",), span=3), stream.CellBuffer(("load",), span=4)
+    for buf in (short, long):
+        for b, v in [(0, 1.0), (2, 3.0)]:  # bucket 1 empty
+            buf.add(b, 0, v)
+        assert buf.close_through(1) == [] and buf.window() is None  # warming up
+    assert long.close_through(2) == [] and long.window() is None  # 3 of 4 rows held
+    (anchor, rows), = short.close_through(2)
+    assert anchor == 3
     np.testing.assert_allclose(rows[:, 0], [1.0, 2.0, 3.0])  # gap interpolated
-    assert buf.window(4, 3) is None        # bucket 3 not closed yet
+    assert short.window().tobytes() == rows.tobytes()
 
 
 def test_buffer_all_missing_channel_not_ready():
-    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=10)
+    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=2)
     buf.add(0, 0, 1.0)
     buf.add(1, 0, 2.0)
-    buf.close_through(1)
-    assert buf.window(2, 2) is None  # channel 1 never observed
+    assert buf.close_through(1) == []
+    assert buf.window() is None  # channel 1 never observed
 
 
 def test_buffer_window_fill_matches_fill_gaps():
-    """A window with gaps is the stored rows filled by `dataprep.fill_gaps`,
-    bit for bit."""
+    """Every window a close records is the rows held filled by
+    `dataprep.fill_gaps`, bit for bit."""
     rng = np.random.default_rng(4)
-    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=40)
     raw = rng.uniform(size=(30, 2))
     observed = rng.random((30, 2)) >= 0.3
     observed[[0, 12, 29]] = True
-    for b in range(30):
-        for ch in range(2):
-            if observed[b, ch]:
-                buf.add(b, ch, raw[b, ch])
-    buf.close_through(29)
-    for anchor, span in [(30, 30), (20, 8), (13, 1)]:
-        stored = np.array([buf.closed[b] for b in range(anchor - span, anchor)])
-        expected = stored.copy()
-        assert dataprep.fill_gaps(expected, np.isnan(stored)) is None
-        assert buf.window(anchor, span).tobytes() == expected.tobytes()
+    for span in (30, 8, 1):
+        buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=span)
+        for b in range(30):
+            for ch in range(2):
+                if observed[b, ch]:
+                    buf.add(b, ch, raw[b, ch])
+        for b in range(30):
+            got = buf.close_through(b)
+            stored = np.array(buf.closed)
+            expected = stored.copy()
+            if len(stored) < span or dataprep.fill_gaps(expected, np.isnan(stored)) is not None:
+                assert got == []
+                continue
+            (anchor, rows), = got
+            assert anchor == b + 1 and rows.tobytes() == expected.tobytes()
+        assert anchor == 30
 
 
 def test_buffer_window_holds_leading_gap_flat():
     """A gap at the start of a window is filled from inside the window only:
     held flat at the first present row, not interpolated from the bucket
     before the window as `interpolate_missing` over the whole series does."""
-    buf = stream.CellBuffer(("load",), capacity=10)
-    for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
-        buf.add(b, 0, v)
-    buf.close_through(3)
-    np.testing.assert_array_equal(buf.window(4, 4)[:, 0], [0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(buf.window(4, 3)[:, 0], [3.0, 3.0, 3.0])
+    windows = {}
+    for span in (4, 3):
+        buf = stream.CellBuffer(("load",), span=span)
+        for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
+            buf.add(b, 0, v)
+        windows[span] = dict(buf.close_through(3))
+    np.testing.assert_array_equal(windows[4][4][:, 0], [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(windows[3][4][:, 0], [3.0, 3.0, 3.0])
 
 
 def test_buffer_window_without_gaps_is_the_stored_rows():
-    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, capacity=10)
+    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=4)
     for b in range(5):
         buf.add(b, 0, 0.1 * b)
         buf.add(b, 1, 1.0 - 0.1 * b)
     buf.close_through(4)
-    rows = buf.window(5, 4)
-    assert rows.tobytes() == np.array([buf.closed[b] for b in range(1, 5)]).tobytes()
+    rows = buf.window()
+    assert rows.tobytes() == np.array(buf.closed).tobytes()
+    np.testing.assert_array_equal(rows[:, 0], 0.1 * np.arange(1, 5))
 
 
 def test_engine_step_defaults_to_config_bucket_width():
@@ -112,18 +122,17 @@ def test_engine_step_defaults_to_config_bucket_width():
 
 
 def test_buffer_eviction():
-    buf = stream.CellBuffer(("load",), capacity=3)
+    buf = stream.CellBuffer(("load",), span=3)
     for b in range(10):
         buf.add(b, 0, float(b))
     buf.close_through(9)
-    assert 0 not in buf.closed and 9 in buf.closed
-    assert len(buf.closed) <= 4
+    assert [row[0] for row in buf.closed] == [7.0, 8.0, 9.0]
 
 
 def test_buffer_rsrq_layout_closes_bin_shares():
     """Under the RSRQ layout a closed bucket holds each bin's share of its
     reports, and a bucket with no report is NaN in every bin."""
-    buf = stream.CellBuffer(dataprep.RSRQ_CHANNELS, capacity=5)
+    buf = stream.CellBuffer(dataprep.RSRQ_CHANNELS, span=5)
     for value in (0, 2, 2, 2):
         buf.add(0, *dataprep.bucket_entry(rec("rsrq", "A", 0, value, step=300),
                                           dataprep.RSRQ_CHANNELS))
@@ -203,6 +212,25 @@ def test_engine_counts_out_of_range_apart_from_malformed():
     assert h["ingested"] == 0
 
 
+def test_ingest_checks_dicts_as_ingest_line_checks_lines():
+    """`ingest` rejects and counts every dict that `ingest_line` rejects as
+    a line, and files nothing for them."""
+    bad = [{"topic": "load", "cell": "A", "ts": 0, "value": 7.0},
+           {"topic": "ue", "cell": "A", "ts": 0, "value": -3.0},
+           {"topic": "load", "cell": "A", "ts": 0, "value": float("nan")},
+           {"topic": "load", "cell": "A", "ts": 0, "value": True},
+           {"topic": "load", "cell": "A", "ts": -5.5, "value": 0.5}]
+    params, config = zero_model()
+    by_dict, by_line = (stream.Engine(params, config, scaler=None) for _ in range(2))
+    for r in bad:
+        assert by_dict.ingest(r) == []
+        assert by_line.ingest_line(json.dumps(r)) == []
+    for eng in (by_dict, by_line):
+        h = eng.health()
+        assert (h["ingested"], h["out_of_range"], h["malformed"]) == (0, 2, 3)
+        assert eng.cells == {}
+
+
 def test_engine_counts_huge_integer_value_as_malformed():
     """A value too large for a float is a malformed line, counted, and the
     line after it still ingests."""
@@ -216,10 +244,10 @@ def test_engine_counts_huge_integer_value_as_malformed():
 
 
 def test_long_gap_ingests_in_linear_time():
-    """A 2e5-bucket gap in one cell closes in one pass (the oldest held
-    bucket is an int, not a walk over the dict's deleted slots), holds no
-    more than the window capacity, and once the window has refilled the
-    cell predicts what a fresh engine fed only the post-gap records does."""
+    """A 2e5-bucket gap in one cell closes in one pass (a window of empty
+    rows is refused without reading them), holds no more than the window
+    spans, and once the window has refilled the cell predicts what a fresh
+    engine fed only the post-gap records does."""
     config = dm.DeepAutoConfig(window=WindowSpec(n_r=3), input_dim=2, horizons=(1, 8),
                                hidden_r=4, ext_embed_dim=2)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(2))
@@ -235,7 +263,7 @@ def test_long_gap_ingests_in_linear_time():
     preds = feed(eng, records(after))
     assert time.perf_counter() - start < 10.0  # ~0.3 s; the dict walk took ~28 s
     buf = eng.cells["A"]
-    assert len(buf.closed) <= eng.capacity + 1 and buf.oldest == min(buf.closed)
+    assert len(buf.closed) <= eng.span
 
     fresh = stream.Engine(params, config, scaler=None)
     expected = feed(fresh, records(after))
@@ -244,6 +272,45 @@ def test_long_gap_ingests_in_linear_time():
     assert list(tail) == [p.anchor_ts for p in expected]
     for p in expected:
         np.testing.assert_array_equal(tail[p.anchor_ts], p.outputs)
+
+
+@pytest.mark.parametrize("with_steady_cell", [False, True])
+def test_gap_keeps_every_anchor_with_an_observed_bucket(with_steady_cell):
+    """Cell A reports buckets 0-19, is silent for G buckets, then reports
+    again; alone, or next to a cell B that reports throughout. For every G
+    the engine predicts exactly the anchors whose window holds an observed
+    bucket, and every anchor whose window misses no bucket as
+    `predict_samples` does, bit for bit."""
+    step, window = 900, WindowSpec(n_r=4)
+    span = window.history_span()
+    config = dm.DeepAutoConfig(window=window, input_dim=2, horizons=(1, 8), hidden_r=3,
+                               ext_embed_dim=2)
+    params = dm.DeepAutoParams.init(config, np.random.default_rng(43))
+    scaler = fit_scaler(np.array([[0.0, 0.0], [1.0, 40.0]]), ("load", "ue"))
+    for gap in range(1, 2 * span + 3):
+        end = 20 + gap + 2 * span
+        observed = {"A": set(range(20)) | set(range(20 + gap, end))}
+        if with_steady_cell:
+            observed["B"] = set(range(end))
+        records = [r for b in range(end) for cell in sorted(observed) if b in observed[cell]
+                   for r in varying_records((cell,), (b,))]
+
+        eng = stream.Engine(params, config, scaler, step_seconds=step)
+        online = {(p.cell_id, p.anchor_ts // step): p.outputs
+                  for p in feed(eng, records) + eng.flush()}
+        expected = {(cell, a) for cell, seen in observed.items()
+                    for a in range(span, end + 1) if seen & set(range(a - span, a))}
+        assert set(online) == expected, gap
+
+        samples = pipeline.prediction_samples(pipeline.load_series(records, step), window,
+                                              scaler)
+        offline = dict(zip(((c, ts // step) for c, ts in samples),
+                           dm.predict_samples(samples, params, config)))
+        full = [(cell, a) for cell, a in expected
+                if set(range(a - span, a)) <= observed[cell]]
+        assert len(full) >= 2 * (span + 1)
+        for key in full:
+            assert online[key].tobytes() == offline[key].tobytes(), (gap, key)
 
 
 def test_watermark_closes_stalled_cells():
@@ -354,9 +421,9 @@ def test_reload_to_longer_window_never_reads_evicted_rows(tmp_path):
     fresh = stream.Engine.from_file(path)
     reference = {(p.cell_id, p.anchor_ts): p.outputs
                  for p in feed(fresh, varying_records(("A", "B"), range(40))) + fresh.flush()}
-    # rows up to bucket 13 were evicted under the short window (capacity 4),
-    # so anchor 22 (window 14..21) is the first the long model may predict
-    assert min(p.anchor_ts for p in after) == 22 * 900
+    # the short window held buckets 17 and 18 at the reload, so anchor 25
+    # (window 17..24) is the first the long model may predict
+    assert min(p.anchor_ts for p in after) == 25 * 900
     assert {p.model_version for p in after} == {2}
     for p in after:
         assert p.outputs.tobytes() == reference[(p.cell_id, p.anchor_ts)].tobytes()
