@@ -202,9 +202,17 @@ def cmd_predict(args):
     records = dataprep.iter_records(args.input, rejected)
     step = args.step_seconds or config.default_step_seconds
     try:
-        series = pipeline.load_series(records, step, config.channels)
+        series = dataprep.records_to_series(records, step, config.channels)
     finally:
         _warn_rejected(args.input, len(rejected))
+    # a cell with a channel that holds no value has no window, as in the
+    # engine: it is skipped, where load_series fails the whole file
+    dead = sorted(cell for cell, s in series.items() if s.missing_mask.all(axis=0).any())
+    if dead:
+        log.warning("skipped %d cells with an entirely missing channel: %s",
+                    len(dead), ", ".join(dead))
+    series = {cell: dataprep.interpolate_missing(s)
+              for cell, s in series.items() if cell not in dead}
     samples = pipeline.prediction_samples(series, config.window, scaler)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     try:

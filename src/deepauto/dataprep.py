@@ -17,6 +17,7 @@ call the two functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ RSRQ_CHANNELS = tuple(f"rsrq_{k}" for k in range(RSRQ_BINS))
 # external feature vector layout: one-hot day-of-week (7), hour sin/cos,
 # minute sin/cos, then normalized band/power/bandwidth
 EXTERNAL_DIM = 14
+WEEK_SECONDS = 7 * 86400
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,21 @@ def external_features(ts):
     return feats
 
 
+# the features depend on a timestamp only through its second of the week;
+# one entry per minute of the week covers every bucket width of a minute or more
+@functools.lru_cache(maxsize=WEEK_SECONDS // 60)
+def _external_row(sec_of_week):
+    return tuple(external_features(sec_of_week).tolist())
+
+
+def external_block(anchor_ts):
+    """(N, EXTERNAL_DIM) `external_features` rows of the timestamps
+    `anchor_ts` (N,), bit for bit, each looked up by its second of the week
+    in a cache of rows."""
+    rows = [_external_row(ts % WEEK_SECONDS) for ts in anchor_ts.tolist()]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), EXTERNAL_DIM)
+
+
 # ---------------------------------------------------------------------------
 # windowing
 
@@ -483,41 +500,43 @@ def aggregate_targets(values, t, horizons=(1, 15, 60)):
 def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
     """Windows without targets: each branch's lags of the rows `values`
     (T, C) before each index in `anchors` (N,), and the external features of
-    `anchor_ts` (N,). Every lag must fall inside `values`."""
+    `anchor_ts` (N,) (`external_block`). Every lag must fall inside
+    `values`."""
     # one gather per branch keeps each (N, lags, C) array C-contiguous
     arrays = {}
     for name, offsets in zip(("recent", "periodic", "seasonal"), spec.lag_indices(0)):
         if offsets:
             arrays[name] = values[anchors[:, None] + np.asarray(offsets)]
-    external = np.empty((len(anchors), EXTERNAL_DIM))
-    for k, ts in enumerate(anchor_ts.tolist()):
-        external[k] = external_features(ts)
-    arrays["external"] = external
+    arrays["external"] = external_block(anchor_ts)
     return Windows(arrays, cell_ids, anchor_ts)
+
+
+def window_anchors(length, spec, horizons, require_targets, pdf_target):
+    """The anchor indices `make_windows` builds for a series of `length`
+    steps, with the same arguments: from spec.history_span(), the first
+    whose lags all fall inside the series, to the last whose horizons end
+    inside it. Without targets the last anchor is `length`, which predicts
+    past the last observed step; a pdf target is the row at the anchor."""
+    if not require_targets:
+        last = length
+    elif pdf_target:
+        last = length - 1
+    else:
+        if min(horizons) < 1:
+            raise ShapeError("horizons must be >= 1")
+        last = length - max(horizons)
+    return np.arange(spec.history_span(), last + 1)
 
 
 def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
                  require_targets=True, pdf_target=False):
-    """`lag_windows` plus targets for every feasible anchor of one series.
-
-    Anchors run from spec.history_span(), the first whose lags all fall
-    inside the series, to the last whose horizons end inside it; without
-    targets the last anchor is T, which predicts past the last observed
-    step. With `pdf_target` the target is the full channel row at the
-    anchor (histogram prediction) and `horizons`/`target_channel` are
+    """`lag_windows` plus targets for every feasible anchor of one series
+    (`window_anchors`). With `pdf_target` the target is the full channel row
+    at the anchor (histogram prediction) and `horizons`/`target_channel` are
     ignored; otherwise the targets equal aggregate_targets' bit for bit.
     """
     values = series.values
-    T = series.length
-    if not require_targets:
-        last = T
-    elif pdf_target:
-        last = T - 1
-    else:
-        if min(horizons) < 1:
-            raise ShapeError("horizons must be >= 1")
-        last = T - max(horizons)
-    anchors = np.arange(spec.history_span(), last + 1)
+    anchors = window_anchors(series.length, spec, horizons, require_targets, pdf_target)
     windows = lag_windows(values, anchors, np.full(len(anchors), series.cell_id),
                           series.timestamp(anchors), spec)
     if require_targets:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles, deliberately written with the stdlib
 `math` module and plain loops so they share no code with the package (the
 record-parser oracle raises the package's error classes, nothing more).
-The BPTT oracle is NumPy: what it pins is the order of the batch sums.
+The BPTT oracle is NumPy: what it pins is the order of the batch sums. The
+window-assembly oracle is the package's earlier two-copy assembly, built
+on `Windows.concat`: what it pins is the row order of a batch.
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -12,6 +14,7 @@ import math
 
 import numpy as np
 
+from deepauto.dataprep import Windows
 from deepauto.errors import DataError, OutOfRangeError
 
 
@@ -249,3 +252,14 @@ def lstm_backward_axis_sums(caches, dh_final, p):
         dh = np.matmul(da, p.W_h).sum(axis=0)
         dc_carry = dc * f + da_i * p.w_peep[0] + da_f * p.w_peep[1]
     return g
+
+
+def windows_by_anchor(parts, first_anchor):
+    """The rows of the per-cell Windows `parts`, given in cell-id order with
+    each cell's anchors running contiguously from `first_anchor` (as
+    make_windows builds them), in (anchor index, cell id) order: all parts
+    concatenated, then taken in a stable argsort on anchor index. Returns
+    (windows, their anchor indices)."""
+    t = np.concatenate([np.arange(len(w)) for w in parts]) + first_anchor
+    order = np.argsort(t, kind="stable")
+    return Windows.concat(parts)[order], t[order]

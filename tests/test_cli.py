@@ -193,6 +193,55 @@ def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
     assert out.read_text() == clean.read_text()
 
 
+def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
+    """A cell whose `ue` channel holds no value has no window, as in the
+    engine: predict skips it with one warning naming it, and every other
+    cell's lines are those of a file without that cell. train, evaluate and
+    grid still fail on the file."""
+    data = tmp_path / "data.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "3", "--days", "1",
+                    "--seed", "5"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "input_dim": 2, "horizons": [1, 4],
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 256,
+    }))
+    model = tmp_path / "model.bin"
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(model)]) == 0
+
+    records, _ = dataprep.read_records(data)
+    dead_ue = tmp_path / "dead_ue.ndjson"
+    dataprep.write_records(dead_ue, [r for r in records
+                                     if (r["cell"], r["topic"]) != ("cell_0000", "ue")])
+    without = tmp_path / "without.ndjson"
+    dataprep.write_records(without, [r for r in records if r["cell"] != "cell_0000"])
+    outputs, warnings = {}, {}
+    for path in (dead_ue, without):
+        caplog.clear()
+        out = tmp_path / f"{path.stem}.pred"
+        with caplog.at_level("WARNING", logger="deepauto"):
+            assert run_cli(["predict", "--model", str(model), "--input", str(path),
+                            "--output", str(out)]) == 0
+        outputs[path.stem] = out.read_text()
+        warnings[path.stem] = [r.getMessage() for r in caplog.records]
+    assert outputs["dead_ue"] == outputs["without"]
+    assert len(outputs["dead_ue"].splitlines()) == 2 * (96 - 4 + 1)
+    assert warnings == {
+        "dead_ue": ["skipped 1 cells with an entirely missing channel: cell_0000"],
+        "without": []}
+
+    candidates = tmp_path / "cand.json"
+    candidates.write_text(json.dumps([{"window": {"n_r": 4}}]))
+    capsys.readouterr()
+    for argv in (["train", "--config", str(config), "--model", str(tmp_path / "m.bin")],
+                 ["evaluate", "--model", str(model)],
+                 ["grid", "--config", str(config), "--candidates", str(candidates),
+                  "--output", str(tmp_path / "grid.json")]):
+        assert run_cli(argv + ["--input", str(dead_ue)]) == 2
+        assert "cell cell_0000: channel 'ue' is entirely missing" in capsys.readouterr().err
+
+
 def test_predict_pdf_model(tmp_path):
     """A histogram model predicts from the per-cell RSRQ series: one line
     per inference window, each a 35-bin distribution."""

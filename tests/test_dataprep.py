@@ -377,6 +377,31 @@ def test_external_features_day_cycle():
     np.testing.assert_array_equal(a[:11], b[:11])
 
 
+WEEK = 7 * 86400
+INT64 = st.integers(-2**63, 2**63 - 1)
+# day and week boundaries, either side of 2**31 (2038), and the int64 ends
+EDGES = st.builds(lambda k, unit, d: k * unit + d, st.integers(-3000, 3000),
+                  st.sampled_from([86400, WEEK, 2**31, 2**62]), st.integers(-1, 1)).filter(
+    lambda ts: -2**63 <= ts < 2**63)
+
+
+@given(st.lists(st.one_of(INT64, EDGES), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_external_block_equals_stacked_external_features(ts):
+    """The cached block is the features of each timestamp, bit for bit:
+    they depend on it only through its second of the week."""
+    ts = np.array(ts, dtype=np.int64)
+    block = dp.external_block(ts)
+    stacked = np.array([dp.external_features(t) for t in ts.tolist()]).reshape(
+        len(ts), dp.EXTERNAL_DIM)
+    assert block.dtype == np.float64 and block.shape == (len(ts), dp.EXTERNAL_DIM)
+    assert np.array_equal(block, stacked) and block.tobytes() == stacked.tobytes()
+
+
+def test_external_block_of_no_timestamps():
+    assert dp.external_block(np.empty(0, np.int64)).shape == (0, dp.EXTERNAL_DIM)
+
+
 # ---------------------------------------------------------------------------
 # windowing
 
