@@ -2,6 +2,13 @@
 training, grid search, evaluation, ACF analysis, batch prediction, and the
 streaming service.
 
+A model's config (`DeepAutoConfig`) says how it reads records: its window,
+its channel layout, and the bucket width (`step_seconds`) that gives each
+window step its length. `prepare`, `train` and `grid` read it from the
+--config JSON; `evaluate`, `predict` and `serve` from the model file. Only
+`generate` and `acf`, which have no model, take --step-seconds. A record
+line that is not UTF-8 JSON is counted and skipped.
+
 Exit codes: 0 success, 1 usage error, 2 data/model error. Reports are
 machine-readable JSON first; human tables go to stdout where useful.
 """
@@ -38,7 +45,6 @@ def _load_config(path, **overrides):
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc.setdefault("input_dim", 2)
     doc.setdefault("window", {"n_r": 8})
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return DeepAutoConfig.from_dict(doc)
@@ -82,14 +88,13 @@ def _load_records(path):
 def _split_builder(args, config):
     """Read --input and return build(cfg) -> (train, val, test, scaler) for
     any config of `config`'s output kind, from series bucketed once for every
-    build, under its channel layout, at --step-seconds or the config's
-    default width: histogram windows for pdf models, otherwise load windows."""
-    step = args.step_seconds or config.default_step_seconds
-    series = pipeline.load_series(_load_records(args.input), step, config.channels)
+    build, under its channel layout, at its bucket width: histogram windows
+    for pdf models, otherwise load windows."""
+    series = pipeline.load_series(_load_records(args.input), config.step_seconds,
+                                  config.channels)
     if config.output_kind == "pdf":
         return lambda cfg: pipeline.prepare_pdf_dataset(series, cfg.window)
-    return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons,
-                                                     target_channel=cfg.target_channel)
+    return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons)
 
 
 def _build_splits(args, config):
@@ -151,7 +156,7 @@ def cmd_grid(args):
 
 def cmd_evaluate(args):
     params, config, _ = model_mod.load_file(args.model)
-    train_s, val_s, test_s, split_scaler = _build_splits(args, config)
+    train_s, val_s, test_s, _ = _build_splits(args, config)
     Y = test_s.arrays["target"]
     yhat = model_mod.predict_samples(test_s, params, config)
     naive = test_s.arrays["recent"][:, -1]
@@ -162,7 +167,7 @@ def cmd_evaluate(args):
         ]})
         return 0
 
-    col = split_scaler.channels.index(config.target_channel)
+    col = config.channels.index("load")
     naive = np.repeat(naive[:, col][:, None], Y.shape[1], axis=1)
 
     fit_s = dataprep.Windows.concat([train_s, val_s])
@@ -200,9 +205,8 @@ def cmd_predict(args):
     # the records stream from the file into the series, never held as a list
     rejected = []
     records = dataprep.iter_records(args.input, rejected)
-    step = args.step_seconds or config.default_step_seconds
     try:
-        series = dataprep.records_to_series(records, step, config.channels)
+        series = dataprep.records_to_series(records, config.step_seconds, config.channels)
     finally:
         _warn_rejected(args.input, len(rejected))
     # a cell with a channel that holds no value has no window, as in the
@@ -232,7 +236,7 @@ def _parse_addr(text):
 
 
 def cmd_serve(args):
-    engine = stream.Engine.from_file(args.model, step_seconds=args.step_seconds)
+    engine = stream.Engine.from_file(args.model)
     host, port = _parse_addr(args.listen_http)
     httpd = stream.make_http_server(engine, host, port)
     http_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -249,8 +253,8 @@ def cmd_serve(args):
 
     try:
         if args.listen_ingest == "stdin":
-            for line in sys.stdin:
-                if line.strip():
+            for line in sys.stdin.buffer:
+                if not dataprep.is_blank(line):
                     emit(engine.ingest_line(line))
             emit(engine.flush())
             if args.hold:
@@ -260,9 +264,8 @@ def cmd_serve(args):
 
             class IngestHandler(socketserver.StreamRequestHandler):
                 def handle(self):
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8", errors="replace").strip()
-                        if line:
+                    for line in self.rfile:
+                        if not dataprep.is_blank(line):
                             emit(engine.ingest_line(line))
 
             ihost, iport = _parse_addr(args.listen_ingest)
@@ -281,6 +284,11 @@ def cmd_serve(args):
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+CONFIG_HELP = ("JSON of DeepAutoConfig fields: the window, step_seconds (bucket width, "
+               "default 900, or 300 for pdf models) and hyperparameters")
+MODEL_HELP = "model file; its config gives the window and the bucket width"
 
 
 def build_parser():
@@ -306,19 +314,18 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--step-seconds", type=int, default=None)
         for flag in extra:
-            p.add_argument(f"--{flag}", required=flag not in ("config", "report"))
+            p.add_argument(f"--{flag}", required=flag not in ("config", "report"),
+                           help=CONFIG_HELP if flag == "config" else None)
         if name == "train":
             p.add_argument("--threshold", type=float, default=0.7)
         p.set_defaults(func=func)
 
     p = sub.add_parser("evaluate")
     p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, help=MODEL_HELP)
     p.add_argument("--output", default=None)
     p.add_argument("--threshold", type=float, default=0.7)
-    p.add_argument("--step-seconds", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("acf")
@@ -330,20 +337,18 @@ def build_parser():
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("predict")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, help=MODEL_HELP)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--step-seconds", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("serve")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, help=MODEL_HELP)
     p.add_argument("--listen-ingest", default="stdin",
                    help='"stdin" or host:port for NDJSON over TCP')
     p.add_argument("--listen-http", default="127.0.0.1:8080")
     p.add_argument("--firehose", default=None,
                    help="optional path/FIFO receiving NDJSON predictions")
-    p.add_argument("--step-seconds", type=int, default=None)
     p.add_argument("--hold", action="store_true",
                    help="keep serving HTTP after stdin closes")
     p.set_defaults(func=cmd_serve)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -48,6 +48,13 @@ WEEK_SECONDS = 7 * 86400
 
 _decode_json = json.JSONDecoder().raw_decode
 JSON_WHITESPACE = " \t\n\r"
+_JSON_WHITESPACE_BYTES = JSON_WHITESPACE.encode()
+
+
+def is_blank(line):
+    """Whether a raw NDJSON line (bytes) holds nothing but JSON whitespace:
+    such lines are skipped, not counted as records."""
+    return not line.strip(_JSON_WHITESPACE_BYTES)
 
 
 def parse_record(line):
@@ -119,16 +126,15 @@ def rsrq_bin(value):
 
 def iter_records(path, rejected):
     """Yield the parsed records of an NDJSON file one at a time, appending
-    the 1-based line number of every line that fails to parse to the list
-    `rejected`; blank lines are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    the 1-based line number of every line that is not UTF-8 or fails to
+    parse to the list `rejected`; lines of JSON whitespace are skipped."""
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if is_blank(line):
                 continue
             try:
-                rec = parse_record(line)
-            except DataError:
+                rec = parse_record(line.decode("utf-8"))
+            except (UnicodeDecodeError, DataError):
                 rejected.append(number)
                 continue
             yield rec
@@ -428,8 +434,7 @@ class WindowSpec:
         return recent, periodic, seasonal
 
     def to_dict(self):
-        return {"n_r": self.n_r, "n_p": self.n_p, "n_s": self.n_s,
-                "period_steps": self.period_steps, "season_steps": self.season_steps}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -528,12 +533,12 @@ def window_anchors(length, spec, horizons, require_targets, pdf_target):
     return np.arange(spec.history_span(), last + 1)
 
 
-def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
-                 require_targets=True, pdf_target=False):
+def make_windows(series, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False):
     """`lag_windows` plus targets for every feasible anchor of one series
     (`window_anchors`). With `pdf_target` the target is the full channel row
-    at the anchor (histogram prediction) and `horizons`/`target_channel` are
-    ignored; otherwise the targets equal aggregate_targets' bit for bit.
+    at the anchor (histogram prediction) and `horizons` is ignored;
+    otherwise the targets are the series' "load" column aggregated as
+    aggregate_targets does, bit for bit.
     """
     values = series.values
     anchors = window_anchors(series.length, spec, horizons, require_targets, pdf_target)
@@ -543,7 +548,7 @@ def make_windows(series, spec, horizons=(1, 15, 60), target_channel="load",
         if pdf_target:
             windows.arrays["target"] = values[anchors]
         else:
-            col = values[:, series.channel_index(target_channel)]
+            col = values[:, series.channel_index("load")]
             windows.arrays["target"] = np.stack(
                 [col[anchors[:, None] + np.arange(h)].mean(axis=1) for h in horizons], axis=1)
     return windows

@@ -12,7 +12,7 @@ import json
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -39,8 +39,12 @@ V1_GATES = {
 
 @dataclass
 class DeepAutoConfig:
+    """How a model reads records and what it learns from them: the window
+    layout, the bucket width that gives its steps a length, and the
+    hyperparameters. Model files carry it."""
+
     window: WindowSpec
-    input_dim: int
+    input_dim: int = None           # len(channels) when not given
     output_kind: str = "horizons"   # "horizons" | "pdf"
     horizons: tuple = (1, 15, 60)
     pdf_bins: int = 35
@@ -56,7 +60,7 @@ class DeepAutoConfig:
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    target_channel: str = "load"
+    step_seconds: int = None        # 300 for pdf models, 900 otherwise, when not given
 
     def __post_init__(self):
         if isinstance(self.window, dict):
@@ -64,6 +68,12 @@ class DeepAutoConfig:
         self.horizons = tuple(int(h) for h in self.horizons)
         if self.output_kind not in ("horizons", "pdf"):
             raise ConfigError(f"unknown output kind {self.output_kind!r}")
+        if self.input_dim is None:
+            self.input_dim = len(self.channels)
+        if self.step_seconds is None:
+            self.step_seconds = 300 if self.output_kind == "pdf" else 900
+        if self.step_seconds <= 0:
+            raise ConfigError("step_seconds must be positive")
         if self.input_dim <= 0 or self.ext_embed_dim <= 0 or self.fusion_hidden <= 0:
             raise ConfigError("dims must be positive")
         if min(self.hidden_r, self.hidden_p, self.hidden_s) <= 0:
@@ -76,12 +86,6 @@ class DeepAutoConfig:
     @property
     def out_dim(self):
         return len(self.horizons) if self.output_kind == "horizons" else self.pdf_bins
-
-    @property
-    def default_step_seconds(self):
-        """Bucket width when none is given: 300 s for RSRQ histogram (pdf)
-        models, 900 s for load models."""
-        return 300 if self.output_kind == "pdf" else 900
 
     @property
     def channels(self):
@@ -101,32 +105,17 @@ class DeepAutoConfig:
         return dim
 
     def to_dict(self):
-        return {
-            "window": self.window.to_dict(),
-            "input_dim": self.input_dim,
-            "output_kind": self.output_kind,
-            "horizons": list(self.horizons),
-            "pdf_bins": self.pdf_bins,
-            "use_external": self.use_external,
-            "hidden_r": self.hidden_r,
-            "hidden_p": self.hidden_p,
-            "hidden_s": self.hidden_s,
-            "ext_embed_dim": self.ext_embed_dim,
-            "fusion_hidden": self.fusion_hidden,
-            "alpha": self.alpha,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-            "target_channel": self.target_channel,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a dict of its fields. Files written before the
+        target was fixed to the load channel name it as "target_channel";
+        that key is dropped, and any other target raises ConfigError."""
         d = dict(d)
-        d["window"] = WindowSpec.from_dict(d["window"])
-        d["horizons"] = tuple(d.get("horizons", (1, 15, 60)))
+        target = d.pop("target_channel", "load")
+        if target != "load":
+            raise ConfigError(f"unsupported target_channel {target!r}: the target is 'load'")
         return cls(**d)
 
 
@@ -338,16 +327,7 @@ class TrainReport:
     test_metrics: dict = None
 
     def to_dict(self):
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "wall_seconds": self.wall_seconds,
-            "epoch_seconds": self.epoch_seconds,
-            "config": self.config,
-            "test_metrics": self.test_metrics,
-        }
+        return asdict(self)
 
 
 def _compute_copy(params):
@@ -439,10 +419,7 @@ def grid_search(build_samples, candidates, base_config):
         raise ConfigError("grid needs at least one candidate")
     rows = []
     for spec, use_external in candidates:
-        cfg_dict = base_config.to_dict()
-        cfg_dict["window"] = spec.to_dict()
-        cfg_dict["use_external"] = bool(use_external)
-        config = DeepAutoConfig.from_dict(cfg_dict)
+        config = replace(base_config, window=spec, use_external=bool(use_external))
         row = {"window": spec.to_dict(), "use_external": bool(use_external)}
         try:
             train_s, val_s = build_samples(config)
@@ -538,9 +515,11 @@ def load(blob):
     try:
         config = DeepAutoConfig.from_dict(json.loads(_unpack_str(fh, "config")))
         scaler_doc = json.loads(_unpack_str(fh, "scaler"))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        scaler = ScalerParams.from_dict(scaler_doc) if scaler_doc is not None else None
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ModelFormatError(f"bad embedded JSON: {exc}") from exc
-    scaler = ScalerParams.from_dict(scaler_doc) if scaler_doc is not None else None
+    except (ConfigError, ShapeError) as exc:
+        raise ModelFormatError(f"bad embedded config: {exc}") from exc
 
     (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
     tensors = {}

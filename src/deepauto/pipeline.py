@@ -77,7 +77,7 @@ def _in_anchor_order(cells, order, windows_of):
     return batch
 
 
-def prepare_load_dataset(series_by_cell, window, horizons, target_channel="load"):
+def prepare_load_dataset(series_by_cell, window, horizons):
     """Build scaled Windows across cells, in (anchor index, cell id) order,
     with a 4:1:1 temporal split.
 
@@ -95,7 +95,7 @@ def prepare_load_dataset(series_by_cell, window, horizons, target_channel="load"
     scaler = fit_scaler(train_rows, cells[0].channels)
 
     samples = _in_anchor_order(cells, order, lambda s: make_windows(
-        _scaled(s, scaler), window, target_channel=target_channel, **rule))
+        _scaled(s, scaler), window, **rule))
     train, val, test = split_4_1_1(samples)
     return train, val, test, scaler
 

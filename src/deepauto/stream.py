@@ -119,11 +119,14 @@ class Engine:
 
     Thread safety: a single lock serializes ingestion, model swaps, and
     snapshot reads; the model visible to inference is replaced atomically.
+
+    The bucket width is the first model's `config.step_seconds`, or
+    `step_seconds` when given, and stays fixed across model swaps.
     """
 
     def __init__(self, params, config, scaler, step_seconds=None):
         self._lock = threading.RLock()
-        self.step_seconds = step_seconds
+        self.step_seconds = config.step_seconds if step_seconds is None else step_seconds
         self.cells = {}
         self.channels = None
         self._install(params, config, scaler, version=1)
@@ -134,9 +137,8 @@ class Engine:
         self.global_max_bucket = None
 
     @classmethod
-    def from_file(cls, path, step_seconds=None):
-        params, config, scaler = model_mod.load_file(path)
-        return cls(params, config, scaler, step_seconds)
+    def from_file(cls, path):
+        return cls(*model_mod.load_file(path))
 
     def _install(self, params, config, scaler, version):
         """Swap in a model. Buffers keep the rows they hold while the
@@ -144,8 +146,6 @@ class Engine:
         window spans; a new layout restarts every buffer empty, so the
         engine warms up again instead of reading rows of the old layout."""
         channels = config.channels
-        if self.step_seconds is None:
-            self.step_seconds = config.default_step_seconds
         self.span = config.window.history_span()
         if channels != self.channels:
             self.cells = {cell: CellBuffer(channels, self.span) for cell in self.cells}

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from deepauto import cli, dataprep, evaluation, model as dm, neuralnet as nn, pipeline
+from deepauto import cli, dataprep, evaluation, model as dm, neuralnet as nn, pipeline, stream
 
 
 def run_cli(argv):
@@ -387,3 +387,110 @@ def test_serve_stdin_matches_predict(workspace, tmp_path):
         online[(d["cell"], d["anchor_ts"])] = (d["h1"], d["h4"])
     assert set(online) == set(offline)
     assert online == offline  # exact float equality via JSON round-trip
+
+
+def test_model_file_carries_its_bucket_width(tmp_path):
+    """A model trained with `"step_seconds": 300` in its config predicts,
+    evaluates and serves at 300 s with no width given: predict writes the
+    batch predictions of the 300-s series, and serve streams the same."""
+    data = tmp_path / "data.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "3", "--days", "3",
+                    "--step-seconds", "300", "--seed", "5"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 6, "n_p": 1, "period_steps": 288}, "step_seconds": 300,
+        "horizons": [1, 4], "hidden_r": 4, "hidden_p": 4, "ext_embed_dim": 3,
+        "max_epochs": 1, "batch_size": 256,
+    }))
+    model = tmp_path / "model.bin"
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(model)]) == 0
+    params, cfg, scaler = dm.load_file(model)
+    assert cfg.step_seconds == 300
+
+    out = tmp_path / "pred.ndjson"
+    assert run_cli(["predict", "--model", str(model), "--input", str(data),
+                    "--output", str(out)]) == 0
+    records, _ = dataprep.read_records(data)
+    samples = pipeline.prediction_samples(pipeline.load_series(records, 300), cfg.window,
+                                          scaler)
+    expected = [json.dumps(dict(cell=s.cell_id, anchor_ts=s.anchor_ts,
+                                **dm.output_fields(y, cfg.output_kind, cfg.horizons)),
+                           sort_keys=True)
+                for s, y in zip(samples, dm.predict_samples(samples, params, cfg))]
+    assert out.read_text().splitlines() == expected
+    assert len(expected) == 3 * (3 * 288 - 288 + 1)
+
+    assert run_cli(["evaluate", "--input", str(data), "--model", str(model),
+                    "--output", str(tmp_path / "eval.json")]) == 0
+
+    firehose = tmp_path / "fire.ndjson"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deepauto.cli", "serve", "--model", str(model),
+         "--listen-http", "127.0.0.1:0", "--firehose", str(firehose)],
+        stdin=data.open("rb"), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    online = sorted(json.dumps({k: v for k, v in d.items()
+                                if k not in ("latency_ms", "model_version")}, sort_keys=True)
+                    for d in map(json.loads, firehose.read_text().splitlines()))
+    assert online == sorted(expected)
+
+
+def test_pdf_config_without_input_dim_trains(tmp_path):
+    """A histogram model's input width is its 35 channels unless the config
+    says otherwise."""
+    data = tmp_path / "rsrq.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "2", "--days", "1",
+                    "--rsrq-cells", "2", "--seed", "3"]) == 0
+    config = tmp_path / "pdf.json"
+    config.write_text(json.dumps({
+        "window": {"n_r": 4}, "output_kind": "pdf",
+        "hidden_r": 4, "ext_embed_dim": 3, "max_epochs": 1, "batch_size": 256,
+    }))
+    model = tmp_path / "pdf.bin"
+    assert run_cli(["train", "--input", str(data), "--config", str(config),
+                    "--model", str(model)]) == 0
+    assert dm.load_file(model)[1].input_dim == dataprep.RSRQ_BINS
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--input", "d", "--output", "o"], ["train", "--input", "d", "--model", "m"],
+    ["grid", "--input", "d", "--candidates", "c", "--output", "o"],
+    ["evaluate", "--input", "d", "--model", "m"], ["predict", "--input", "d", "--model", "m"],
+    ["serve", "--model", "m"]], ids=lambda argv: argv[0])
+def test_step_seconds_flag_is_gone(argv, capsys):
+    """The bucket width comes from the config or the model file; only
+    `generate` and `acf` take it as a flag."""
+    assert run_cli(argv + ["--step-seconds", "300"]) == 1
+    assert "unrecognized arguments: --step-seconds" in capsys.readouterr().err
+
+
+def test_predict_rejects_lines_that_are_not_utf8_json(workspace, tmp_path, caplog):
+    """A line with a byte that is not UTF-8, and lines padded with a form
+    feed or an NBSP (not JSON whitespace), are rejected and counted by
+    `predict`, which writes the predictions of the file without them; the
+    streaming engine counts the same lines malformed."""
+    clean = tmp_path / "clean.pred"
+    assert run_cli(["predict", "--model", str(workspace["model"]),
+                    "--input", str(workspace["data"]), "--output", str(clean)]) == 0
+    lines = workspace["data"].read_bytes().splitlines(keepends=True)
+    # each bad line would change a prediction if it were read
+    doc = json.loads(lines[-1])
+    doc["value"] = 0.0 if doc["value"] > 0.5 else 1.0 if doc["topic"] == "load" else 99.0
+    moved = json.dumps(doc).encode()
+    bad = [moved.replace(doc["cell"].encode(), doc["cell"][:-1].encode() + b"\xff") + b"\n",
+           b"\x0c" + moved + b"\n", moved + " ".encode() + b"\n"]
+    dirty = tmp_path / "dirty.ndjson"
+    dirty.write_bytes(b"".join(lines[:-1] + bad + lines[-1:]))
+    out = tmp_path / "dirty.pred"
+    with caplog.at_level("WARNING", logger="deepauto"):
+        assert run_cli(["predict", "--model", str(workspace["model"]),
+                        "--input", str(dirty), "--output", str(out)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"rejected 3 malformed records from {dirty}"]
+    assert out.read_bytes() == clean.read_bytes()
+
+    engine = stream.Engine.from_file(workspace["model"])
+    for line in bad:
+        assert engine.ingest_line(line) == []
+    assert engine.counters["malformed"] == 3 and engine.counters["ingested"] == 0

@@ -428,7 +428,7 @@ def test_periodic_lag_indices():
 
 def test_make_windows_anchor_count():
     s = series_from(np.arange(10.0), channels=["load"])
-    samples = dp.make_windows(s, dp.WindowSpec(n_r=3), horizons=[1], target_channel="load")
+    samples = dp.make_windows(s, dp.WindowSpec(n_r=3), horizons=[1])
     assert [x.anchor_ts for x in samples] == [t * 60 for t in range(3, 10)]
     assert len(samples) == 7
 
@@ -436,7 +436,7 @@ def test_make_windows_anchor_count():
 def test_make_windows_values_and_targets():
     s = series_from(np.arange(100.0), channels=["load"])
     spec = dp.WindowSpec(n_r=2, n_p=1, period_steps=10)
-    samples = dp.make_windows(s, spec, horizons=[1, 5], target_channel="load")
+    samples = dp.make_windows(s, spec, horizons=[1, 5])
     first = samples.arrays
     assert samples.anchor_ts[0] == 10 * 60
     np.testing.assert_array_equal(first["recent"][0, :, 0], [8.0, 9.0])
@@ -459,7 +459,7 @@ def test_windows_never_read_out_of_bounds(n_r, n_p, n_s, length, period):
                          period_steps=period if n_p else 0,
                          season_steps=period * 2 if n_s else 0)
     s = series_from(np.arange(float(length)), channels=["load"])
-    windows = dp.make_windows(s, spec, horizons=[1], target_channel="load")
+    windows = dp.make_windows(s, spec, horizons=[1])
     for name in ("recent", "periodic", "seasonal"):
         window = windows.arrays.get(name, np.zeros((0, 0, 1)))
         assert np.all(window[..., 0] >= 0.0)

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto.dataprep import EXTERNAL_DIM, ScalerParams, Windows, WindowSpec
-from deepauto.errors import ModelFormatError, ShapeError, TrainingDiverged
+from deepauto.errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
 
 def micro_config(**overrides):
@@ -506,13 +507,18 @@ def test_loader_adopts_file_config():
 
 
 def test_default_step_seconds_follows_output_kind():
-    """The bucket width used when none is given is derived from the kind of
-    model, not stored: a file written by any version gets the same width."""
-    assert micro_config().default_step_seconds == 900
+    """The bucket width is a config field, written into the model file:
+    300 s for histogram models and 900 s for load models when not given,
+    and any positive width when given."""
+    assert micro_config().step_seconds == 900
     pdf = micro_config(output_kind="pdf", input_dim=35, pdf_bins=35)
-    assert pdf.default_step_seconds == 300
-    assert "default_step_seconds" not in pdf.to_dict()
-    assert dm.DeepAutoConfig.from_dict(pdf.to_dict()).default_step_seconds == 300
+    assert pdf.step_seconds == 300
+    assert pdf.to_dict()["step_seconds"] == 300
+    custom = micro_config(step_seconds=60)
+    params = dm.DeepAutoParams.init(custom, np.random.default_rng(0))
+    assert dm.load(dm.save(params, custom, None))[1].step_seconds == 60
+    with pytest.raises(ConfigError, match="step_seconds"):
+        micro_config(step_seconds=0)
 
 
 def test_unknown_version_rejected():
@@ -538,9 +544,86 @@ def test_version_1_file_loads():
         assert n1 == n2
         assert a1.tobytes() == a2.tobytes()
 
+    assert config.step_seconds == 900  # version 1 has no width: the load default
     v2 = dm.save(params, config, scaler)
     assert struct.unpack("<I", v2[4:8]) == (dm.FORMAT_VERSION,) == (2,)
     reloaded, _, _ = dm.load(v2)
     samples = make_samples(config, 5, seed=22)
     np.testing.assert_array_equal(dm.predict_samples(samples, params, config),
                                   dm.predict_samples(samples, reloaded, config))
+
+
+def embedded_json(blob, index):
+    """(doc, start, end) of a model blob's embedded JSON string `index` (0
+    the config, 1 the scaler): its value and the byte range of its length
+    prefix and text."""
+    end = 8
+    for _ in range(index + 1):
+        (n,) = struct.unpack("<I", blob[end:end + 4])
+        start, end = end, end + 4 + n
+    return json.loads(blob[start + 4:end]), start, end
+
+
+def with_json(blob, index, edit):
+    """`blob` with its embedded JSON string `index` changed in place by
+    `edit(doc)` and a valid checksum: a well-formed file holding the
+    changed document."""
+    doc, start, end = embedded_json(blob, index)
+    edit(doc)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    payload = blob[:start] + struct.pack("<I", len(text)) + text + blob[end:-4]
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def with_config(blob, **changes):
+    """`blob` with its embedded config's fields updated by `changes`."""
+    def edit(doc):
+        doc["window"].update(changes.pop("window", {}))
+        doc.update(changes)
+    return with_json(blob, 0, edit)
+
+
+BAD_CONFIGS = {"lr": {"lr": -1.0}, "n_r": {"window": {"n_r": 0}},
+               "target_channel": {"target_channel": "ue"}}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_embedded_config_is_a_format_error(name):
+    """A checksummed file whose config fails its own checks is a corrupt
+    model file, whichever check it fails."""
+    params, config, scaler = roundtrip_setup()
+    blob = with_config(dm.save(params, config, scaler), **BAD_CONFIGS[name])
+    with pytest.raises(ModelFormatError, match=name):
+        dm.load(blob)
+
+
+def test_bad_embedded_scaler_is_a_format_error():
+    params, config, scaler = roundtrip_setup()
+    blob = with_json(dm.save(params, config, scaler), 1, lambda doc: doc.pop("mins"))
+    with pytest.raises(ModelFormatError, match="mins"):
+        dm.load(blob)
+
+
+def test_version_2_file_without_step_seconds_loads():
+    """tests/data/model_v2_pdf.bin was written by the format-2 writer before
+    the config held a bucket width (and while it held "target_channel"):
+    a 5-bin histogram model with n_r=3 whose tensors are
+    DeepAutoParams.init(config, default_rng(23)). It loads with the pdf
+    default width, and saving it again changes only those two keys."""
+    blob = (Path(__file__).parent / "data" / "model_v2_pdf.bin").read_bytes()
+    old_doc = embedded_json(blob, 0)[0]
+    assert "step_seconds" not in old_doc and old_doc["target_channel"] == "load"
+    params, config, scaler = dm.load(blob)
+    assert config.step_seconds == 300 and config.input_dim == 5 and scaler is None
+    expected = dm.DeepAutoParams.init(config, np.random.default_rng(23))
+    for (n1, a1), (n2, a2) in zip(nn.param_leaves(params), nn.param_leaves(expected)):
+        assert n1 == n2
+        assert a1.tobytes() == a2.tobytes()
+    new_doc = embedded_json(dm.save(params, config, scaler), 0)[0]
+    del old_doc["target_channel"]
+    assert new_doc == dict(old_doc, step_seconds=300)
+
+
+def test_input_dim_defaults_to_the_channel_count():
+    assert micro_config(input_dim=None).input_dim == 2
+    assert micro_config(input_dim=None, output_kind="pdf").input_dim == 35

@@ -10,6 +10,7 @@ from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
+from test_model import BAD_CONFIGS, with_config
 
 
 def zero_model(window=None, **overrides):
@@ -113,12 +114,13 @@ def test_buffer_window_without_gaps_is_the_stored_rows():
 
 def test_engine_step_defaults_to_config_bucket_width():
     """Without an explicit width the engine buckets as the CLI does for the
-    same model: 900 s for load models, 300 s for histogram models."""
+    same model: at its config's width, 900 s for load models and 300 s for
+    histogram models unless the config says otherwise."""
     params, config = zero_model()
-    assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 900
+    assert stream.Engine(params, config, None).step_seconds == config.step_seconds == 900
     assert stream.Engine(params, config, None, step_seconds=60).step_seconds == 60
     params, config = zero_model(input_dim=dataprep.RSRQ_BINS, output_kind="pdf")
-    assert stream.Engine(params, config, None).step_seconds == config.default_step_seconds == 300
+    assert stream.Engine(params, config, None).step_seconds == config.step_seconds == 300
 
 
 def test_buffer_eviction():
@@ -392,6 +394,25 @@ def test_reload_swaps_and_keeps_old_on_failure(tmp_path):
     assert eng.health()["reload_errors"] == 1
     ok, err = eng.reload_model(tmp_path / "missing.model")
     assert not ok and eng.health()["reload_errors"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_reload_of_a_bad_embedded_config_keeps_old_model(tmp_path, name):
+    """A checksummed file whose config fails its checks is a failed reload:
+    counted, and the old model keeps serving."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(with_config(dm.save(params, config, None), **BAD_CONFIGS[name]))
+    ok, err = eng.reload_model(bad)
+    assert not ok and err.startswith("ModelFormatError") and name in err
+    assert eng.health()["reload_errors"] == 1
+    assert eng.model_version == 1 and eng.params is params and eng.config is config
+    eng.ingest(rec("load", "a", 0, 0.5))
+    eng.ingest(rec("ue", "a", 0, 10.0))
+    eng.ingest(rec("load", "a", 1, 0.5))
+    eng.ingest(rec("ue", "a", 1, 10.0))
+    assert [p.model_version for p in eng.flush()] == [1]
 
 
 def varying_records(cells, buckets):
