@@ -6,8 +6,14 @@ A model's config (`DeepAutoConfig`) says how it reads records: its window,
 its channel layout, and the bucket width (`step_seconds`) that gives each
 window step its length. `prepare`, `train` and `grid` read it from the
 --config JSON; `evaluate`, `predict` and `serve` from the model file. Only
-`generate` and `acf`, which have no model, take --step-seconds. A record
-line that is not UTF-8 JSON is counted and skipped.
+`generate` and `acf`, which have no model, take --step-seconds.
+
+Every command reads a record line by one rule, `dataprep.decode_record`:
+the file commands stream their records from --input and warn once how many
+lines they rejected, and `serve` feeds each line of stdin or of a TCP
+connection to the engine, which counts the ones it rejects. `serve` closes
+the open buckets and emits their predictions when its input ends: at EOF
+on stdin, or on SIGINT.
 
 Exit codes: 0 success, 1 usage error, 2 data/model error. Reports are
 machine-readable JSON first; human tables go to stdout where useful.
@@ -19,6 +25,7 @@ import argparse
 import json
 import logging
 import os
+import socketserver
 import sys
 import threading
 
@@ -74,15 +81,14 @@ def cmd_generate(args):
     return 0
 
 
-def _warn_rejected(path, rejected):
+def _records(path):
+    """The records of the NDJSON file `path`, streamed one at a time
+    (`dataprep.iter_records`); after the last, one warning counts the lines
+    rejected."""
+    rejected = []
+    yield from dataprep.iter_records(path, rejected)
     if rejected:
-        log.warning("rejected %d malformed records from %s", rejected, path)
-
-
-def _load_records(path):
-    records, rejected = dataprep.read_records(path)
-    _warn_rejected(path, rejected)
-    return records
+        log.warning("rejected %d malformed records from %s", len(rejected), path)
 
 
 def _split_builder(args, config):
@@ -90,7 +96,7 @@ def _split_builder(args, config):
     any config of `config`'s output kind, from series bucketed once for every
     build, under its channel layout, at its bucket width: histogram windows
     for pdf models, otherwise load windows."""
-    series = pipeline.load_series(_load_records(args.input), config.step_seconds,
+    series = pipeline.load_series(_records(args.input), config.step_seconds,
                                   config.channels)
     if config.output_kind == "pdf":
         return lambda cfg: pipeline.prepare_pdf_dataset(series, cfg.window)
@@ -184,8 +190,7 @@ def cmd_evaluate(args):
 
 
 def cmd_acf(args):
-    records = _load_records(args.input)
-    series = pipeline.load_series(records, args.step_seconds or 900)
+    series = pipeline.load_series(_records(args.input), args.step_seconds or 900)
     if args.cell not in series:
         raise DeepAutoError(f"no such cell {args.cell!r} in {args.input}")
     s = series[args.cell]
@@ -202,13 +207,8 @@ def cmd_acf(args):
 
 def cmd_predict(args):
     params, config, scaler = model_mod.load_file(args.model)
-    # the records stream from the file into the series, never held as a list
-    rejected = []
-    records = dataprep.iter_records(args.input, rejected)
-    try:
-        series = dataprep.records_to_series(records, config.step_seconds, config.channels)
-    finally:
-        _warn_rejected(args.input, len(rejected))
+    series = dataprep.records_to_series(_records(args.input), config.step_seconds,
+                                        config.channels)
     # a cell with a channel that holds no value has no window, as in the
     # engine: it is skipped, where load_series fails the whole file
     dead = sorted(cell for cell, s in series.items() if s.missing_mask.all(axis=0).any())
@@ -251,28 +251,30 @@ def cmd_serve(args):
                 firehose.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
             firehose.flush()
 
+    def ingest(lines):
+        for line in lines:
+            emit(engine.ingest_line(line))
+
+    class IngestHandler(socketserver.StreamRequestHandler):
+        def handle(self):
+            ingest(self.rfile)
+
     try:
-        if args.listen_ingest == "stdin":
-            for line in sys.stdin.buffer:
-                if not dataprep.is_blank(line):
-                    emit(engine.ingest_line(line))
+        # the input ends at EOF on stdin, or on SIGINT; either way the open
+        # buckets close and their predictions go out
+        try:
+            if args.listen_ingest == "stdin":
+                ingest(sys.stdin.buffer)
+            else:
+                ingest_srv = socketserver.ThreadingTCPServer(_parse_addr(args.listen_ingest),
+                                                             IngestHandler)
+                ingest_srv.daemon_threads = True
+                log.info("ingest on %s:%d", *ingest_srv.server_address[:2])
+                ingest_srv.serve_forever()
+        finally:
             emit(engine.flush())
-            if args.hold:
-                http_thread.join()
-        else:
-            import socketserver
-
-            class IngestHandler(socketserver.StreamRequestHandler):
-                def handle(self):
-                    for line in self.rfile:
-                        if not dataprep.is_blank(line):
-                            emit(engine.ingest_line(line))
-
-            ihost, iport = _parse_addr(args.listen_ingest)
-            ingest_srv = socketserver.ThreadingTCPServer((ihost, iport), IngestHandler)
-            ingest_srv.daemon_threads = True
-            log.info("ingest on %s:%d", ihost, iport)
-            ingest_srv.serve_forever()
+        if args.hold:
+            http_thread.join()
     except KeyboardInterrupt:
         pass
     finally:

@@ -47,35 +47,35 @@ WEEK_SECONDS = 7 * 86400
 
 
 _decode_json = json.JSONDecoder().raw_decode
-JSON_WHITESPACE = " \t\n\r"
-_JSON_WHITESPACE_BYTES = JSON_WHITESPACE.encode()
-
-
-def is_blank(line):
-    """Whether a raw NDJSON line (bytes) holds nothing but JSON whitespace:
-    such lines are skipped, not counted as records."""
-    return not line.strip(_JSON_WHITESPACE_BYTES)
+JSON_WHITESPACE = b" \t\n\r"
 
 
 def parse_record(line):
-    """One NDJSON measurement line, decoded and checked (`check_record`)."""
-    return check_record(decode_record(line))
+    """One NDJSON measurement line (bytes), decoded (`decode_record`) and
+    checked (`check_record`); None for a blank line."""
+    rec = decode_record(line)
+    return None if rec is None else check_record(rec)
 
 
 def decode_record(line):
-    """Decode one NDJSON line (str, or bytes in a JSON encoding); raises
-    DataError unless it holds exactly one JSON value, with only JSON
-    whitespace around it: `json.loads`'s rule, decoded without its per-call
-    set-up."""
+    """Decode one NDJSON line (bytes) by the one record-line rule of files,
+    stdin and TCP: strict UTF-8 holding exactly one JSON value, with only
+    JSON whitespace around it (`json.loads`'s rule on the decoded text,
+    without its per-call set-up). Returns None for a blank line, one of
+    nothing but JSON whitespace; raises DataError on any other line that
+    holds no record, `null` included."""
+    line = line.strip(JSON_WHITESPACE)
+    if not line:
+        return None
     try:
-        if isinstance(line, (bytes, bytearray)):
-            line = line.decode(json.detect_encoding(line), "surrogatepass")
-        line = line.strip(JSON_WHITESPACE)
-        rec, end = _decode_json(line)
+        text = line.decode("utf-8")
+        rec, end = _decode_json(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed JSON: {exc}") from exc
-    if end != len(line):
+    if end != len(text):
         raise DataError("malformed JSON: extra data after the object")
+    if rec is None:
+        raise DataError("record is not an object")
     return rec
 
 
@@ -126,25 +126,17 @@ def rsrq_bin(value):
 
 def iter_records(path, rejected):
     """Yield the parsed records of an NDJSON file one at a time, appending
-    the 1-based line number of every line that is not UTF-8 or fails to
-    parse to the list `rejected`; lines of JSON whitespace are skipped."""
+    the 1-based line number of every line that fails `parse_record` to the
+    list `rejected`; blank lines are skipped."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
-            if is_blank(line):
-                continue
             try:
-                rec = parse_record(line.decode("utf-8"))
-            except (UnicodeDecodeError, DataError):
+                rec = parse_record(line)
+            except DataError:
                 rejected.append(number)
                 continue
-            yield rec
-
-
-def read_records(path):
-    """Read an NDJSON file; returns (records, n_rejected)."""
-    rejected = []
-    records = list(iter_records(path, rejected))
-    return records, len(rejected)
+            if rec is not None:
+                yield rec
 
 
 def write_records(path, records):
@@ -345,12 +337,6 @@ def apply_scaler(values, scaler):
     return np.where(scaler.constant, 0.0, scaled)
 
 
-def invert_scaler(values, scaler):
-    values = np.asarray(values, dtype=np.float64)
-    span = np.where(scaler.constant, 1.0, scaler.maxs - scaler.mins)
-    return np.where(scaler.constant, scaler.mins, values * span + scaler.mins)
-
-
 # ---------------------------------------------------------------------------
 # external features
 
@@ -485,23 +471,6 @@ class Windows:
                    np.concatenate([p.anchor_ts for p in parts]))
 
 
-def aggregate_targets(values, t, horizons=(1, 15, 60)):
-    """Horizon targets at anchor t: for horizon h, mean of values[t : t+h].
-
-    h=1 is the next-step value; longer horizons are averages over the
-    window that starts at the first predicted step.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty(len(horizons))
-    for k, h in enumerate(horizons):
-        if h < 1:
-            raise ShapeError("horizons must be >= 1")
-        if t + h > values.shape[0]:
-            raise ShapeError(f"horizon {h} at anchor {t} beyond series end")
-        out[k] = float(np.mean(values[t:t + h]))
-    return out
-
-
 def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
     """Windows without targets: each branch's lags of the rows `values`
     (T, C) before each index in `anchors` (N,), and the external features of
@@ -537,8 +506,9 @@ def make_windows(series, spec, horizons=(1, 15, 60), require_targets=True, pdf_t
     """`lag_windows` plus targets for every feasible anchor of one series
     (`window_anchors`). With `pdf_target` the target is the full channel row
     at the anchor (histogram prediction) and `horizons` is ignored;
-    otherwise the targets are the series' "load" column aggregated as
-    aggregate_targets does, bit for bit.
+    otherwise target h is the mean of the series' "load" column over the h
+    steps from the anchor (tests/oracles.py's `aggregate_targets` is the
+    per-anchor reference, bit for bit).
     """
     values = series.values
     anchors = window_anchors(series.length, spec, horizons, require_targets, pdf_target)

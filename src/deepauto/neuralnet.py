@@ -1,6 +1,5 @@
 """Minimal dense numeric core: activations, a peephole LSTM cell, dense
-layers, regression/distribution losses, Adam, and a finite-difference
-gradient checker.
+layers, regression/distribution losses and Adam.
 
 Every kernel computes in the dtype of its parameters: the LSTM passes cast
 each step's input and allocate their state, gradients and accumulators in
@@ -9,9 +8,9 @@ to `W`'s. The activations keep a floating input's dtype. Parameters are
 float64 except for the float32 working copy that training computes with, so
 every other path runs in float64. Parameters live in plain dataclasses; the
 generic `param_leaves` walker exposes them as (name, array) pairs so the
-optimizer and the gradient checker stay agnostic of the model structure.
-Gradients come back as the same dataclasses as the parameters, so the
-optimizer and the checker walk the two structures side by side.
+optimizer stays agnostic of the model structure. Gradients come back as the
+same dataclasses as the parameters, so the optimizer walks the two
+structures side by side.
 
 An LSTM cell is stored gate-major: `W_x` (4, hidden, input), `W_h`
 (4, hidden, hidden) and `b` (4, hidden) hold the gates in the order input,
@@ -544,36 +543,3 @@ def adam_step(params, grads, state, lr):
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-FD_EPS = 1e-5
-
-
-def gradient_check(loss_fn, params, analytic):
-    """Max relative error between `analytic` (a structure like `params`) and
-    central finite differences with step FD_EPS.
-
-    `loss_fn()` must evaluate the scalar loss from the current (mutated in
-    place) parameter values. Relative error per coordinate is
-    |fd - an| / max(|fd|, |an|, 1e-6).
-    """
-    worst = 0.0
-    for _, arr, g_an in _paired_leaves(params, analytic):
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + FD_EPS
-            f_plus = loss_fn()
-            arr[idx] = orig - FD_EPS
-            f_minus = loss_fn()
-            arr[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * FD_EPS)
-            an = g_an[idx]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
-            worst = max(worst, rel)
-            it.iternext()
-    return worst

@@ -3,11 +3,14 @@ correlate them into per-cell bucketed series, run the loaded model at
 every completed bucket, and expose the latest predictions plus health
 counters over HTTP.
 
-The wire format matches the historical file format, so any recorded file
-can be replayed through the engine; with no missing bucket it produces
-bit-identical predictions to the batch path. The engine buckets records
-under its model's channel layout (`DeepAutoConfig.channels`) with the
-batch path's own rule: `dataprep.bucket_entry` routes each record, and
+The wire format is the file format, read by the same line rule
+(`dataprep.decode_record`): a line that files reject, the engine counts as
+malformed or out of range, and a blank line is skipped by both. So any
+recorded file can be replayed through the engine; with no missing bucket
+it produces bit-identical predictions to the batch path. The engine
+buckets records under its model's channel layout
+(`DeepAutoConfig.channels`) with the batch path's own rule:
+`dataprep.bucket_entry` routes each record, and
 `dataprep.bucket_values` closes each bucket. Each cell holds only the rows
 of its last span closed buckets (`WindowSpec.history_span`); each close
 reads its window at once, and `dataprep.lag_windows`, the gather behind
@@ -27,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from . import dataprep, model as model_mod
-from .errors import DataError, ModelFormatError, OutOfRangeError
+from .errors import ConfigError, DataError, ModelFormatError, OutOfRangeError
 
 
 @dataclass
@@ -121,7 +124,8 @@ class Engine:
     snapshot reads; the model visible to inference is replaced atomically.
 
     The bucket width is the first model's `config.step_seconds`, or
-    `step_seconds` when given, and stays fixed across model swaps.
+    `step_seconds` when given, and stays fixed across model swaps; a reload
+    must carry the running model's `config.step_seconds`.
     """
 
     def __init__(self, params, config, scaler, step_seconds=None):
@@ -160,15 +164,19 @@ class Engine:
     # -- ingestion ----------------------------------------------------------
 
     def ingest_line(self, line, arrival=None):
-        """Decode one NDJSON line and `ingest` it; a line that is not JSON
+        """Decode one NDJSON line (bytes, or str read as its UTF-8 encoding)
+        by the file rule (`dataprep.decode_record`) and `ingest` it. A blank
+        line is skipped and counts nothing; a line that holds no JSON value
         counts as malformed."""
         try:
+            if isinstance(line, str):
+                line = line.encode("utf-8")
             rec = dataprep.decode_record(line)
-        except DataError:
+        except (DataError, UnicodeEncodeError):
             with self._lock:
                 self.counters["malformed"] += 1
             return []
-        return self.ingest(rec, arrival)
+        return [] if rec is None else self.ingest(rec, arrival)
 
     def ingest(self, rec, arrival=None):
         """Check one decoded record (`dataprep.check_record`) and route it;
@@ -281,10 +289,15 @@ class Engine:
             }
 
     def reload_model(self, path):
-        """Swap in a new model atomically; on failure keep the old one."""
+        """Swap in a new model atomically; on failure, a file that does not
+        load or a model of another bucket width than the running one's, keep
+        the old one."""
         try:
             params, config, scaler = model_mod.load_file(path)
-        except (OSError, ModelFormatError) as exc:
+            if config.step_seconds != self.config.step_seconds:
+                raise ConfigError(f"step_seconds {config.step_seconds} differs from the "
+                                  f"running model's {self.config.step_seconds}")
+        except (OSError, ModelFormatError, ConfigError) as exc:
             with self._lock:
                 self.counters["reload_errors"] += 1
             return False, f"{type(exc).__name__}: {exc}"

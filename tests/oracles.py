@@ -3,7 +3,10 @@
 record-parser oracle raises the package's error classes, nothing more).
 The BPTT oracle is NumPy: what it pins is the order of the batch sums. The
 window-assembly oracle is the package's earlier two-copy assembly, built
-on `Windows.concat`: what it pins is the row order of a batch.
+on `Windows.concat`: what it pins is the row order of a batch. The
+finite-difference gradient checker walks parameters with the package's
+`param_leaves`, and the per-anchor target and inverse-scaler references
+are NumPy.
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -15,7 +18,8 @@ import math
 import numpy as np
 
 from deepauto.dataprep import Windows
-from deepauto.errors import DataError, OutOfRangeError
+from deepauto.errors import DataError, OutOfRangeError, ShapeError
+from deepauto.neuralnet import param_leaves
 
 
 def sigmoid(x):
@@ -194,11 +198,12 @@ def rsrq_series_rescan(records, step_seconds, bins):
 
 
 def parse_record_loads(line):
-    """The `json.loads` record parser that the direct decode replaced,
-    unchanged: it accepts a boolean `ts`, and an integer `value` too large
-    for a float makes `math.isfinite` raise OverflowError."""
+    """The `json.loads` record parser that the direct decode replaced, on a
+    line (bytes) decoded as strict UTF-8: it accepts a boolean `ts`, and an
+    integer `value` too large for a float makes `math.isfinite` raise
+    OverflowError."""
     try:
-        rec = json.loads(line)
+        rec = json.loads(line.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed JSON: {exc}") from exc
     if not isinstance(rec, dict):
@@ -263,3 +268,61 @@ def windows_by_anchor(parts, first_anchor):
     t = np.concatenate([np.arange(len(w)) for w in parts]) + first_anchor
     order = np.argsort(t, kind="stable")
     return Windows.concat(parts)[order], t[order]
+
+
+FD_EPS = 1e-5
+
+
+def gradient_check(loss_fn, params, analytic):
+    """Max relative error between `analytic` (a structure like `params`) and
+    central finite differences with step FD_EPS.
+
+    `loss_fn()` must evaluate the scalar loss from the current (mutated in
+    place) parameter values. Relative error per coordinate is
+    |fd - an| / max(|fd|, |an|, 1e-6).
+    """
+    p_leaves, g_leaves = list(param_leaves(params)), list(param_leaves(analytic))
+    if [(n, a.shape) for n, a in p_leaves] != [(n, g.shape) for n, g in g_leaves]:
+        raise ShapeError("gradient leaves or shapes do not match the parameters")
+    worst = 0.0
+    for (_, arr), (_, g_an) in zip(p_leaves, g_leaves):
+        it = np.nditer(arr, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + FD_EPS
+            f_plus = loss_fn()
+            arr[idx] = orig - FD_EPS
+            f_minus = loss_fn()
+            arr[idx] = orig
+            fd = (f_plus - f_minus) / (2.0 * FD_EPS)
+            an = g_an[idx]
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
+            worst = max(worst, rel)
+            it.iternext()
+    return worst
+
+
+def aggregate_targets(values, t, horizons=(1, 15, 60)):
+    """Horizon targets at anchor t: for horizon h, mean of values[t : t+h].
+
+    h=1 is the next-step value; longer horizons are averages over the
+    window that starts at the first predicted step.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty(len(horizons))
+    for k, h in enumerate(horizons):
+        if h < 1:
+            raise ShapeError("horizons must be >= 1")
+        if t + h > values.shape[0]:
+            raise ShapeError(f"horizon {h} at anchor {t} beyond series end")
+        out[k] = float(np.mean(values[t:t + h]))
+    return out
+
+
+def invert_scaler(values, scaler):
+    """The inverse of `dataprep.apply_scaler` inside [min, max]; a constant
+    channel maps back to its min."""
+    values = np.asarray(values, dtype=np.float64)
+    span = np.where(scaler.constant, 1.0, scaler.maxs - scaler.mins)
+    return np.where(scaler.constant, scaler.mins, values * span + scaler.mins)

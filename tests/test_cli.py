@@ -1,6 +1,10 @@
 import json
+import signal
+import socket
 import subprocess
 import sys
+import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -106,7 +110,7 @@ def test_evaluate_scores_in_batch_slices_with_the_bits_of_one_forward(workspace,
         reports.append(json.loads(out.read_text()))
     assert reports[0] == reports[1]
 
-    records, _ = dataprep.read_records(workspace["data"])
+    records = list(dataprep.iter_records(workspace["data"], []))
     _, _, test_s, _ = pipeline.prepare_load_dataset(
         pipeline.load_series(records, 900), config.window, config.horizons)
     assert len(test_s) > config.batch_size
@@ -161,7 +165,7 @@ def test_predict_without_a_full_window_exits_2(workspace, tmp_path, capsys):
     """A file in which no cell spans the model's history (n_p=2 periods of
     96 steps) is a data error: exit 2 with the span named, and no output
     file."""
-    records, _ = dataprep.read_records(workspace["data"])
+    records = list(dataprep.iter_records(workspace["data"], []))
     start = min(r["ts"] for r in records)
     short = tmp_path / "short.ndjson"
     dataprep.write_records(short, [r for r in records if r["ts"] < start + 40 * 900])
@@ -210,7 +214,7 @@ def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
     assert run_cli(["train", "--input", str(data), "--config", str(config),
                     "--model", str(model)]) == 0
 
-    records, _ = dataprep.read_records(data)
+    records = list(dataprep.iter_records(data, []))
     dead_ue = tmp_path / "dead_ue.ndjson"
     dataprep.write_records(dead_ue, [r for r in records
                                      if (r["cell"], r["topic"]) != ("cell_0000", "ue")])
@@ -260,7 +264,7 @@ def test_predict_pdf_model(tmp_path):
     assert run_cli(["predict", "--model", str(model), "--input", str(data),
                     "--output", str(out)]) == 0
 
-    records, _ = dataprep.read_records(data)
+    records = list(dataprep.iter_records(data, []))
     series = dataprep.records_to_series(records, 300, dataprep.RSRQ_CHANNELS)
     # inference anchors run from the window's history span to the series length
     expected = sum(s.length - 4 + 1 for s in series.values())
@@ -356,7 +360,7 @@ def test_evaluate_pdf_model_scores_train_test_windows(tmp_path):
     rows = {r["algorithm"]: r["kl"] for r in json.loads(out.read_text())["rows"]}
     assert rows["deepauto"] == json.loads(report.read_text())["test_metrics"]["kl"]
 
-    records, _ = dataprep.read_records(data)
+    records = list(dataprep.iter_records(data, []))
     _, _, test_s, _ = pipeline.prepare_pdf_dataset(
         pipeline.load_series(records, 300, dataprep.RSRQ_CHANNELS), dataprep.WindowSpec(n_r=4))
     assert rows["naive"] == nn.kl_loss(test_s.arrays["target"], test_s.arrays["recent"][:, -1])
@@ -411,7 +415,7 @@ def test_model_file_carries_its_bucket_width(tmp_path):
     out = tmp_path / "pred.ndjson"
     assert run_cli(["predict", "--model", str(model), "--input", str(data),
                     "--output", str(out)]) == 0
-    records, _ = dataprep.read_records(data)
+    records = list(dataprep.iter_records(data, []))
     samples = pipeline.prediction_samples(pipeline.load_series(records, 300), cfg.window,
                                           scaler)
     expected = [json.dumps(dict(cell=s.cell_id, anchor_ts=s.anchor_ts,
@@ -494,3 +498,56 @@ def test_predict_rejects_lines_that_are_not_utf8_json(workspace, tmp_path, caplo
     for line in bad:
         assert engine.ingest_line(line) == []
     assert engine.counters["malformed"] == 3 and engine.counters["ingested"] == 0
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_serve_tcp_flushes_on_sigint(tmp_path):
+    """`serve` over TCP closes the open buckets on SIGINT, as stdin mode does
+    at EOF: the firehose holds the flushed anchors, and the exit code is 0."""
+    config = dm.DeepAutoConfig(window=dataprep.WindowSpec(n_r=2), horizons=(1, 4),
+                               hidden_r=3, ext_embed_dim=2)
+    model = tmp_path / "model.bin"
+    dm.save_file(model, dm.DeepAutoParams.init(config, np.random.default_rng(0)), config, None)
+    firehose = tmp_path / "fire.ndjson"
+    ingest_port, http_port = _free_port(), _free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deepauto.cli", "serve", "--model", str(model),
+         "--listen-ingest", f"127.0.0.1:{ingest_port}",
+         "--listen-http", f"127.0.0.1:{http_port}", "--firehose", str(firehose)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        lines = b"".join(
+            json.dumps({"topic": topic, "cell": cell, "ts": b * 900, "value": value}).encode()
+            + b"\n"
+            for b in range(5) for cell in ("A", "B")
+            for topic, value in (("load", 0.5), ("ue", 10.0)))
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                with socket.create_connection(("127.0.0.1", ingest_port), timeout=5) as conn:
+                    conn.sendall(lines)
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.1)
+        health = {}
+        while health.get("ingested") != 20:
+            assert time.monotonic() < deadline
+            time.sleep(0.1)
+            with urllib.request.urlopen(f"http://127.0.0.1:{http_port}/health") as resp:
+                health = json.load(resp)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    anchors = sorted((d["cell"], d["anchor_ts"] // 900)
+                     for d in map(json.loads, firehose.read_text().splitlines()))
+    # buckets 0..3 close as records arrive; bucket 4 closes only at the flush
+    assert anchors == [(cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]

@@ -29,21 +29,23 @@ def series_from(values, missing=None, step=60, cell="c1", channels=None):
 
 
 def test_parse_record_roundtrip():
-    rec = dp.parse_record('{"topic":"load","cell":"a","ts":120,"value":0.5}')
+    rec = dp.parse_record(b'{"topic":"load","cell":"a","ts":120,"value":0.5}\n')
     assert rec == {"topic": "load", "cell": "a", "ts": 120, "value": 0.5}
+    assert dp.parse_record(b" \t\r\n") is None  # blank: no record, no error
 
 
 @pytest.mark.parametrize("line", [
-    "not json",
-    '{"topic":"bogus","cell":"a","ts":1,"value":0.5}',
-    '{"topic":"load","cell":"a","ts":1.5,"value":0.5}',
-    '{"topic":"load","cell":"a","ts":1,"value":1.5}',
-    '{"topic":"rsrq","cell":"a","ts":1,"value":35}',
-    '{"topic":"ue","cell":"a","ts":1,"value":-3}',
-    '{"topic":"load","cell":"","ts":1,"value":0.5}',
-    '{"topic":"load","cell":"a","ts":true,"value":0.5}',
-    '{"topic":"ue","cell":"a","ts":1,"value":1%s}' % ("0" * 400),
-    '{"topic":"load","cell":"a","ts":1,"value":0.5} x',
+    b"not json",
+    b"null",
+    b'{"topic":"bogus","cell":"a","ts":1,"value":0.5}',
+    b'{"topic":"load","cell":"a","ts":1.5,"value":0.5}',
+    b'{"topic":"load","cell":"a","ts":1,"value":1.5}',
+    b'{"topic":"rsrq","cell":"a","ts":1,"value":35}',
+    b'{"topic":"ue","cell":"a","ts":1,"value":-3}',
+    b'{"topic":"load","cell":"","ts":1,"value":0.5}',
+    b'{"topic":"load","cell":"a","ts":true,"value":0.5}',
+    b'{"topic":"ue","cell":"a","ts":1,"value":1%s}' % (b"0" * 400),
+    b'{"topic":"load","cell":"a","ts":1,"value":0.5} x',
 ])
 def test_parse_record_rejects(line):
     with pytest.raises(DataError):
@@ -51,16 +53,16 @@ def test_parse_record_rejects(line):
 
 
 @pytest.mark.parametrize("line, out_of_range", [
-    ('{"topic":"load","cell":"a","ts":1,"value":1.5}', True),
-    ('{"topic":"load","cell":"a","ts":1,"value":-0.1}', True),
-    ('{"topic":"rsrq","cell":"a","ts":1,"value":35}', True),
-    ('{"topic":"rsrq","cell":"a","ts":1,"value":2.5}', True),
-    ('{"topic":"ue","cell":"a","ts":1,"value":-3}', True),
-    ('{"topic":"load","cell":"a","ts":1,"value":"0.5"}', False),
-    ('{"topic":"load","cell":"a","ts":1.5,"value":0.5}', False),
-    ('{"topic":"load","cell":"a","ts":false,"value":0.5}', False),
-    ('{"topic":"ue","cell":"a","ts":1,"value":-1%s}' % ("0" * 400), False),
-    ("not json", False),
+    (b'{"topic":"load","cell":"a","ts":1,"value":1.5}', True),
+    (b'{"topic":"load","cell":"a","ts":1,"value":-0.1}', True),
+    (b'{"topic":"rsrq","cell":"a","ts":1,"value":35}', True),
+    (b'{"topic":"rsrq","cell":"a","ts":1,"value":2.5}', True),
+    (b'{"topic":"ue","cell":"a","ts":1,"value":-3}', True),
+    (b'{"topic":"load","cell":"a","ts":1,"value":"0.5"}', False),
+    (b'{"topic":"load","cell":"a","ts":1.5,"value":0.5}', False),
+    (b'{"topic":"load","cell":"a","ts":false,"value":0.5}', False),
+    (b'{"topic":"ue","cell":"a","ts":1,"value":-1%s}' % (b"0" * 400), False),
+    (b"not json", False),
 ])
 def test_parse_record_range_errors_are_out_of_range(line, out_of_range):
     with pytest.raises(DataError) as info:
@@ -92,12 +94,19 @@ _FIELDS = {"topic": _dumped("load", "ue", "rsrq", "load", "ue", "rsrq", "bogus")
            "cell": _CELL, "ts": _TS, "value": _VALUE}
 
 
+# the byte forms a generated line takes: UTF-8 mostly, else one that the
+# line rule rejects (a BOM, UTF-16/32, an encoded surrogate, a stray byte)
+LINE_ENCODINGS = ["utf-8"] * 6 + ["utf-8-sig", "utf-16", "utf-16-le", "utf-32",
+                                  "surrogate", "bad-utf-8"]
+
+
 @st.composite
 def record_lines(draw):
-    """NDJSON-ish lines: an object of the four fields, some dropped or
-    repeated (duplicate keys), in any order, given as str or as bytes; some
-    lines are non-object JSON, padded with a non-JSON whitespace character,
-    followed by garbage or a second object, or end in an undecodable byte."""
+    """NDJSON-ish lines as bytes: an object of the four fields, some dropped
+    or repeated (duplicate keys), in any order; some lines are non-object
+    JSON or blank, padded with a non-JSON whitespace character, followed by
+    garbage or a second value, or encoded other than as UTF-8
+    (`LINE_ENCODINGS`)."""
     pairs = [(k, draw(tok)) for k, tok in _FIELDS.items() if draw(st.integers(0, 9))]
     pairs += draw(st.lists(st.sampled_from(sorted(_FIELDS)).flatmap(
         lambda k: _FIELDS[k].map(lambda tok: (k, tok))), max_size=1))
@@ -105,16 +114,18 @@ def record_lines(draw):
     sep = draw(st.sampled_from([",", ", "]))
     body = "{" + sep.join(f'"{k}":{tok}' for k, tok in pairs) + "}"
     if not draw(st.integers(0, 7)):
-        body = draw(st.sampled_from(["[1, 2]", "1", '"load"', "null", ""]))
+        body = draw(st.sampled_from(["[1, 2]", "1", '"load"', "null", "", "", body + body]))
     pad = st.text(alphabet=" \t\n\r", max_size=2)
     tail = draw(st.sampled_from([""] * 20 + ["x", "}", ",", ' {"a": 1}', "{}"]))
     line = draw(pad) + body + tail + draw(pad)
     if not draw(st.integers(0, 4)):
         odd = draw(st.sampled_from("\x0b\x0c\xa0\u2028"))
         line = odd + line if draw(st.booleans()) else line + odd
-    encoding = draw(st.sampled_from(["str"] * 4 + ["utf-8", "utf-16", "bad-utf-8"]))
-    if encoding == "str":
-        return line
+    encoding = draw(st.sampled_from(LINE_ENCODINGS))
+    if encoding == "surrogate":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from("\ud800\udc80\udfff")) + line[at:]
+        encoding = "utf-8"
     if encoding == "bad-utf-8":
         return line.encode("utf-8", "surrogatepass") + b"\xff"
     return line.encode(encoding, "surrogatepass")
@@ -123,10 +134,14 @@ def record_lines(draw):
 @settings(max_examples=800, deadline=None)
 @given(record_lines())
 def test_parse_record_matches_json_loads_oracle(line):
-    """The direct decode returns the dict the json.loads parser returned, or
-    raises the same class; the only differences are the two mended holes,
-    a boolean ts and an integer value too large for a float, which are now
+    """The direct decode returns the dict the json.loads parser returns on
+    the line decoded as strict UTF-8, or raises the same class, and a blank
+    line gives None; the only differences are the two mended holes, a
+    boolean ts and an integer value too large for a float, which are now
     DataErrors (not range errors)."""
+    if not line.strip(b" \t\n\r"):
+        assert dp.parse_record(line) is None
+        return
     try:
         expected = oracles.parse_record_loads(line)
     except OverflowError:
@@ -134,7 +149,7 @@ def test_parse_record_matches_json_loads_oracle(line):
     except DataError as exc:
         expected = type(exc)
     try:
-        doc = json.loads(line)
+        doc = json.loads(line.decode("utf-8"))
     except ValueError:
         doc = None
     if isinstance(doc, dict) and isinstance(doc.get("ts"), bool):
@@ -333,7 +348,7 @@ def test_scaler_roundtrip():
     rng = np.random.default_rng(7)
     data = rng.normal(size=(50, 3)) * 10
     scaler = dp.fit_scaler(data, ["a", "b", "c"])
-    back = dp.invert_scaler(dp.apply_scaler(data, scaler), scaler)
+    back = oracles.invert_scaler(dp.apply_scaler(data, scaler), scaler)
     np.testing.assert_allclose(back, data, atol=1e-12)
 
 
@@ -479,7 +494,7 @@ def reference_windows(series, spec, horizons, mode):
                if lags}
         row["external"] = dp.external_features(series.timestamp(t))
         if mode == "horizons":
-            row["target"] = dp.aggregate_targets(col, t, horizons)
+            row["target"] = oracles.aggregate_targets(col, t, horizons)
         elif mode == "pdf":
             row["target"] = series.values[t]
         rows.append((series.timestamp(t), row))
@@ -556,19 +571,19 @@ def test_windows_indexing_keeps_rows_aligned():
 
 def test_aggregate_targets_constant():
     values = np.full(200, 0.3)
-    np.testing.assert_allclose(dp.aggregate_targets(values, 100), [0.3, 0.3, 0.3])
+    np.testing.assert_allclose(oracles.aggregate_targets(values, 100), [0.3, 0.3, 0.3])
 
 
 def test_aggregate_targets_ramp():
     values = np.arange(100.0)
-    out = dp.aggregate_targets(values, 0, horizons=[1, 15, 60])
+    out = oracles.aggregate_targets(values, 0, horizons=[1, 15, 60])
     np.testing.assert_allclose(out, [0.0, 7.0, 29.5])
-    assert dp.aggregate_targets(values, 5, horizons=[1])[0] == 5.0
+    assert oracles.aggregate_targets(values, 5, horizons=[1])[0] == 5.0
 
 
 def test_aggregate_targets_out_of_range():
     with pytest.raises(ShapeError):
-        dp.aggregate_targets(np.arange(10.0), 5, horizons=[10])
+        oracles.aggregate_targets(np.arange(10.0), 5, horizons=[10])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from deepauto import neuralnet as nn
 from deepauto.dataprep import EXTERNAL_DIM, ScalerParams, Windows, WindowSpec
 from deepauto.errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
+import oracles
+
 
 def micro_config(**overrides):
     base = dict(
@@ -234,7 +236,6 @@ def test_branch_ablation_consistency():
 
 def test_micro_forward_matches_scalar_composition():
     """dims=1 model cross-checked against the scalar oracle chain."""
-    import oracles
     config = micro_config(
         window=WindowSpec(n_r=2, n_p=0, n_s=0), input_dim=1,
         hidden_r=1, use_external=False, horizons=(1,))
@@ -258,8 +259,8 @@ def run_gradient_check(config, seed=0, tol=1e-4):
     params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
     arrays = make_samples(config, 6, seed=seed + 1).arrays
     loss, grads = dm.loss_and_gradients(arrays, params, config)
-    err = nn.gradient_check(lambda: dm.batch_loss(arrays, params, config),
-                            params, grads)
+    err = oracles.gradient_check(lambda: dm.batch_loss(arrays, params, config),
+                                 params, grads)
     assert err <= tol, f"max relative gradient error {err}"
 
 

@@ -119,7 +119,7 @@ def check_lstm_gradients(seed, input_dim, hidden_dim, steps, tol):
 
     _, state, caches = lstm_loss_closure(xs, p, w_out)()
     g = nn.lstm_backward_sequence(caches, w_out[None, :], p)
-    err = nn.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], p, g)
+    err = oracles.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], p, g)
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -247,7 +247,7 @@ def test_dense_backward_matches_fd(activation):
 
     y, cache = nn.dense_forward(x, p)
     g, dx = nn.dense_backward(cache, w_out, p)
-    err = nn.gradient_check(loss, p, g)
+    err = oracles.gradient_check(loss, p, g)
     assert err <= 1e-6
 
 
@@ -428,7 +428,7 @@ def test_gradient_check_linear_exact():
         return float(y[0, 0])
 
     analytic = nn.DenseParams(W=x.copy(), b=np.ones(1))
-    assert nn.gradient_check(loss, p, analytic) <= 1e-10
+    assert oracles.gradient_check(loss, p, analytic) <= 1e-10
 
 
 def test_gradient_check_detects_corruption():
@@ -444,4 +444,4 @@ def test_gradient_check_detects_corruption():
     _, cache = nn.dense_forward(x, p)
     g, _ = nn.dense_backward(cache, w_out, p)
     corrupted = nn.DenseParams(W=g.W * 1.1, b=g.b * 1.1)
-    assert nn.gradient_check(loss, p, corrupted) >= 0.05
+    assert oracles.gradient_check(loss, p, corrupted) >= 0.05

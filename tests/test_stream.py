@@ -5,11 +5,13 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
+from test_dataprep import record_lines
 from test_model import BAD_CONFIGS, with_config
 
 
@@ -231,6 +233,49 @@ def test_ingest_checks_dicts_as_ingest_line_checks_lines():
         h = eng.health()
         assert (h["ingested"], h["out_of_range"], h["malformed"]) == (0, 2, 3)
         assert eng.cells == {}
+
+
+@settings(max_examples=500, deadline=None)
+@given(record_lines())
+def test_files_and_the_engine_read_a_line_by_one_rule(tmp_path_factory, line):
+    """One line rule on every surface: `iter_records` rejects a line of a
+    file exactly when `ingest_line` counts the same line, as stdin and TCP
+    deliver it, malformed or out of range; a record both accept is filed
+    with the value the file reads; a blank line is neither rejected nor
+    counted."""
+    line = line.replace(b"\n", b" ") + b"\n"
+    path = tmp_path_factory.getbasetemp() / "one_line.ndjson"
+    path.write_bytes(line)
+    rejected = []
+    records = list(dataprep.iter_records(path, rejected))
+
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    assert eng.ingest_line(line) == []
+    counted = eng.counters["malformed"] + eng.counters["out_of_range"]
+    assert len(rejected) == counted
+    if not line.strip(b" \t\r\n"):
+        assert records == [] and counted == 0
+    for r in records:
+        entry = dataprep.bucket_entry(r, eng.channels)
+        assert eng.counters["ingested"] == (entry is not None)
+        if entry is not None:
+            sums, counts = eng.cells[r["cell"]].open[r["ts"] // eng.step_seconds]
+            assert (sums[entry[0]], counts[entry[0]]) == (entry[1], 1)
+
+
+def test_engine_skips_blank_lines_and_reads_str_as_utf8():
+    """A blank line counts nothing; a str line is read as its UTF-8 bytes,
+    so one holding a lone surrogate, which has none, is malformed."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    for line in (b"\n", b" \t\r\n", "", "  "):
+        assert eng.ingest_line(line) == []
+    assert all(v == 0 for v in eng.counters.values())
+    eng.ingest_line('{"topic":"load","cell":"\ud800","ts":0,"value":0.5}')
+    eng.ingest_line('{"topic":"load","cell":"\u00e9","ts":0,"value":0.5}')
+    assert (eng.counters["malformed"], eng.counters["ingested"]) == (1, 1)
+    assert list(eng.cells) == ["\u00e9"]
 
 
 def test_engine_counts_huge_integer_value_as_malformed():
@@ -455,7 +500,7 @@ def test_reload_load_to_pdf_model_restarts_buffers(tmp_path):
     eng = stream.Engine(params, config, scaler=None)
     feed(eng, varying_records(("A",), range(5)))
     pdf = dm.DeepAutoConfig(window=WindowSpec(n_r=2), input_dim=35, output_kind="pdf",
-                            pdf_bins=35, hidden_r=3, use_external=False)
+                            pdf_bins=35, hidden_r=3, use_external=False, step_seconds=900)
     path = tmp_path / "pdf.model"
     dm.save_file(path, dm.DeepAutoParams.init(pdf, np.random.default_rng(0)), pdf, None)
     assert eng.reload_model(path) == (True, None)
@@ -639,3 +684,34 @@ def test_http_endpoints():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_reload_refuses_another_bucket_width(tmp_path):
+    """A 900-s engine refuses a 300-s (default pdf) model: the reload fails,
+    is counted, and the old model keeps serving."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    pdf = dm.DeepAutoConfig(window=WindowSpec(n_r=2), input_dim=35, output_kind="pdf",
+                            pdf_bins=35, hidden_r=3, use_external=False)
+    assert pdf.step_seconds == 300
+    path = tmp_path / "pdf.model"
+    dm.save_file(path, dm.DeepAutoParams.init(pdf, np.random.default_rng(0)), pdf, None)
+    ok, err = eng.reload_model(path)
+    assert not ok and err.startswith("ConfigError") and "300" in err and "900" in err
+    assert eng.health()["reload_errors"] == 1
+    assert eng.model_version == 1 and eng.params is params and eng.config is config
+
+
+@pytest.mark.parametrize("step_seconds", [None, 60])
+def test_reload_of_the_same_width_succeeds(tmp_path, step_seconds):
+    """A model of the running model's `config.step_seconds` reloads, also in
+    an engine built with another bucket width, which it keeps."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None, step_seconds=step_seconds)
+    params2, config2 = zero_model(hidden_r=5)
+    path = tmp_path / "same.model"
+    dm.save_file(path, params2, config2, None)
+    assert config2.step_seconds == config.step_seconds == 900
+    assert eng.reload_model(path) == (True, None)
+    assert eng.model_version == 2 and eng.config.hidden_r == 5
+    assert eng.step_seconds == (step_seconds or 900)
