@@ -6,14 +6,14 @@ external-feature embedding, plus the surrounding data pipeline, baselines,
 synthetic data generator, and a streaming prediction service.
 """
 
-from . import cli, dataprep, evaluation, model, neuralnet, pipeline, stream, synthgen
+from . import dataprep, evaluation, model, neuralnet, pipeline, stream, synthgen
 from .errors import (ConfigError, DataError, DeepAutoError, ModelFormatError,
                      OutOfRangeError, ShapeError, TrainingDiverged)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli", "dataprep", "evaluation", "model", "neuralnet", "pipeline",
+    "dataprep", "evaluation", "model", "neuralnet", "pipeline",
     "stream", "synthgen",
     "ConfigError", "DataError", "DeepAutoError", "ModelFormatError",
     "OutOfRangeError", "ShapeError", "TrainingDiverged",

@@ -371,10 +371,14 @@ def _external_row(sec_of_week):
 
 def external_block(anchor_ts):
     """(N, EXTERNAL_DIM) `external_features` rows of the timestamps
-    `anchor_ts` (N,), bit for bit, each looked up by its second of the week
-    in a cache of rows."""
-    rows = [_external_row(ts % WEEK_SECONDS) for ts in anchor_ts.tolist()]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), EXTERNAL_DIM)
+    `anchor_ts` (N,), bit for bit: each distinct second of the week among
+    them is looked up once in a cache of rows, and the block is gathered
+    from those rows."""
+    secs = anchor_ts % WEEK_SECONDS
+    # a set, not np.unique, which costs several times more on one row
+    keys = np.array(sorted(set(secs.tolist())), np.int64)
+    table = np.array([_external_row(s) for s in keys.tolist()]).reshape(len(keys), EXTERNAL_DIM)
+    return table.take(keys.searchsorted(secs), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +475,32 @@ class Windows:
                    np.concatenate([p.anchor_ts for p in parts]))
 
 
+def _lagged(values, count, step):
+    """View of `values` (T, ...) whose row j holds values[j], values[j +
+    step], ..., values[j + (count - 1) * step], so that one (N,) index
+    gathers N windows of `count` lags without an (N, count) index. numpy
+    checks that the view stays inside the values' buffer."""
+    values = np.ascontiguousarray(values)
+    stride = values.strides[0]
+    return np.ndarray((max(len(values) - (count - 1) * step, 0), count) + values.shape[1:],
+                      values.dtype, values, 0, (stride, step * stride) + values.strides[1:])
+
+
 def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
     """Windows without targets: each branch's lags of the rows `values`
     (T, C) before each index in `anchors` (N,), and the external features of
     `anchor_ts` (N,) (`external_block`). Every lag must fall inside
     `values`."""
-    # one gather per branch keeps each (N, lags, C) array C-contiguous
+    # the calendar block first, so its temporaries are gone before the
+    # branches are gathered; one gather per branch keeps each (N, lags, C)
+    # array C-contiguous
+    external = external_block(anchor_ts)
     arrays = {}
-    for name, offsets in zip(("recent", "periodic", "seasonal"), spec.lag_indices(0)):
-        if offsets:
-            arrays[name] = values[anchors[:, None] + np.asarray(offsets)]
-    arrays["external"] = external_block(anchor_ts)
+    for name, count, step in (("recent", spec.n_r, 1), ("periodic", spec.n_p, spec.period_steps),
+                              ("seasonal", spec.n_s, spec.season_steps)):
+        if count:
+            arrays[name] = _lagged(values, count, step)[anchors - count * step]
+    arrays["external"] = external
     return Windows(arrays, cell_ids, anchor_ts)
 
 
@@ -502,25 +521,48 @@ def window_anchors(length, spec, horizons, require_targets, pdf_target):
     return np.arange(spec.history_span(), last + 1)
 
 
-def make_windows(series, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False):
-    """`lag_windows` plus targets for every feasible anchor of one series
-    (`window_anchors`). With `pdf_target` the target is the full channel row
-    at the anchor (histogram prediction) and `horizons` is ignored;
-    otherwise target h is the mean of the series' "load" column over the h
-    steps from the anchor (tests/oracles.py's `aggregate_targets` is the
-    per-anchor reference, bit for bit).
+def make_windows(series, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False,
+                 scaler=None):
+    """`lag_windows` plus targets for every feasible anchor
+    (`window_anchors`) of each series in the sequence `series`, its rows in
+    (anchor index, position in `series`) order. The series' values are
+    joined end to end and, given `scaler`, scaled at once (`apply_scaler`),
+    and every array is gathered from that one block, as the streaming
+    engine gathers its windows from its joined histories. With `pdf_target`
+    the target is the full channel row at the anchor (histogram prediction)
+    and `horizons` is ignored; otherwise target h is the mean of the "load"
+    column over the h steps from the anchor (tests/oracles.py's
+    `aggregate_targets` is the per-anchor reference, bit for bit). Raises
+    DataError when `series` is empty, ShapeError when its channels differ.
     """
-    values = series.values
-    anchors = window_anchors(series.length, spec, horizons, require_targets, pdf_target)
-    windows = lag_windows(values, anchors, np.full(len(anchors), series.cell_id),
-                          series.timestamp(anchors), spec)
+    if not series:
+        raise DataError("no series to window")
+    if any(s.channels != series[0].channels for s in series):
+        raise ShapeError("series joined into one block must share their channels")
+    anchors = [window_anchors(s.length, spec, horizons, require_targets, pdf_target)
+               for s in series]
+    counts = [len(a) for a in anchors]
+    t = np.concatenate(anchors)
+    order = np.argsort(t, kind="stable")
+    # a row's index in the joined block: its series' first row plus its anchor
+    starts = np.cumsum([0] + [s.length for s in series[:-1]])
+    rows = (np.repeat(starts, counts) + t)[order]
+    values = np.concatenate([s.values for s in series])
+    if scaler is not None:
+        values = apply_scaler(values, scaler)
+    windows = lag_windows(values, rows,
+                          np.repeat(np.array([s.cell_id for s in series]), counts)[order],
+                          np.concatenate([s.timestamp(a) for s, a in zip(series, anchors)])[order],
+                          spec)
     if require_targets:
         if pdf_target:
-            windows.arrays["target"] = values[anchors]
+            windows.arrays["target"] = values[rows]
         else:
-            col = values[:, series.channel_index("load")]
+            # the mean at every joined position, then the rows': no (N, h) gather;
+            # each view row sums in a contiguous row's order, so the bits hold
+            col = values[:, series[0].channel_index("load")]
             windows.arrays["target"] = np.stack(
-                [col[anchors[:, None] + np.arange(h)].mean(axis=1) for h in horizons], axis=1)
+                [_lagged(col, h, 1).mean(axis=1)[rows] for h in horizons], axis=1)
     return windows
 
 

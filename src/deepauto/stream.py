@@ -13,8 +13,9 @@ buckets records under its model's channel layout
 `dataprep.bucket_entry` routes each record, and
 `dataprep.bucket_values` closes each bucket. Each cell holds only the rows
 of its last span closed buckets (`WindowSpec.history_span`); each close
-reads its window at once, and `dataprep.lag_windows`, the gather behind
-`make_windows`, turns the windows into model inputs.
+reads its window at once. The windows are joined end to end and
+`dataprep.lag_windows` turns them into model inputs, as `make_windows`
+does over the batch path's joined series.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ class Engine:
         pairs, in order: one forward pass per `config.batch_size` of them,
         which bounds the memory a flush over many cells takes. A chunk's
         histories are joined end to end and scaled at once, and
-        `dataprep.lag_windows`, the gather `make_windows` uses, reads
-        anchors span, 2*span, ... of them. Cache-free rows are
+        `dataprep.lag_windows` reads anchors span, 2*span, ... of them, as
+        `make_windows` reads its joined series. Cache-free rows are
         batch-invariant, so every output equals the batch path's bit for
         bit."""
         pending = [(cell, anchor, rows) for cell, windows in closes for anchor, rows in windows]

@@ -262,9 +262,11 @@ def lstm_backward_axis_sums(caches, dh_final, p):
 def windows_by_anchor(parts, first_anchor):
     """The rows of the per-cell Windows `parts`, given in cell-id order with
     each cell's anchors running contiguously from `first_anchor` (as
-    make_windows builds them), in (anchor index, cell id) order: all parts
-    concatenated, then taken in a stable argsort on anchor index. Returns
-    (windows, their anchor indices)."""
+    make_windows builds them for a single series), in (anchor index, cell
+    id) order: all parts concatenated, then taken in a stable argsort on
+    anchor index. This two-copy assembly is the reference for make_windows
+    over many series, which gathers its rows in that order from one block.
+    Returns (windows, their anchor indices)."""
     t = np.concatenate([np.arange(len(w)) for w in parts]) + first_anchor
     order = np.argsort(t, kind="stable")
     return Windows.concat(parts)[order], t[order]

@@ -46,6 +46,15 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_runs_without_a_warning():
+    """`python -m deepauto.cli` runs the module once: the package does not
+    import `cli` itself, so runpy finds no earlier copy to warn about."""
+    proc = subprocess.run([sys.executable, "-m", "deepauto.cli", "--help"],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
 def test_missing_input_exit_2(tmp_path, capsys):
     code = run_cli(["train", "--input", str(tmp_path / "nope.ndjson"),
                     "--model", str(tmp_path / "m.bin")])

@@ -443,7 +443,7 @@ def test_periodic_lag_indices():
 
 def test_make_windows_anchor_count():
     s = series_from(np.arange(10.0), channels=["load"])
-    samples = dp.make_windows(s, dp.WindowSpec(n_r=3), horizons=[1])
+    samples = dp.make_windows([s], dp.WindowSpec(n_r=3), horizons=[1])
     assert [x.anchor_ts for x in samples] == [t * 60 for t in range(3, 10)]
     assert len(samples) == 7
 
@@ -451,7 +451,7 @@ def test_make_windows_anchor_count():
 def test_make_windows_values_and_targets():
     s = series_from(np.arange(100.0), channels=["load"])
     spec = dp.WindowSpec(n_r=2, n_p=1, period_steps=10)
-    samples = dp.make_windows(s, spec, horizons=[1, 5])
+    samples = dp.make_windows([s], spec, horizons=[1, 5])
     first = samples.arrays
     assert samples.anchor_ts[0] == 10 * 60
     np.testing.assert_array_equal(first["recent"][0, :, 0], [8.0, 9.0])
@@ -461,7 +461,7 @@ def test_make_windows_values_and_targets():
 
 def test_make_windows_infeasible_spec():
     s = series_from(np.arange(5.0), channels=["load"])
-    assert len(dp.make_windows(s, dp.WindowSpec(n_r=10), horizons=[1])) == 0
+    assert len(dp.make_windows([s], dp.WindowSpec(n_r=10), horizons=[1])) == 0
 
 
 @given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2),
@@ -474,7 +474,7 @@ def test_windows_never_read_out_of_bounds(n_r, n_p, n_s, length, period):
                          period_steps=period if n_p else 0,
                          season_steps=period * 2 if n_s else 0)
     s = series_from(np.arange(float(length)), channels=["load"])
-    windows = dp.make_windows(s, spec, horizons=[1])
+    windows = dp.make_windows([s], spec, horizons=[1])
     for name in ("recent", "periodic", "seasonal"):
         window = windows.arrays.get(name, np.zeros((0, 0, 1)))
         assert np.all(window[..., 0] >= 0.0)
@@ -519,7 +519,7 @@ def test_make_windows_matches_per_anchor_reference(seed, mode, n_r, n_p, n_s, n_
     s = dp.KpiSeries(cell_id="c7", start_ts=start * step, step_seconds=step,
                      channels=channels, values=values, missing_mask=np.zeros_like(values, bool))
 
-    windows = dp.make_windows(s, spec, horizons, require_targets=mode != "inference",
+    windows = dp.make_windows([s], spec, horizons, require_targets=mode != "inference",
                               pdf_target=mode == "pdf")
     expected = reference_windows(s, spec, horizons, mode)
     assert len(windows) == len(expected)
@@ -535,11 +535,61 @@ def test_make_windows_matches_per_anchor_reference(seed, mode, n_r, n_p, n_s, n_
             assert arr[k].tobytes() == row[name].tobytes(), (name, k)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 12), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_lag_windows_rows_are_lag_indices_and_external_features(seed, n_r, n_p, n_s, n_rows,
+                                                                 engine_layout):
+    """Row k holds values[spec.lag_indices(t)] for each branch and the
+    external_features of its timestamp, for anchors unsorted, repeated or
+    none; also on the engine's layout, n_rows histories of span rows joined
+    end to end with anchors at span, 2*span, ..."""
+    rng = np.random.default_rng(seed)
+    period = n_r + int(rng.integers(1, 5))
+    spec = dp.WindowSpec(n_r=n_r, n_p=n_p, n_s=n_s, period_steps=period if n_p else 0,
+                         season_steps=period + int(rng.integers(0, 4)) if n_s else 0)
+    span = spec.history_span()
+    if engine_layout:
+        values = rng.normal(size=(span * n_rows, 3))
+        anchors = span * np.arange(1, n_rows + 1)
+    else:
+        values = rng.normal(size=(span + int(rng.integers(0, 20)), 3))
+        anchors = rng.integers(span, len(values) + 1, size=n_rows)
+    cell_ids = np.array([f"c{k % 3}" for k in range(n_rows)], dtype=str)
+    anchor_ts = rng.integers(-2**40, 2**40, size=n_rows)
+
+    windows = dp.lag_windows(values, anchors, cell_ids, anchor_ts, spec)
+    assert windows.cell_ids is cell_ids and windows.anchor_ts is anchor_ts
+    branches = [("recent", n_r), ("periodic", n_p), ("seasonal", n_s)]
+    assert list(windows.arrays) == [name for name, n in branches if n] + ["external"]
+    for name, n in branches:
+        if n:
+            assert windows.arrays[name].shape == (n_rows, n, 3)
+    assert windows.arrays["external"].shape == (n_rows, dp.EXTERNAL_DIM)
+    for arr in windows.arrays.values():
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+    for k, t in enumerate(anchors.tolist()):
+        for (name, _), lags in zip(branches, spec.lag_indices(t)):
+            if lags:
+                assert windows.arrays[name][k].tobytes() == values[lags].tobytes(), (name, k)
+        assert windows.arrays["external"][k].tobytes() == \
+            dp.external_features(anchor_ts[k]).tobytes()
+
+
+def test_make_windows_joins_series_of_one_channel_layout():
+    a = series_from(np.arange(10.0), cell="a", channels=["load"])
+    b = series_from(np.arange(10.0), cell="b", channels=["ue"])
+    with pytest.raises(ShapeError):
+        dp.make_windows([a, b], dp.WindowSpec(n_r=3), horizons=[1])
+    with pytest.raises(DataError):
+        dp.make_windows([], dp.WindowSpec(n_r=3), horizons=[1])
+
+
 def test_windows_indexing_keeps_rows_aligned():
     spec = dp.WindowSpec(n_r=3, n_p=1, period_steps=5)
     cells = [series_from(np.arange(40.0) + offset, step=60, cell=cell, channels=["load"])
              for cell, offset in (("a", 0.0), ("b", 1000.0))]
-    both = dp.Windows.concat([dp.make_windows(s, spec, horizons=[1, 3]) for s in cells])
+    both = dp.Windows.concat([dp.make_windows([s], spec, horizons=[1, 3]) for s in cells])
     assert len(both) == 2 * 33
 
     def check_row(w, k):

@@ -37,7 +37,7 @@ def reference_load_dataset(series_by_cell, window, horizons):
     every cell's rows before the first validation anchor, then windows of
     the scaled series in (anchor index, cell id) order."""
     cells = [s for _, s in sorted(series_by_cell.items())]
-    lengths = [len(dp.make_windows(s, window, horizons)) for s in cells]
+    lengths = [len(dp.make_windows([s], window, horizons)) for s in cells]
     t = np.sort(np.concatenate([np.arange(n) for n in lengths]) + window.history_span())
     if len(t) < 6:
         return None, None
@@ -45,7 +45,7 @@ def reference_load_dataset(series_by_cell, window, horizons):
     scaler = dp.fit_scaler(np.concatenate([s.values[:boundary] for s in cells]),
                            cells[0].channels)
     windows, _ = oracles.windows_by_anchor(
-        [dp.make_windows(scaled(s, scaler), window, horizons) for s in cells],
+        [dp.make_windows([scaled(s, scaler)], window, horizons) for s in cells],
         window.history_span())
     return windows, scaler
 
@@ -73,7 +73,7 @@ def check_builders(series, window, horizons=None):
             assert got_scaler.to_dict() == scaler.to_dict()
             assert_same_splits(got, want)
 
-    pdf, _ = oracles.windows_by_anchor([dp.make_windows(s, window, pdf_target=True)
+    pdf, _ = oracles.windows_by_anchor([dp.make_windows([s], window, pdf_target=True)
                                         for s in cells], window.history_span())
     if len(pdf) < 6:
         with pytest.raises(DataError):
@@ -85,7 +85,7 @@ def check_builders(series, window, horizons=None):
 
     for sc in (scaler, None):
         want, _ = oracles.windows_by_anchor(
-            [dp.make_windows(scaled(s, sc), window, require_targets=False) for s in cells],
+            [dp.make_windows([scaled(s, sc)], window, require_targets=False) for s in cells],
             window.history_span())
         if not len(want):
             with pytest.raises(DataError, match="steps of history"):
