@@ -13,7 +13,7 @@ the file commands stream their records from --input and warn once how many
 lines they rejected, and `serve` feeds each line of stdin or of a TCP
 connection to the engine, which counts the ones it rejects. `serve` closes
 the open buckets and emits their predictions when its input ends: at EOF
-on stdin, or on SIGINT.
+on stdin, or on SIGINT or SIGTERM.
 
 Exit codes: 0 success, 1 usage error, 2 data/model error. Reports are
 machine-readable JSON first; human tables go to stdout where useful.
@@ -25,6 +25,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import socketserver
 import sys
 import threading
@@ -259,9 +260,11 @@ def cmd_serve(args):
         def handle(self):
             ingest(self.rfile)
 
+    # SIGTERM stops the service as SIGINT does
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        # the input ends at EOF on stdin, or on SIGINT; either way the open
-        # buckets close and their predictions go out
+        # the input ends at EOF on stdin, or on SIGINT or SIGTERM; either way
+        # the open buckets close and their predictions go out
         try:
             if args.listen_ingest == "stdin":
                 ingest(sys.stdin.buffer)
@@ -278,6 +281,7 @@ def cmd_serve(args):
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, sigterm)
         httpd.shutdown()
         if firehose:
             firehose.close()

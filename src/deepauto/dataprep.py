@@ -13,15 +13,22 @@ bucket's per-channel sums and counts into values and a missing mask. Under
 `RSRQ_CHANNELS` a bucket is the share of its RSRQ reports in each of the
 35 bins. `records_to_series` and the streaming engine's `CellBuffer` both
 call the two functions.
+
+`records_to_series` is columnar: one pass over the records routes each
+one (`bucket_entry`) and appends its cell code, bucket, channel and amount
+to four `array` columns. Two `np.bincount` calls then sum the amounts and
+count the entries of every (cell, bucket, channel) at once, in record
+order, and one `bucket_values` call covers every cell's buckets.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +42,7 @@ RSRQ_BINS = 35
 # the share of RSRQ reports in each bin for histogram (pdf) models
 LOAD_CHANNELS = ("load", "ue")
 RSRQ_CHANNELS = tuple(f"rsrq_{k}" for k in range(RSRQ_BINS))
+_RSRQ_INDEX = {name: k for k, name in enumerate(RSRQ_CHANNELS)}
 
 # external feature vector layout: one-hot day-of-week (7), hour sin/cos,
 # minute sin/cos, then normalized band/power/bandwidth
@@ -119,9 +127,11 @@ def check_record(rec):
 def rsrq_bin(value):
     """The histogram bin an RSRQ report value names; raises OutOfRangeError
     unless the value is an integer in [0, RSRQ_BINS)."""
-    if not 0 <= value <= RSRQ_BINS - 1 or value != int(value):
-        raise OutOfRangeError(f"rsrq value out of range: {value}")
-    return int(value)
+    if 0 <= value <= RSRQ_BINS - 1:
+        k = int(value)
+        if k == value:
+            return k
+    raise OutOfRangeError(f"rsrq value out of range: {value}")
 
 
 def iter_records(path, rejected):
@@ -194,11 +204,16 @@ def bucket_entry(rec, channels):
     names no bin; under any other layout a record whose topic is a channel
     adds its value."""
     topic = rec["topic"]
-    if topic in channels:  # no topic is an RSRQ_CHANNELS name
-        return channels.index(topic), rec["value"]
-    if topic == "rsrq" and channels == RSRQ_CHANNELS:
-        return rsrq_bin(rec["value"]), 1.0
-    return None
+    if channels is not RSRQ_CHANNELS:
+        if topic in channels:  # no topic is an RSRQ_CHANNELS name
+            return channels.index(topic), rec["value"]
+        if topic != "rsrq" or channels != RSRQ_CHANNELS:
+            return None
+    elif topic != "rsrq":
+        # the histogram layout looks a name up instead of scanning all 35
+        k = _RSRQ_INDEX.get(topic)
+        return None if k is None else (k, rec["value"])
+    return rsrq_bin(rec["value"]), 1.0
 
 
 def bucket_values(sums, counts, channels):
@@ -218,12 +233,19 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     `channels` (`bucket_entry`, then `bucket_values`); a record the layout
     has no channel for, or an rsrq report that names no bin, is skipped.
 
-    `records` may be any iterable, read once. Returns {cell_id: KpiSeries};
-    each cell's series starts at its own first bucket. Accumulation follows
-    record order so streaming and batch paths agree bit-for-bit.
+    `records` may be any iterable, read once. Returns {cell_id: KpiSeries}
+    in cell-id order; each cell's series starts at its own first bucket.
+    One pass files each entry as a row of four columns (the cell's code in
+    first-seen order, its bucket, channel and amount). The cells' buckets
+    are then laid end to end in one (rows, channels) block, and
+    `np.bincount` sums the amounts and counts into it. It adds in record
+    order from 0.0, as the streaming path does, so the two agree bit for
+    bit. One `bucket_values` call turns the block into values, and each
+    cell's series is a slice of it.
     """
     channels = tuple(channels)
-    sums, counts = {}, {}  # (cell, bucket, channel) -> sum, count of its entries
+    cell_codes = {}
+    codes, buckets, columns, amounts = array("q"), array("q"), array("q"), array("d")
     for rec in records:
         try:
             entry = bucket_entry(rec, channels)
@@ -231,33 +253,40 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
             continue
         if entry is None:
             continue
-        key = (rec["cell"], rec["ts"] // step_seconds, entry[0])
-        sums[key] = sums.get(key, 0.0) + entry[1]
-        counts[key] = counts.get(key, 0) + 1
+        codes.append(cell_codes.setdefault(rec["cell"], len(cell_codes)))
+        buckets.append(rec["ts"] // step_seconds)
+        columns.append(entry[0])
+        amounts.append(entry[1])
 
-    # one pass groups the keys by cell, so the cost is linear in the keys
-    by_cell = {}
-    for key in sums:
-        by_cell.setdefault(key[0], []).append(key)
-    out = {}
-    for cell in sorted(by_cell):
-        keys = by_cell[cell]
-        # map() and fromiter keep the per-key work out of the interpreter loop
-        buckets, columns = (np.fromiter(map(itemgetter(i), keys), np.intp, len(keys))
-                            for i in (1, 2))
-        first = int(buckets.min())
-        shape = (int(buckets.max()) - first + 1, len(channels))
-        at = (buckets - first, columns)
-        cell_sums, cell_counts = np.zeros(shape), np.zeros(shape)
-        cell_sums[at] = np.fromiter(map(sums.__getitem__, keys), np.float64, len(keys))
-        cell_counts[at] = np.fromiter(map(counts.__getitem__, keys), np.float64, len(keys))
-        values, missing = bucket_values(cell_sums, cell_counts, channels)
-        out[cell] = KpiSeries(
-            cell_id=cell, start_ts=first * step_seconds,
-            step_seconds=step_seconds, channels=list(channels),
-            values=values, missing_mask=missing,
-        )
-    return out
+    codes, buckets = np.frombuffer(codes, np.int64), np.frombuffer(buckets, np.int64)
+    first = np.full(len(cell_codes), np.iinfo(np.int64).max)
+    last = np.full(len(cell_codes), np.iinfo(np.int64).min)
+    np.minimum.at(first, codes, buckets)
+    np.maximum.at(last, codes, buckets)
+    # the cells' rows in the block, in cell-id order; spans are summed as
+    # Python ints, so a span too wide for int64 fails instead of wrapping
+    cells = sorted(cell_codes)
+    order = [cell_codes[cell] for cell in cells]
+    firsts = first[order].tolist()
+    spans = [hi - lo + 1 for lo, hi in zip(firsts, last[order].tolist())]
+    starts = list(itertools.accumulate(spans, initial=0))
+    row0 = np.empty(len(cells), np.int64)
+    row0[order] = starts[:-1]
+    width = len(channels)
+    index = buckets - first[codes]
+    index += row0[codes]
+    index *= width
+    index += np.frombuffer(columns, np.int64)
+    size = starts[-1] * width
+    sums = np.bincount(index, np.frombuffer(amounts, np.float64), size).reshape(-1, width)
+    counts = np.bincount(index, minlength=size).reshape(-1, width)
+    del codes, buckets, columns, amounts, index
+    values, missing = bucket_values(sums, counts, channels)
+    return {cell: KpiSeries(cell_id=cell, start_ts=lo * step_seconds,
+                            step_seconds=step_seconds, channels=list(channels),
+                            values=values[start:start + span],
+                            missing_mask=missing[start:start + span])
+            for cell, lo, start, span in zip(cells, firsts, starts, spans)}
 
 
 def fill_gaps(values, missing):

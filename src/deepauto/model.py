@@ -72,6 +72,9 @@ class DeepAutoConfig:
             self.input_dim = len(self.channels)
         if self.step_seconds is None:
             self.step_seconds = 300 if self.output_kind == "pdf" else 900
+        # bucketing files each bucket index as an int64
+        if not isinstance(self.step_seconds, int) or isinstance(self.step_seconds, bool):
+            raise ConfigError(f"step_seconds must be an integer, not {self.step_seconds!r}")
         if self.step_seconds <= 0:
             raise ConfigError("step_seconds must be positive")
         if self.input_dim <= 0 or self.ext_embed_dim <= 0 or self.fusion_hidden <= 0:

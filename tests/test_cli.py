@@ -515,9 +515,10 @@ def _free_port():
         return sock.getsockname()[1]
 
 
-def test_serve_tcp_flushes_on_sigint(tmp_path):
-    """`serve` over TCP closes the open buckets on SIGINT, as stdin mode does
-    at EOF: the firehose holds the flushed anchors, and the exit code is 0."""
+def _serve_tcp_until(tmp_path, sig):
+    """Run `serve` over TCP, send it five buckets of two cells, stop it with
+    the signal `sig` once it has ingested them, and return the (cell,
+    anchor bucket) pairs of its firehose, after checking it exited 0."""
     config = dm.DeepAutoConfig(window=dataprep.WindowSpec(n_r=2), horizons=(1, 4),
                                hidden_r=3, ext_embed_dim=2)
     model = tmp_path / "model.bin"
@@ -550,13 +551,26 @@ def test_serve_tcp_flushes_on_sigint(tmp_path):
             time.sleep(0.1)
             with urllib.request.urlopen(f"http://127.0.0.1:{http_port}/health") as resp:
                 health = json.load(resp)
-        proc.send_signal(signal.SIGINT)
+        proc.send_signal(sig)
         assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    anchors = sorted((d["cell"], d["anchor_ts"] // 900)
-                     for d in map(json.loads, firehose.read_text().splitlines()))
+    return sorted((d["cell"], d["anchor_ts"] // 900)
+                  for d in map(json.loads, firehose.read_text().splitlines()))
+
+
+def test_serve_tcp_flushes_on_sigint(tmp_path):
+    """`serve` over TCP closes the open buckets on SIGINT, as stdin mode does
+    at EOF: the firehose holds the flushed anchors, and the exit code is 0."""
     # buckets 0..3 close as records arrive; bucket 4 closes only at the flush
-    assert anchors == [(cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]
+    assert _serve_tcp_until(tmp_path, signal.SIGINT) == [
+        (cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]
+
+
+def test_serve_tcp_flushes_on_sigterm(tmp_path):
+    """SIGTERM stops `serve` as SIGINT does: the open buckets are flushed to
+    the firehose, which is closed, and the exit code is 0."""
+    assert _serve_tcp_until(tmp_path, signal.SIGTERM) == [
+        (cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]

@@ -522,6 +522,19 @@ def test_default_step_seconds_follows_output_kind():
         micro_config(step_seconds=0)
 
 
+@pytest.mark.parametrize("width", [900.5, 900.0, True, "900"])
+def test_step_seconds_must_be_an_integer(width):
+    """A bucket width that is not an int, or is a bool, fails the config,
+    and a model file that holds one is a corrupt file: bucket indices are
+    int64 and a window's timestamps whole seconds."""
+    with pytest.raises(ConfigError, match="step_seconds"):
+        micro_config(step_seconds=width)
+    params, config, scaler = roundtrip_setup()
+    blob = with_config(dm.save(params, config, scaler), step_seconds=width)
+    with pytest.raises(ModelFormatError, match="step_seconds"):
+        dm.load(blob)
+
+
 def test_unknown_version_rejected():
     params, config, scaler = roundtrip_setup()
     blob = bytearray(dm.save(params, config, scaler))
