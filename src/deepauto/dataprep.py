@@ -42,7 +42,6 @@ RSRQ_BINS = 35
 # the share of RSRQ reports in each bin for histogram (pdf) models
 LOAD_CHANNELS = ("load", "ue")
 RSRQ_CHANNELS = tuple(f"rsrq_{k}" for k in range(RSRQ_BINS))
-_RSRQ_INDEX = {name: k for k, name in enumerate(RSRQ_CHANNELS)}
 
 # external feature vector layout: one-hot day-of-week (7), hour sin/cos,
 # minute sin/cos, then normalized band/power/bandwidth
@@ -127,11 +126,9 @@ def check_record(rec):
 def rsrq_bin(value):
     """The histogram bin an RSRQ report value names; raises OutOfRangeError
     unless the value is an integer in [0, RSRQ_BINS)."""
-    if 0 <= value <= RSRQ_BINS - 1:
-        k = int(value)
-        if k == value:
-            return k
-    raise OutOfRangeError(f"rsrq value out of range: {value}")
+    if not 0 <= value <= RSRQ_BINS - 1 or value != int(value):
+        raise OutOfRangeError(f"rsrq value out of range: {value}")
+    return int(value)
 
 
 def iter_records(path, rejected):
@@ -204,16 +201,11 @@ def bucket_entry(rec, channels):
     names no bin; under any other layout a record whose topic is a channel
     adds its value."""
     topic = rec["topic"]
-    if channels is not RSRQ_CHANNELS:
-        if topic in channels:  # no topic is an RSRQ_CHANNELS name
-            return channels.index(topic), rec["value"]
-        if topic != "rsrq" or channels != RSRQ_CHANNELS:
-            return None
-    elif topic != "rsrq":
-        # the histogram layout looks a name up instead of scanning all 35
-        k = _RSRQ_INDEX.get(topic)
-        return None if k is None else (k, rec["value"])
-    return rsrq_bin(rec["value"]), 1.0
+    if topic in channels:  # no topic is an RSRQ_CHANNELS name
+        return channels.index(topic), rec["value"]
+    if topic == "rsrq" and channels == RSRQ_CHANNELS:
+        return rsrq_bin(rec["value"]), 1.0
+    return None
 
 
 def bucket_values(sums, counts, channels):
@@ -263,18 +255,14 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     last = np.full(len(cell_codes), np.iinfo(np.int64).min)
     np.minimum.at(first, codes, buckets)
     np.maximum.at(last, codes, buckets)
-    # the cells' rows in the block, in cell-id order; spans are summed as
+    # the cells' rows in the block, in code order; spans are summed as
     # Python ints, so a span too wide for int64 fails instead of wrapping
-    cells = sorted(cell_codes)
-    order = [cell_codes[cell] for cell in cells]
-    firsts = first[order].tolist()
-    spans = [hi - lo + 1 for lo, hi in zip(firsts, last[order].tolist())]
+    firsts = first.tolist()
+    spans = [hi - lo + 1 for lo, hi in zip(firsts, last.tolist())]
     starts = list(itertools.accumulate(spans, initial=0))
-    row0 = np.empty(len(cells), np.int64)
-    row0[order] = starts[:-1]
     width = len(channels)
     index = buckets - first[codes]
-    index += row0[codes]
+    index += np.array(starts[:-1], np.int64)[codes]
     index *= width
     index += np.frombuffer(columns, np.int64)
     size = starts[-1] * width
@@ -282,11 +270,11 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     counts = np.bincount(index, minlength=size).reshape(-1, width)
     del codes, buckets, columns, amounts, index
     values, missing = bucket_values(sums, counts, channels)
-    return {cell: KpiSeries(cell_id=cell, start_ts=lo * step_seconds,
+    return {cell: KpiSeries(cell_id=cell, start_ts=firsts[c] * step_seconds,
                             step_seconds=step_seconds, channels=list(channels),
-                            values=values[start:start + span],
-                            missing_mask=missing[start:start + span])
-            for cell, lo, start, span in zip(cells, firsts, starts, spans)}
+                            values=values[starts[c]:starts[c + 1]],
+                            missing_mask=missing[starts[c]:starts[c + 1]])
+            for cell, c in sorted(cell_codes.items())}
 
 
 def fill_gaps(values, missing):

@@ -4,9 +4,6 @@ record-parser oracle raises the package's error classes, nothing more).
 The BPTT oracle is NumPy: what it pins is the order of the batch sums. The
 window-assembly oracle is the package's earlier two-copy assembly, built
 on `Windows.concat`: what it pins is the row order of a batch. The
-bucketing oracle is the package's earlier dict loop, built on
-`bucket_values` and `KpiSeries`, with the earlier scanning record router:
-what it pins is the order in which each bucket's entries are summed. The
 finite-difference gradient checker walks parameters with the package's
 `param_leaves`, and the per-anchor target and inverse-scaler references
 are NumPy.
@@ -20,7 +17,7 @@ import math
 
 import numpy as np
 
-from deepauto.dataprep import RSRQ_CHANNELS, KpiSeries, Windows, bucket_values
+from deepauto.dataprep import Windows
 from deepauto.errors import DataError, OutOfRangeError, ShapeError
 from deepauto.neuralnet import param_leaves
 
@@ -169,56 +166,6 @@ def records_to_series_rescan(records, step_seconds, channels=("load", "ue")):
                     values[b - first][ci] = sums[key] / counts[key]
                     missing[b - first][ci] = False
         out[cell] = (first, values, missing)
-    return out
-
-
-def bucket_entry_scan(rec, channels):
-    """The record router before the histogram layout got its constant-time
-    lookup: (channel index, amount) that `rec` adds under the layout
-    `channels`, or None. It scans `channels` for the topic, then compares
-    the layout with RSRQ_CHANNELS, where an rsrq report counts one in the
-    bin its value names (OutOfRangeError when it names none)."""
-    topic = rec["topic"]
-    if topic in channels:
-        return channels.index(topic), rec["value"]
-    if topic == "rsrq" and channels == RSRQ_CHANNELS:
-        value = rec["value"]
-        if not 0 <= value <= len(RSRQ_CHANNELS) - 1 or value != int(value):
-            raise OutOfRangeError(f"rsrq value out of range: {value}")
-        return int(value), 1.0
-    return None
-
-
-def records_to_series_dict(records, step_seconds, channels=("load", "ue")):
-    """The dict loop that columnar bucketing replaced: sum and count each
-    (cell, bucket, channel) key's entries (`bucket_entry_scan`) in record
-    order from 0.0, then give each cell, in cell-id order, a KpiSeries of
-    `bucket_values` over its own first to last bucket."""
-    channels = tuple(channels)
-    sums, counts = {}, {}
-    for rec in records:
-        try:
-            entry = bucket_entry_scan(rec, channels)
-        except OutOfRangeError:
-            continue
-        if entry is None:
-            continue
-        key = (rec["cell"], rec["ts"] // step_seconds, entry[0])
-        sums[key] = sums.get(key, 0.0) + entry[1]
-        counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for cell in sorted({key[0] for key in sums}):
-        keys = [key for key in sums if key[0] == cell]
-        first = min(key[1] for key in keys)
-        shape = (max(key[1] for key in keys) - first + 1, len(channels))
-        cell_sums, cell_counts = np.zeros(shape), np.zeros(shape)
-        for key in keys:
-            cell_sums[key[1] - first, key[2]] = sums[key]
-            cell_counts[key[1] - first, key[2]] = counts[key]
-        values, missing = bucket_values(cell_sums, cell_counts, channels)
-        out[cell] = KpiSeries(cell_id=cell, start_ts=first * step_seconds,
-                              step_seconds=step_seconds, channels=list(channels),
-                              values=values, missing_mask=missing)
     return out
 
 

@@ -515,10 +515,11 @@ def _free_port():
         return sock.getsockname()[1]
 
 
-def _serve_tcp_until(tmp_path, sig):
-    """Run `serve` over TCP, send it five buckets of two cells, stop it with
-    the signal `sig` once it has ingested them, and return the (cell,
-    anchor bucket) pairs of its firehose, after checking it exited 0."""
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+def test_serve_tcp_flushes_on_signal(tmp_path, sig):
+    """`serve` over TCP closes the open buckets on SIGINT or SIGTERM, as stdin
+    mode does at EOF: the firehose holds the flushed anchors, and the exit
+    code is 0."""
     config = dm.DeepAutoConfig(window=dataprep.WindowSpec(n_r=2), horizons=(1, 4),
                                hidden_r=3, ext_embed_dim=2)
     model = tmp_path / "model.bin"
@@ -557,20 +558,7 @@ def _serve_tcp_until(tmp_path, sig):
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    return sorted((d["cell"], d["anchor_ts"] // 900)
-                  for d in map(json.loads, firehose.read_text().splitlines()))
-
-
-def test_serve_tcp_flushes_on_sigint(tmp_path):
-    """`serve` over TCP closes the open buckets on SIGINT, as stdin mode does
-    at EOF: the firehose holds the flushed anchors, and the exit code is 0."""
+    anchors = sorted((d["cell"], d["anchor_ts"] // 900)
+                     for d in map(json.loads, firehose.read_text().splitlines()))
     # buckets 0..3 close as records arrive; bucket 4 closes only at the flush
-    assert _serve_tcp_until(tmp_path, signal.SIGINT) == [
-        (cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]
-
-
-def test_serve_tcp_flushes_on_sigterm(tmp_path):
-    """SIGTERM stops `serve` as SIGINT does: the open buckets are flushed to
-    the firehose, which is closed, and the exit code is 0."""
-    assert _serve_tcp_until(tmp_path, signal.SIGTERM) == [
-        (cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]
+    assert anchors == [(cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]

@@ -244,58 +244,42 @@ def test_rsrq_bucketing_matches_oracle(reports):
         np.testing.assert_array_equal(s.missing_mask, missing)
 
 
-LAYOUTS = {"load": dp.LOAD_CHANNELS, "rsrq": dp.RSRQ_CHANNELS, "load_only": ("load",),
-           "rsrq_copy": list(dp.RSRQ_CHANNELS)}
+LAYOUTS = {"load": dp.LOAD_CHANNELS, "load_only": ("load",), "rsrq": dp.RSRQ_CHANNELS}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(LAYOUTS)), st.sampled_from([7, 60, 300, 900]),
        st.sampled_from([0, -7 * 900, 1_600_000_123, 2**63 + 4321]),
        st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 12), st.integers(0, 899),
-                          st.sampled_from(dp.TOPICS + ("rsrq_3", "bogus")),
+                          st.sampled_from(dp.TOPICS + ("bogus",)),
                           st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.0, 1.0, 3.0, 34.0,
                                            -1.0, 10.5, 35.0])),
                 max_size=60),
        st.data())
-def test_records_to_series_matches_dict_loop(layout, step, base, drawn, data):
-    """Columnar bucketing gives the dict loop's series byte for byte (cell
-    order, start_ts, values, masks) under each layout, from a generator read
-    once, on shuffled records with three or more adds to one key whose sum
-    depends on their order, rsrq values that name no bin, topics outside
-    the layout, and timestamps past 2**63 whose buckets fit int64."""
+def test_records_to_series_matches_rescan_oracles(layout, step, base, drawn, data):
+    """Under each layout, bucketing a generator (read once) gives the
+    rescan oracle's series bit for bit, on shuffled records with three or
+    more adds to one key whose sum depends on their order, rsrq values that
+    name no bin, topics outside the layout, and timestamps past 2**63 whose
+    buckets fit int64."""
     channels = LAYOUTS[layout]
     records = [{"topic": topic, "cell": cell, "ts": base + k * step + offset % step, "value": value}
                for cell, k, offset, topic, value in drawn]
     records += [{"topic": topic, "cell": "a", "ts": base + 1, "value": value}
                 for value in (0.1, 0.2, 0.3) for topic in ("load", "rsrq")]
     records = data.draw(st.permutations(records))
-    expected = oracles.records_to_series_dict(records, step, channels)
+    if channels is dp.RSRQ_CHANNELS:
+        expected = oracles.rsrq_series_rescan(records, step, dp.RSRQ_BINS)
+    else:
+        expected = oracles.records_to_series_rescan(records, step, channels)
     series = dp.records_to_series((rec for rec in records), step, channels)
     assert list(series) == list(expected)
-    for cell, want in expected.items():
-        got = series[cell]
-        assert type(got.start_ts) is int and got.start_ts == want.start_ts
-        assert got.step_seconds == step and got.channels == want.channels
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.missing_mask.tobytes() == want.missing_mask.tobytes()
-
-
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_bucket_entry_matches_the_scanning_router(layout):
-    """`bucket_entry` routes every topic and value as the scan over the
-    layout's names did, whether or not the layout is RSRQ_CHANNELS itself."""
-    channels = tuple(LAYOUTS[layout])
-    for topic in dp.TOPICS + ("rsrq_0", "rsrq_34", "rsrq_35", "bogus"):
-        for value in (0.0, 0.5, 1.0, 3.0, 34.0, 35.0, -1.0, 10.5, float("nan"), float("inf"), 7):
-            rec = {"topic": topic, "cell": "a", "ts": 0, "value": value}
-            try:
-                want = oracles.bucket_entry_scan(rec, channels)
-            except OutOfRangeError:
-                with pytest.raises(OutOfRangeError):
-                    dp.bucket_entry(rec, channels)
-                continue
-            # repr tells 7 from 7.0 and matches nan to nan
-            assert repr(dp.bucket_entry(rec, channels)) == repr(want)
+    for cell, (first, values, missing) in expected.items():
+        s = series[cell]
+        assert type(s.start_ts) is int and s.start_ts == first * step
+        assert s.step_seconds == step and s.channels == list(channels)
+        assert s.values.tobytes() == np.array(values).tobytes()
+        np.testing.assert_array_equal(s.missing_mask, missing)
 
 
 # ---------------------------------------------------------------------------
