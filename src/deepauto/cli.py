@@ -245,12 +245,14 @@ def cmd_serve(args):
     log.info("http on %s:%d", host, port)
 
     firehose = open(args.firehose, "w", encoding="utf-8") if args.firehose else None
+    firehose_lock = threading.Lock()  # TCP handler threads and the final flush all emit
 
     def emit(predictions):
         if firehose:
-            for p in predictions:
-                firehose.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
-            firehose.flush()
+            with firehose_lock:
+                for p in predictions:
+                    firehose.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
+                firehose.flush()
 
     def ingest(lines):
         for line in lines:

@@ -13,12 +13,6 @@ bucket's per-channel sums and counts into values and a missing mask. Under
 `RSRQ_CHANNELS` a bucket is the share of its RSRQ reports in each of the
 35 bins. `records_to_series` and the streaming engine's `CellBuffer` both
 call the two functions.
-
-`records_to_series` is columnar: one pass over the records routes each
-one (`bucket_entry`) and appends its cell code, bucket, channel and amount
-to four `array` columns. Two `np.bincount` calls then sum the amounts and
-count the entries of every (cell, bucket, channel) at once, in record
-order, and one `bucket_values` call covers every cell's buckets.
 """
 
 from __future__ import annotations
@@ -233,7 +227,8 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     `np.bincount` sums the amounts and counts into it. It adds in record
     order from 0.0, as the streaming path does, so the two agree bit for
     bit. One `bucket_values` call turns the block into values, and each
-    cell's series is a slice of it.
+    cell's series is a slice of it. A block too large to allocate raises
+    DataError with its bucket count.
     """
     channels = tuple(channels)
     cell_codes = {}
@@ -261,15 +256,21 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     spans = [hi - lo + 1 for lo, hi in zip(firsts, last.tolist())]
     starts = list(itertools.accumulate(spans, initial=0))
     width = len(channels)
-    index = buckets - first[codes]
-    index += np.array(starts[:-1], np.int64)[codes]
-    index *= width
-    index += np.frombuffer(columns, np.int64)
     size = starts[-1] * width
-    sums = np.bincount(index, np.frombuffer(amounts, np.float64), size).reshape(-1, width)
-    counts = np.bincount(index, minlength=size).reshape(-1, width)
-    del codes, buckets, columns, amounts, index
-    values, missing = bucket_values(sums, counts, channels)
+    try:
+        if size * 8 > np.iinfo(np.intp).max:  # more bytes than numpy can address
+            raise MemoryError
+        index = buckets - first[codes]
+        index += np.array(starts[:-1], np.int64)[codes]
+        index *= width
+        index += np.frombuffer(columns, np.int64)
+        sums = np.bincount(index, np.frombuffer(amounts, np.float64), size).reshape(-1, width)
+        counts = np.bincount(index, minlength=size).reshape(-1, width)
+        del codes, buckets, columns, amounts, index
+        values, missing = bucket_values(sums, counts, channels)
+    except MemoryError:
+        raise DataError(f"the cells span {starts[-1]} buckets of {step_seconds} s, "
+                        "more than can be allocated") from None
     return {cell: KpiSeries(cell_id=cell, start_ts=firsts[c] * step_seconds,
                             step_seconds=step_seconds, channels=list(channels),
                             values=values[starts[c]:starts[c + 1]],
@@ -417,28 +418,27 @@ class WindowSpec:
             raise ShapeError("n_r must be >= 1")
         if min(self.n_p, self.n_s) < 0:
             raise ShapeError("lag counts must be >= 0")
-        if self.n_p > 0:
-            if self.period_steps <= self.n_r:
-                raise ShapeError("period_steps must exceed n_r when periodic lags are used")
-        if self.n_s > 0:
-            if self.season_steps < max(self.period_steps, 1):
-                raise ShapeError("season_steps must be >= period_steps")
+        if self.n_p > 0 and self.period_steps <= self.n_r:
+            raise ShapeError("period_steps must exceed n_r when periodic lags are used")
+        if self.n_s > 0 and self.season_steps < max(self.period_steps, 1):
+            raise ShapeError("season_steps must be >= period_steps")
+
+    def branches(self):
+        """(name, lag count, lag step) of each branch the spec has, in the
+        fixed order recent, periodic, seasonal: the one list that windowing
+        and the model walk."""
+        layout = (("recent", self.n_r, 1), ("periodic", self.n_p, self.period_steps),
+                  ("seasonal", self.n_s, self.season_steps))
+        return [branch for branch in layout if branch[1] > 0]
 
     def history_span(self):
         """Steps of history an anchor needs before itself."""
-        span = self.n_r
-        if self.n_p > 0:
-            span = max(span, self.n_p * self.period_steps)
-        if self.n_s > 0:
-            span = max(span, self.n_s * self.season_steps)
-        return span
+        return max(count * step for _, count, step in self.branches())
 
     def lag_indices(self, t):
-        """Absolute indices read by each branch for anchor t, chronological."""
-        recent = list(range(t - self.n_r, t))
-        periodic = [t - k * self.period_steps for k in range(self.n_p, 0, -1)]
-        seasonal = [t - k * self.season_steps for k in range(self.n_s, 0, -1)]
-        return recent, periodic, seasonal
+        """{branch name: the absolute indices it reads for anchor t, in time order}."""
+        return {name: [t - k * step for k in range(count, 0, -1)]
+                for name, count, step in self.branches()}
 
     def to_dict(self):
         return asdict(self)
@@ -460,11 +460,11 @@ class Row(NamedTuple):
 class Windows:
     """Model inputs for N anchors, row-aligned across every array.
 
-    `arrays` holds "recent" (N, n_r, C), "periodic"/"seasonal" when the spec
-    has those lags, "external" (N, EXTERNAL_DIM) and, when targets were
-    built, "target" (N, K) horizon targets or (N, bins) histograms. Indexing
-    by a slice or an integer index array selects rows of every array;
-    iterating yields one Row per anchor.
+    `arrays` holds an (N, lags, C) array per branch, in
+    `WindowSpec.branches` order, then "external" (N, EXTERNAL_DIM) and, when
+    targets were built, "target" (N, K) horizon targets or (N, bins)
+    histograms. Indexing by a slice or an integer index array selects rows
+    of every array; iterating yields one Row per anchor.
     """
 
     arrays: dict
@@ -512,11 +512,8 @@ def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
     # branches are gathered; one gather per branch keeps each (N, lags, C)
     # array C-contiguous
     external = external_block(anchor_ts)
-    arrays = {}
-    for name, count, step in (("recent", spec.n_r, 1), ("periodic", spec.n_p, spec.period_steps),
-                              ("seasonal", spec.n_s, spec.season_steps)):
-        if count:
-            arrays[name] = _lagged(values, count, step)[anchors - count * step]
+    arrays = {name: _lagged(values, count, step)[anchors - count * step]
+              for name, count, step in spec.branches()}
     arrays["external"] = external
     return Windows(arrays, cell_ids, anchor_ts)
 

@@ -47,11 +47,10 @@ def linear_ar_predict(X, coef):
 
 def samples_to_design(windows):
     """Flatten Windows into a ridge design matrix (same features as the
-    neural model: all lag windows, each row in time-major order, plus the
-    external vector)."""
-    lags = [windows.arrays[k] for k in ("recent", "periodic", "seasonal") if k in windows.arrays]
-    return np.concatenate([a.reshape(len(a), -1) for a in lags]
-                          + [windows.arrays["external"]], axis=1)
+    neural model: every array but the target, the lag windows in branch
+    order and each row time-major, then the external vector)."""
+    return np.concatenate([a.reshape(len(windows), -1) for k, a in windows.arrays.items()
+                           if k != "target"], axis=1)
 
 
 # ---------------------------------------------------------------------------

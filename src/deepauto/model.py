@@ -32,6 +32,10 @@ V1_GATES = {
     "b": ("b_i", "b_f", "b_c", "b_o"),
 }
 
+# each lag branch's LSTM cell in DeepAutoParams and hidden size in DeepAutoConfig
+BRANCH_FIELDS = {"recent": ("lstm_r", "hidden_r"), "periodic": ("lstm_p", "hidden_p"),
+                 "seasonal": ("lstm_s", "hidden_s")}
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -98,14 +102,8 @@ class DeepAutoConfig:
 
     @property
     def fusion_in_dim(self):
-        dim = self.hidden_r
-        if self.window.n_p > 0:
-            dim += self.hidden_p
-        if self.window.n_s > 0:
-            dim += self.hidden_s
-        if self.use_external:
-            dim += self.ext_embed_dim
-        return dim
+        dim = sum(getattr(self, BRANCH_FIELDS[name][1]) for name, _, _ in self.window.branches())
+        return dim + (self.ext_embed_dim if self.use_external else 0)
 
     def to_dict(self):
         return asdict(self)
@@ -136,12 +134,10 @@ class DeepAutoParams:
 
     @classmethod
     def init(cls, config, rng):
-        window = config.window
-        lstm_r = nn.LstmCellParams.init(config.input_dim, config.hidden_r, rng)
-        lstm_p = (nn.LstmCellParams.init(config.input_dim, config.hidden_p, rng)
-                  if window.n_p > 0 else None)
-        lstm_s = (nn.LstmCellParams.init(config.input_dim, config.hidden_s, rng)
-                  if window.n_s > 0 else None)
+        cells = {}
+        for name, _, _ in config.window.branches():
+            cell, hidden = BRANCH_FIELDS[name]
+            cells[cell] = nn.LstmCellParams.init(config.input_dim, getattr(config, hidden), rng)
         ext_net = ([nn.DenseParams(W=np.zeros((config.ext_embed_dim, EXTERNAL_DIM)),
                                    b=np.zeros(config.ext_embed_dim), activation="tanh")]
                    if config.use_external else [])
@@ -153,8 +149,7 @@ class DeepAutoParams:
             nn.DenseParams.init(config.fusion_in_dim, config.fusion_hidden, "tanh", rng),
             nn.DenseParams.init(config.fusion_hidden, config.out_dim, head_act, rng),
         ]
-        return cls(lstm_r=lstm_r, lstm_p=lstm_p, lstm_s=lstm_s,
-                   ext_net=ext_net, fusion_net=fusion_net)
+        return cls(**cells, ext_net=ext_net, fusion_net=fusion_net)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +158,11 @@ class DeepAutoParams:
 
 def _check_shapes(arrays, config):
     """The branch arrays of a batch must match the config's window layout."""
-    w = config.window
     if len(arrays["recent"]) == 0:
         raise ShapeError("empty batch")
-    for name, steps in (("recent", w.n_r), ("periodic", w.n_p), ("seasonal", w.n_s)):
+    for name, steps, _ in config.window.branches():
         shape = arrays[name].shape[1:] if name in arrays else None
-        if steps > 0 and shape != (steps, config.input_dim):
+        if shape != (steps, config.input_dim):
             raise ShapeError(f"{name} window shape {shape} does not match config")
 
 
@@ -185,68 +179,56 @@ def forward_batch(arrays, params, config, cache=True):
     """
     _check_shapes(arrays, config)
     parts, caches = [], {}
-    state, caches["recent"] = nn.lstm_forward_sequence(arrays["recent"], params.lstm_r,
-                                                       cache=cache)
-    parts.append(state.h)
-    if config.window.n_p > 0:
-        state, caches["periodic"] = nn.lstm_forward_sequence(arrays["periodic"], params.lstm_p,
-                                                             cache=cache)
-        parts.append(state.h)
-    if config.window.n_s > 0:
-        state, caches["seasonal"] = nn.lstm_forward_sequence(arrays["seasonal"], params.lstm_s,
-                                                             cache=cache)
+    for name, _, _ in config.window.branches():
+        cell = getattr(params, BRANCH_FIELDS[name][0])
+        state, caches[name] = nn.lstm_forward_sequence(arrays[name], cell, cache=cache)
         parts.append(state.h)
     if config.use_external:
-        h = arrays["external"]
-        ext_caches = []
-        for layer in params.ext_net:
-            h, layer_cache = nn.dense_forward(h, layer, cache=cache)
-            ext_caches.append(layer_cache)
-        caches["ext"] = ext_caches
+        h, caches["ext"] = _stack_forward(arrays["external"], params.ext_net, cache)
         parts.append(h)
-    fused = np.concatenate(parts, axis=1)
-    fusion_caches = []
-    h = fused
-    for layer in params.fusion_net:
-        h, layer_cache = nn.dense_forward(h, layer, cache=cache)
-        fusion_caches.append(layer_cache)
-    caches["fusion"] = fusion_caches
+    h, caches["fusion"] = _stack_forward(np.concatenate(parts, axis=1), params.fusion_net, cache)
     caches["parts"] = [p.shape[1] for p in parts]
     return h, (caches if cache else None)
 
 
+def _stack_forward(x, layers, cache):
+    """`x` through the dense `layers` in order; returns (y, the layers' caches)."""
+    caches = []
+    for layer in layers:
+        x, layer_cache = nn.dense_forward(x, layer, cache=cache)
+        caches.append(layer_cache)
+    return x, caches
+
+
+def _stack_backward(caches, dy, layers):
+    """Gradients of the dense `layers` (`_stack_forward`) from d(loss)/d(y);
+    returns (their DenseParams grads in order, d(loss)/d(x))."""
+    grads = []
+    for layer_cache, layer in zip(caches[::-1], layers[::-1]):
+        g_layer, dy = nn.dense_backward(layer_cache, dy, layer)
+        grads.insert(0, g_layer)
+    return grads, dy
+
+
 def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
     """Gradients of a scalar loss given d(loss)/d(Yhat) (or d/d(logits) when
-    `skip_head_activation`, used by the softmax+KL shortcut), as a
-    DeepAutoParams of the same shapes as `params`."""
-    fusion = []
-    d = d_yhat
-    for li in range(len(params.fusion_net) - 1, -1, -1):
-        layer = params.fusion_net[li]
-        cache = caches["fusion"][li]
-        if li == len(params.fusion_net) - 1 and skip_head_activation:
-            g_layer = nn.DenseParams(W=d.T @ cache["x"], b=nn.batch_sum(d),
-                                     activation=layer.activation)
-            d = d @ layer.W
-        else:
-            g_layer, d = nn.dense_backward(cache, d, layer)
-        fusion.insert(0, g_layer)
+    `skip_head_activation`, used by the softmax+KL shortcut: the head layer
+    then runs backward as an identity layer), as a DeepAutoParams of the
+    same shapes as `params`."""
+    fusion_net = params.fusion_net
+    if skip_head_activation:
+        fusion_net = fusion_net[:-1] + [replace(fusion_net[-1], activation="identity")]
+    fusion, d = _stack_backward(caches["fusion"], d_yhat, fusion_net)
 
-    # split the fused gradient back into branch slices
+    # split the fused gradient back into branch slices, external last
     slices = np.split(d, np.cumsum(caches["parts"])[:-1], axis=1)
-    grads = DeepAutoParams(
-        lstm_r=nn.lstm_backward_sequence(caches["recent"], slices.pop(0), params.lstm_r),
-        fusion_net=fusion)
-    if config.window.n_p > 0:
-        grads.lstm_p = nn.lstm_backward_sequence(caches["periodic"], slices.pop(0), params.lstm_p)
-    if config.window.n_s > 0:
-        grads.lstm_s = nn.lstm_backward_sequence(caches["seasonal"], slices.pop(0), params.lstm_s)
-    if config.use_external:
-        d = slices.pop(0)
-        for li in range(len(params.ext_net) - 1, -1, -1):
-            g_layer, d = nn.dense_backward(caches["ext"][li], d, params.ext_net[li])
-            grads.ext_net.insert(0, g_layer)
-    return grads
+    cells = {}
+    for (name, _, _), d_h in zip(config.window.branches(), slices):
+        cell = BRANCH_FIELDS[name][0]
+        cells[cell] = nn.lstm_backward_sequence(caches[name], d_h, getattr(params, cell))
+    ext_net = (_stack_backward(caches["ext"], slices[-1], params.ext_net)[0]
+               if config.use_external else [])
+    return DeepAutoParams(**cells, ext_net=ext_net, fusion_net=fusion)
 
 
 def _arrays(batch):
@@ -491,7 +473,7 @@ def save(params, config, scaler):
 def _stack_v1_cells(tensors):
     """Stack each version-1 LSTM cell's per-gate tensors into the gate-major
     ones; other tensors pass through."""
-    for cell in ("lstm_r", "lstm_p", "lstm_s"):
+    for cell, _ in BRANCH_FIELDS.values():
         for packed, gates in V1_GATES.items():
             names = [f"{cell}.{gate}" for gate in gates]
             if all(name in tensors for name in names):

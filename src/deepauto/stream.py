@@ -81,25 +81,36 @@ class CellBuffer:
         """Close every bucket <= upto (`dataprep.bucket_values`, NaN where
         missing), one at a time from the first ever added; returns
         (anchor, `window()`) for each closed bucket whose anchor, the bucket
-        after it, has a window."""
+        after it, has a window. Once every held row is missing, the empty
+        buckets before the next open one are closed at once, so a gap costs
+        time bounded by the span, not by its length."""
         # before the first close every bucket added is still open
-        start = min(self.open, default=upto + 1) if self.last_closed is None \
+        b = min(self.open, default=upto + 1) if self.last_closed is None \
             else self.last_closed + 1
         windows = []
-        for b in range(start, upto + 1):
+        while b <= upto:
             sums_counts = self.open.pop(b, None)
-            if sums_counts is None:
-                row = np.full(len(self.channels), np.nan)
-                self.empty_run += 1
-            else:
+            if sums_counts is not None:
                 row, missing = dataprep.bucket_values(*sums_counts, self.channels)
                 row[missing] = np.nan
                 self.empty_run = 0
+            elif self.empty_run >= len(self.closed) == self.closed.maxlen:
+                # every held row is missing: each empty bucket before the next
+                # open one changes no row and has no window
+                skip_to = min([upto + 1, *self.open])
+                self.empty_run += skip_to - b
+                self.last_closed = skip_to - 1
+                b = skip_to
+                continue
+            else:
+                row = np.full(len(self.channels), np.nan)
+                self.empty_run += 1
             self.closed.append(row)
             self.last_closed = b
             rows = self.window()
             if rows is not None:
                 windows.append((b + 1, rows))
+            b += 1
         return windows
 
     def window(self):

@@ -6,7 +6,9 @@ window-assembly oracle is the package's earlier two-copy assembly, built
 on `Windows.concat`: what it pins is the row order of a batch. The
 finite-difference gradient checker walks parameters with the package's
 `param_leaves`, and the per-anchor target and inverse-scaler references
-are NumPy.
+are NumPy. The per-bucket close is the engine's earlier loop, run on a
+package `CellBuffer` with its `bucket_values` and `window`: what it pins is
+which buckets close and what they leave held.
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from deepauto.dataprep import Windows
+from deepauto.dataprep import Windows, bucket_values
 from deepauto.errors import DataError, OutOfRangeError, ShapeError
 from deepauto.neuralnet import param_leaves
 
@@ -328,3 +330,26 @@ def invert_scaler(values, scaler):
     values = np.asarray(values, dtype=np.float64)
     span = np.where(scaler.constant, 1.0, scaler.maxs - scaler.mins)
     return np.where(scaler.constant, scaler.mins, values * span + scaler.mins)
+
+
+def close_through_per_bucket(buf, upto):
+    """`CellBuffer.close_through` as one close per bucket, empty or not, on
+    the CellBuffer `buf`: the loop from before gaps were skipped. Returns
+    the (anchor, window rows) of each closed bucket that has a window."""
+    start = min(buf.open, default=upto + 1) if buf.last_closed is None else buf.last_closed + 1
+    windows = []
+    for b in range(start, upto + 1):
+        sums_counts = buf.open.pop(b, None)
+        if sums_counts is None:
+            row = np.full(len(buf.channels), np.nan)
+            buf.empty_run += 1
+        else:
+            row, missing = bucket_values(*sums_counts, buf.channels)
+            row[missing] = np.nan
+            buf.empty_run = 0
+        buf.closed.append(row)
+        buf.last_closed = b
+        rows = buf.window()
+        if rows is not None:
+            windows.append((b + 1, rows))
+    return windows

@@ -3,6 +3,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -183,6 +184,19 @@ def test_predict_without_a_full_window_exits_2(workspace, tmp_path, capsys):
                     "--input", str(short), "--output", str(out)]) == 2
     assert "192 steps of history" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_with_a_far_off_ts_exits_2(workspace, tmp_path, capsys):
+    """A cell whose records span 10^12 + 1 buckets of 900 s, more than can
+    be allocated, is a data error that names the bucket count, not a
+    MemoryError traceback."""
+    data = tmp_path / "far.ndjson"
+    dataprep.write_records(data, [{"topic": "load", "cell": "A", "ts": 0, "value": 0.5},
+                                  {"topic": "ue", "cell": "A", "ts": 0, "value": 3.0},
+                                  {"topic": "load", "cell": "A", "ts": 9 * 10**14, "value": 0.5}])
+    assert run_cli(["predict", "--model", str(workspace["model"]), "--input", str(data),
+                    "--output", str(tmp_path / "pred.ndjson")]) == 2
+    assert "1000000000001 buckets" in capsys.readouterr().err
 
 
 def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
@@ -562,3 +576,79 @@ def test_serve_tcp_flushes_on_signal(tmp_path, sig):
                      for d in map(json.loads, firehose.read_text().splitlines()))
     # buckets 0..3 close as records arrive; bucket 4 closes only at the flush
     assert anchors == [(cell, b) for cell in ("A", "B") for b in (2, 3, 4, 5)]
+
+
+def test_serve_tcp_connections_write_whole_firehose_lines(tmp_path):
+    """Several TCP connections ingest at once, each from its own handler
+    thread: every firehose line is one whole JSON prediction, and there are
+    as many lines as predictions counted. A last record of a new cell moves
+    the watermark past every bucket sent, so the closes all happen while
+    ingesting and the final flush has no window to predict."""
+    config = dm.DeepAutoConfig(window=dataprep.WindowSpec(n_r=2), horizons=(1, 4),
+                               hidden_r=3, ext_embed_dim=2)
+    model = tmp_path / "model.bin"
+    dm.save_file(model, dm.DeepAutoParams.init(config, np.random.default_rng(0)), config, None)
+    firehose = tmp_path / "fire.ndjson"
+    ingest_port, http_port = _free_port(), _free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deepauto.cli", "serve", "--model", str(model),
+         "--listen-ingest", f"127.0.0.1:{ingest_port}",
+         "--listen-http", f"127.0.0.1:{http_port}", "--firehose", str(firehose)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+    def line(topic, cell, b, value):
+        return json.dumps({"topic": topic, "cell": cell, "ts": b * 900, "value": value}).encode()
+
+    conns, buckets = 6, 40
+    payloads = [b"".join(line(topic, f"c{k}-{j}", b, value) + b"\n"
+                         for b in range(buckets) for j in range(3)
+                         for topic, value in (("load", 0.5), ("ue", 10.0)))
+                for k in range(conns)]
+    errors = []
+
+    def send(payload):
+        try:
+            with socket.create_connection(("127.0.0.1", ingest_port), timeout=30) as conn:
+                conn.sendall(payload)
+        except OSError as exc:
+            errors.append(exc)
+
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                socket.create_connection(("127.0.0.1", ingest_port), timeout=5).close()
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.1)
+        senders = [threading.Thread(target=send, args=(p,)) for p in payloads]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(timeout=60)
+        assert not errors and not any(t.is_alive() for t in senders)
+        health, total = {}, sum(p.count(b"\n") for p in payloads)
+        while health.get("ingested") != total:
+            assert time.monotonic() < deadline
+            time.sleep(0.1)
+            with urllib.request.urlopen(f"http://127.0.0.1:{http_port}/health") as resp:
+                health = json.load(resp)
+        send(line("load", "last", buckets + 5, 0.5) + b"\n")
+        total += 1
+        while health.get("ingested") != total or \
+                len(firehose.read_bytes().splitlines()) < health["predictions"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.1)
+            with urllib.request.urlopen(f"http://127.0.0.1:{http_port}/health") as resp:
+                health = json.load(resp)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    docs = [json.loads(text) for text in firehose.read_text().splitlines()]
+    assert health["predictions"] > 0 and len(docs) == health["predictions"]
+    assert all(set(d) == {"cell", "anchor_ts", "model_version", "latency_ms", "h1", "h4"}
+               for d in docs)

@@ -177,6 +177,17 @@ def test_records_to_series_buckets_and_averages():
     assert series.missing_mask[2, 1]           # no ue record in bucket 2
 
 
+@pytest.mark.parametrize("step, far_ts, buckets", [(900, 9 * 10**14, 10**12 + 1),
+                                                   (1, 2**62, 2**62 + 1)])
+def test_records_to_series_past_memory_is_a_data_error(step, far_ts, buckets):
+    """A cell whose buckets cannot be allocated, past the machine's memory
+    or past what numpy can address, raises DataError with the count."""
+    records = [{"topic": "load", "cell": "a", "ts": 0, "value": 0.5},
+               {"topic": "load", "cell": "a", "ts": far_ts, "value": 0.5}]
+    with pytest.raises(DataError, match=f"span {buckets} buckets"):
+        dp.records_to_series(records, step)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_records_to_series_matches_rescan_oracle(seed):
     """Grouping keys by cell gives the per-cell rescan's series bit for bit,
@@ -468,15 +479,12 @@ def test_window_spec_validation():
 
 def test_recent_lag_indices():
     spec = dp.WindowSpec(n_r=3)
-    recent, periodic, seasonal = spec.lag_indices(100)
-    assert recent == [97, 98, 99]
-    assert periodic == [] and seasonal == []
+    assert spec.lag_indices(100) == {"recent": [97, 98, 99]}
 
 
 def test_periodic_lag_indices():
     spec = dp.WindowSpec(n_r=3, n_p=2, period_steps=1440)
-    _, periodic, _ = spec.lag_indices(3000)
-    assert periodic == [120, 1560]
+    assert spec.lag_indices(3000)["periodic"] == [120, 1560]
 
 
 def test_make_windows_anchor_count():
@@ -527,9 +535,7 @@ def reference_windows(series, spec, horizons, mode):
     col = series.values[:, series.channel_index("load")]
     rows = []
     for t in range(spec.history_span(), last + 1):
-        row = {name: series.values[lags]
-               for name, lags in zip(("recent", "periodic", "seasonal"), spec.lag_indices(t))
-               if lags}
+        row = {name: series.values[lags] for name, lags in spec.lag_indices(t).items()}
         row["external"] = dp.external_features(series.timestamp(t))
         if mode == "horizons":
             row["target"] = oracles.aggregate_targets(col, t, horizons)
@@ -607,9 +613,8 @@ def test_lag_windows_rows_are_lag_indices_and_external_features(seed, n_r, n_p, 
     for arr in windows.arrays.values():
         assert arr.dtype == np.float64 and arr.flags.c_contiguous
     for k, t in enumerate(anchors.tolist()):
-        for (name, _), lags in zip(branches, spec.lag_indices(t)):
-            if lags:
-                assert windows.arrays[name][k].tobytes() == values[lags].tobytes(), (name, k)
+        for name, lags in spec.lag_indices(t).items():
+            assert windows.arrays[name][k].tobytes() == values[lags].tobytes(), (name, k)
         assert windows.arrays["external"][k].tobytes() == \
             dp.external_features(anchor_ts[k]).tobytes()
 

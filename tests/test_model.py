@@ -272,10 +272,15 @@ def test_gradients_kl_micro_model():
     run_gradient_check(micro_config(output_kind="pdf", pdf_bins=5, input_dim=5))
 
 
-def test_gradients_no_external_no_seasonal():
-    config = micro_config(window=WindowSpec(n_r=3, n_p=2, period_steps=4),
-                          use_external=False)
-    run_gradient_check(config)
+@pytest.mark.parametrize("window, use_external", [
+    (WindowSpec(n_r=3, n_p=2, period_steps=4), False),
+    (WindowSpec(n_r=3, n_s=1, season_steps=8), True),
+    (WindowSpec(n_r=3), True),
+], ids=["periodic", "seasonal-external", "recent-external"])
+def test_gradients_no_external_no_seasonal(window, use_external):
+    """Layouts without every branch: the fused gradient splits into the
+    slices of the branches present, with the external slice last."""
+    run_gradient_check(micro_config(window=window, use_external=use_external))
 
 
 @pytest.mark.parametrize("kind", ["horizons", "pdf"])

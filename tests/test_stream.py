@@ -2,10 +2,12 @@ import json
 import threading
 import time
 import urllib.request
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepauto import model as dm
 from deepauto import neuralnet as nn
@@ -13,6 +15,8 @@ from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
 from test_dataprep import record_lines
 from test_model import BAD_CONFIGS, with_config
+
+import oracles
 
 
 def zero_model(window=None, **overrides):
@@ -123,6 +127,59 @@ def test_engine_step_defaults_to_config_bucket_width():
     assert stream.Engine(params, config, None, step_seconds=60).step_seconds == 60
     params, config = zero_model(input_dim=dataprep.RSRQ_BINS, output_kind="pdf")
     assert stream.Engine(params, config, None).step_seconds == config.step_seconds == 300
+
+
+def _buffer_state(buf):
+    return (buf.last_closed, buf.empty_run, sorted(buf.open), buf.closed.maxlen,
+            [row.tobytes() for row in buf.closed])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_close_through_matches_the_per_bucket_loop(seed, span):
+    """Random entries, gaps, closes and span changes (a model reload) leave
+    `close_through` and the one-close-per-bucket oracle with the same
+    (anchor, rows) emitted, the same last bucket closed and the same rows
+    held, although the buffer skips the empty buckets of a long gap."""
+    rng = np.random.default_rng(seed)
+    fast, slow = (stream.CellBuffer(dataprep.LOAD_CHANNELS, span) for _ in range(2))
+    for _ in range(int(rng.integers(1, 40))):
+        frontier = max([fast.last_closed if fast.last_closed is not None else -1, *fast.open])
+        op = rng.random()
+        if op < 0.55:
+            bucket = frontier + int(rng.integers(0, 4 * span + 3))
+            if fast.last_closed is None or bucket > fast.last_closed:
+                entry = int(rng.integers(2)), float(rng.random())
+                fast.add(bucket, *entry)
+                slow.add(bucket, *entry)
+        elif op < 0.9:
+            upto = frontier + int(rng.integers(-2, 4 * span + 3))
+            got, expected = fast.close_through(upto), oracles.close_through_per_bucket(slow, upto)
+            assert [(a, rows.tobytes()) for a, rows in got] == \
+                [(a, rows.tobytes()) for a, rows in expected]
+        else:
+            maxlen = int(rng.integers(1, 7))
+            fast.closed, slow.closed = (deque(buf.closed, maxlen=maxlen) for buf in (fast, slow))
+        assert _buffer_state(fast) == _buffer_state(slow)
+
+
+def test_engine_closes_a_far_gap_in_time_bounded_by_the_span():
+    """One record 10^12 buckets past the rest ingests and flushes in well
+    under a second: the empty buckets between close at once, not one by
+    one. The windows on either side of the gap are still predicted."""
+    engine = stream.Engine(*zero_model(), None)
+    for b in range(4):
+        for topic, value in (("load", 0.5), ("ue", 3.0)):
+            engine.ingest(rec(topic, "A", b, value))
+    far = 10**12
+    t0 = time.monotonic()
+    got = engine.ingest(rec("load", "A", far, 0.5)) + engine.ingest(rec("ue", "A", far, 3.0))
+    got += engine.flush()
+    assert time.monotonic() - t0 < 5.0
+    # bucket 3 closes at the far record, and so does empty bucket 4, whose
+    # window is filled from bucket 3; the far bucket closes at the flush
+    assert [p.anchor_ts // 900 for p in got] == [4, 5, far + 1]
+    assert engine.cells["A"].last_closed == far
 
 
 def test_buffer_eviction():
