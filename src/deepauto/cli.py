@@ -232,13 +232,22 @@ def cmd_predict(args):
 
 
 def _parse_addr(text):
+    """`host:port` (an empty host is 127.0.0.1) as (host, port); an argparse
+    type, so a malformed address is a usage error before anything listens."""
     host, _, port = text.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"{text!r} is not host:port with a port of 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+def _ingest_addr(text):
+    """The word "stdin", or a TCP address (`_parse_addr`)."""
+    return text if text == "stdin" else _parse_addr(text)
 
 
 def cmd_serve(args):
     engine = stream.Engine.from_file(args.model)
-    host, port = _parse_addr(args.listen_http)
+    host, port = args.listen_http
     httpd = stream.make_http_server(engine, host, port)
     http_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     http_thread.start()
@@ -271,8 +280,7 @@ def cmd_serve(args):
             if args.listen_ingest == "stdin":
                 ingest(sys.stdin.buffer)
             else:
-                ingest_srv = socketserver.ThreadingTCPServer(_parse_addr(args.listen_ingest),
-                                                             IngestHandler)
+                ingest_srv = socketserver.ThreadingTCPServer(args.listen_ingest, IngestHandler)
                 ingest_srv.daemon_threads = True
                 log.info("ingest on %s:%d", *ingest_srv.server_address[:2])
                 ingest_srv.serve_forever()
@@ -352,9 +360,10 @@ def build_parser():
 
     p = sub.add_parser("serve")
     p.add_argument("--model", required=True, help=MODEL_HELP)
-    p.add_argument("--listen-ingest", default="stdin",
+    p.add_argument("--listen-ingest", default="stdin", type=_ingest_addr,
                    help='"stdin" or host:port for NDJSON over TCP')
-    p.add_argument("--listen-http", default="127.0.0.1:8080")
+    p.add_argument("--listen-http", default="127.0.0.1:8080", type=_parse_addr,
+                   help="host:port of the HTTP endpoints")
     p.add_argument("--firehose", default=None,
                    help="optional path/FIFO receiving NDJSON predictions")
     p.add_argument("--hold", action="store_true",

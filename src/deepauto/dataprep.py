@@ -228,7 +228,7 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     order from 0.0, as the streaming path does, so the two agree bit for
     bit. One `bucket_values` call turns the block into values, and each
     cell's series is a slice of it. A block too large to allocate raises
-    DataError with its bucket count.
+    DataError with its bucket count, and a bucket past int64 with the bucket.
     """
     channels = tuple(channels)
     cell_codes = {}
@@ -241,7 +241,11 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
         if entry is None:
             continue
         codes.append(cell_codes.setdefault(rec["cell"], len(cell_codes)))
-        buckets.append(rec["ts"] // step_seconds)
+        bucket = rec["ts"] // step_seconds
+        try:
+            buckets.append(bucket)
+        except OverflowError:
+            raise DataError(f"bucket {bucket} of {step_seconds} s does not fit int64") from None
         columns.append(entry[0])
         amounts.append(entry[1])
 

@@ -1,8 +1,8 @@
 """The DeepAuto architecture: three horizontally stacked LSTM branches for
 recent / periodic / seasonal lags, a feed-forward embedding of external
-features, and a fused fully-connected network (hidden tanh layer, then a
-sigmoid-per-horizon or softmax output). Also the training loop, the window-spec
-grid search, and a versioned binary model container.
+features, and a fused fully-connected network (hidden tanh layer, then an
+affine head put through a sigmoid per horizon or a softmax). Also the training
+loop, the window-spec grid search, and a versioned binary model container.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class DeepAutoParams:
     lstm_p: nn.LstmCellParams = None   # absent when n_p == 0
     lstm_s: nn.LstmCellParams = None   # absent when n_s == 0
     ext_net: list = field(default_factory=list)
-    fusion_net: list = field(default_factory=list)  # hidden tanh + output layer
+    fusion_net: list = field(default_factory=list)  # hidden tanh + affine head
 
     @classmethod
     def init(cls, config, rng):
@@ -144,10 +144,9 @@ class DeepAutoParams:
         # the external embedding starts as a no-op (tanh(0) = 0) so adding it
         # never hurts early training; its weights learn in through the fusion
         # gradients
-        head_act = "sigmoid" if config.output_kind == "horizons" else "softmax"
         fusion_net = [
             nn.DenseParams.init(config.fusion_in_dim, config.fusion_hidden, "tanh", rng),
-            nn.DenseParams.init(config.fusion_hidden, config.out_dim, head_act, rng),
+            nn.DenseParams.init(config.fusion_hidden, config.out_dim, "identity", rng),
         ]
         return cls(**cells, ext_net=ext_net, fusion_net=fusion_net)
 
@@ -168,7 +167,9 @@ def _check_shapes(arrays, config):
 
 def forward_batch(arrays, params, config, cache=True):
     """Run the full network on a batch's arrays (Windows.arrays); returns
-    (Yhat, caches).
+    (Yhat, caches). Yhat is the sigmoid (load models) or softmax (histogram
+    models) of the head's logits; a backward pass (`backward_batch`) starts
+    from the gradient at the logits.
 
     The cached pass (the default) multiplies the whole batch at once; it
     serves training steps, validation losses and the grid's metric. With
@@ -186,9 +187,11 @@ def forward_batch(arrays, params, config, cache=True):
     if config.use_external:
         h, caches["ext"] = _stack_forward(arrays["external"], params.ext_net, cache)
         parts.append(h)
-    h, caches["fusion"] = _stack_forward(np.concatenate(parts, axis=1), params.fusion_net, cache)
+    fused = np.concatenate(parts, axis=1)
+    logits, caches["fusion"] = _stack_forward(fused, params.fusion_net, cache)
     caches["parts"] = [p.shape[1] for p in parts]
-    return h, (caches if cache else None)
+    yhat = nn.sigmoid(logits) if config.output_kind == "horizons" else nn.softmax(logits)
+    return yhat, (caches if cache else None)
 
 
 def _stack_forward(x, layers, cache):
@@ -210,15 +213,11 @@ def _stack_backward(caches, dy, layers):
     return grads, dy
 
 
-def backward_batch(caches, d_yhat, params, config, skip_head_activation=False):
-    """Gradients of a scalar loss given d(loss)/d(Yhat) (or d/d(logits) when
-    `skip_head_activation`, used by the softmax+KL shortcut: the head layer
-    then runs backward as an identity layer), as a DeepAutoParams of the
-    same shapes as `params`."""
-    fusion_net = params.fusion_net
-    if skip_head_activation:
-        fusion_net = fusion_net[:-1] + [replace(fusion_net[-1], activation="identity")]
-    fusion, d = _stack_backward(caches["fusion"], d_yhat, fusion_net)
+def backward_batch(caches, d_logits, params, config):
+    """Gradients of a scalar loss given its gradient at the head's logits
+    (before the sigmoid or softmax of `forward_batch`), as a DeepAutoParams
+    of the same shapes as `params`."""
+    fusion, d = _stack_backward(caches["fusion"], d_logits, params.fusion_net)
 
     # split the fused gradient back into branch slices, external last
     slices = np.split(d, np.cumsum(caches["parts"])[:-1], axis=1)
@@ -246,13 +245,12 @@ def loss_and_gradients(batch, params, config):
     Y = arrays["target"]
     if config.output_kind == "horizons":
         loss = nn.mmse_loss(Y, yhat, config.alpha)
-        d_yhat = nn.mmse_gradient(Y, yhat, config.alpha)
-        grads = backward_batch(caches, d_yhat, params, config)
+        # through the sigmoid: d(sigmoid)/d(logit) = yhat * (1 - yhat)
+        d_logits = nn.mmse_gradient(Y, yhat, config.alpha) * yhat * (1.0 - yhat)
     else:
         loss = nn.kl_loss(Y, yhat)
         d_logits = nn.kl_grad_logits(Y, yhat)
-        grads = backward_batch(caches, d_logits, params, config, skip_head_activation=True)
-    return loss, grads
+    return loss, backward_batch(caches, d_logits, params, config)
 
 
 def _outputs(batch, params, config, cache):
@@ -318,7 +316,7 @@ class TrainReport:
 def _compute_copy(params):
     """The float32 working copy of float64 master weights that one training
     step computes with. The output layer stays float64, so the head's
-    activations, the targets and the losses stay float64 too: a float32
+    outputs, the targets and the losses stay float64 too: a float32
     softmax row sums to 1 only to about 1e-7, which kl_loss's 1e-9 row-sum
     check would reject."""
     work = nn.clone_params(params, np.float32)

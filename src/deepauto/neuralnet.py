@@ -1,5 +1,5 @@
 """Minimal dense numeric core: activations, a peephole LSTM cell, dense
-layers, regression/distribution losses and Adam.
+layers (identity or tanh), regression/distribution losses and Adam.
 
 Every kernel computes in the dtype of its parameters: the LSTM passes cast
 each step's input and allocate their state, gradients and accumulators in
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("identity", "sigmoid", "softmax", "tanh")
+ACTIVATIONS = ("identity", "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +97,21 @@ def sigmoid(x):
     return out
 
 
-def softmax(x, axis=-1):
+def softmax(x):
+    """Softmax over the last axis."""
     x = np.asarray(x, dtype=_float_dtype(x))
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def apply_activation_(z, activation):
-    """The activation of floating array `z`, computed in place where the
-    activation allows (identity, sigmoid, tanh), so `z` is consumed."""
+    """A dense layer's activation, identity or tanh, of floating array `z`,
+    computed in place, so `z` is consumed."""
     if activation == "identity":
         return z
-    if activation == "sigmoid":
-        return _sigmoid_(z)
     if activation == "tanh":
         return np.tanh(z, out=z)
-    if activation == "softmax":
-        return softmax(z, axis=-1)
     raise ConfigError(f"unknown activation {activation!r}")
 
 
@@ -385,8 +382,8 @@ def _as_batch(x, dtype, dim, what):
 
 
 def dense_forward(x, p, cache=True):
-    """W x + b followed by the configured activation, on a (batch, in_dim)
-    `x`; returns (y, cache).
+    """W x + b followed by the layer's activation (identity or tanh), on a
+    (batch, in_dim) `x`; returns (y, cache).
 
     The activation overwrites the fresh pre-activation: the backward pass
     needs only `x` and `y`. With `cache=False` (inference) the product is
@@ -404,12 +401,8 @@ def dense_backward(cache, dy, p):
     dy = _as_batch(dy, p.W.dtype, p.out_dim, "dense upstream")
     if p.activation == "identity":
         dz = dy
-    elif p.activation == "sigmoid":
-        dz = dy * y * (1.0 - y)
     elif p.activation == "tanh":
         dz = dy * (1.0 - y * y)
-    elif p.activation == "softmax":
-        dz = y * (dy - np.sum(dy * y, axis=-1, keepdims=True))
     else:
         raise ConfigError(f"unknown activation {p.activation!r}")
     grads = DenseParams(W=dz.T @ x, b=batch_sum(dz), activation=p.activation)

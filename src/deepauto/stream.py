@@ -217,9 +217,11 @@ class Engine:
                 self.counters["late_dropped"] += 1
                 return []
 
-            # a record in a later bucket closes everything before it
+            # a record in a later bucket closes everything before it, also
+            # when the watermark has already closed the cell's open buckets
             closes = []
-            if buf.open and bucket > max(buf.open):
+            last = max(buf.open, default=buf.last_closed)
+            if last is not None and bucket > last:
                 closes.append((rec["cell"], buf.close_through(bucket - 1)))
             buf.add(bucket, *entry)
 

@@ -261,11 +261,12 @@ def test_criterion_7_offline_online_equivalence(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
 
     fire_path = tmp_path / "fire.ndjson"
-    proc = subprocess.run(
-        [sys.executable, "-m", "deepauto.cli", "serve",
-         "--model", str(model_path), "--listen-http", "127.0.0.1:0",
-         "--firehose", str(fire_path)],
-        stdin=data.open("rb"), capture_output=True, timeout=600)
+    with data.open("rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepauto.cli", "serve",
+             "--model", str(model_path), "--listen-http", "127.0.0.1:0",
+             "--firehose", str(fire_path)],
+            stdin=stdin, capture_output=True, timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()
 
     offline = {(d["cell"], d["anchor_ts"]): (d["h1"], d["h8"])

@@ -186,17 +186,21 @@ def test_predict_without_a_full_window_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_predict_with_a_far_off_ts_exits_2(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("far_ts, message", [(9 * 10**14, "span 1000000000001 buckets"),
+                                             (10**30, f"bucket {10**30 // 900} of 900 s")],
+                         ids=["past-memory", "past-int64"])
+def test_predict_with_a_far_off_ts_exits_2(workspace, tmp_path, capsys, far_ts, message):
     """A cell whose records span 10^12 + 1 buckets of 900 s, more than can
     be allocated, is a data error that names the bucket count, not a
-    MemoryError traceback."""
+    MemoryError traceback; a bucket past int64 is one that names the
+    bucket, not an OverflowError traceback."""
     data = tmp_path / "far.ndjson"
     dataprep.write_records(data, [{"topic": "load", "cell": "A", "ts": 0, "value": 0.5},
                                   {"topic": "ue", "cell": "A", "ts": 0, "value": 3.0},
-                                  {"topic": "load", "cell": "A", "ts": 9 * 10**14, "value": 0.5}])
+                                  {"topic": "load", "cell": "A", "ts": far_ts, "value": 0.5}])
     assert run_cli(["predict", "--model", str(workspace["model"]), "--input", str(data),
                     "--output", str(tmp_path / "pred.ndjson")]) == 2
-    assert "1000000000001 buckets" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
@@ -400,13 +404,13 @@ def test_serve_stdin_matches_predict(workspace, tmp_path):
                for d in map(json.loads, pred_out.read_text().splitlines())}
 
     firehose = tmp_path / "fire.ndjson"
-    proc = subprocess.run(
-        [sys.executable, "-m", "deepauto.cli", "serve",
-         "--model", str(workspace["model"]),
-         "--listen-http", "127.0.0.1:0",
-         "--firehose", str(firehose)],
-        stdin=workspace["data"].open("rb"),
-        capture_output=True, timeout=120)
+    with workspace["data"].open("rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepauto.cli", "serve",
+             "--model", str(workspace["model"]),
+             "--listen-http", "127.0.0.1:0",
+             "--firehose", str(firehose)],
+            stdin=stdin, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
 
     online = {}
@@ -452,10 +456,11 @@ def test_model_file_carries_its_bucket_width(tmp_path):
                     "--output", str(tmp_path / "eval.json")]) == 0
 
     firehose = tmp_path / "fire.ndjson"
-    proc = subprocess.run(
-        [sys.executable, "-m", "deepauto.cli", "serve", "--model", str(model),
-         "--listen-http", "127.0.0.1:0", "--firehose", str(firehose)],
-        stdin=data.open("rb"), capture_output=True, timeout=120)
+    with data.open("rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepauto.cli", "serve", "--model", str(model),
+             "--listen-http", "127.0.0.1:0", "--firehose", str(firehose)],
+            stdin=stdin, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     online = sorted(json.dumps({k: v for k, v in d.items()
                                 if k not in ("latency_ms", "model_version")}, sort_keys=True)
@@ -490,6 +495,19 @@ def test_step_seconds_flag_is_gone(argv, capsys):
     `generate` and `acf` take it as a flag."""
     assert run_cli(argv + ["--step-seconds", "300"]) == 1
     assert "unrecognized arguments: --step-seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--listen-http", "localhost"],
+                                   ["--listen-ingest", "nohost"],
+                                   ["--listen-http", "127.0.0.1:65536"]],
+                         ids=["http-without-port", "ingest-without-port", "port-past-65535"])
+def test_serve_rejects_a_malformed_address(workspace, capsys, flags):
+    """An address is host:port with a port of 0-65535; anything else is a
+    usage error (exit 1), found before anything listens."""
+    argv = ["serve", "--model", str(workspace["model"]), "--listen-http", "127.0.0.1:0"]
+    assert run_cli(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}" in err and "Traceback" not in err
 
 
 def test_predict_rejects_lines_that_are_not_utf8_json(workspace, tmp_path, caplog):

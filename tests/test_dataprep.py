@@ -177,14 +177,18 @@ def test_records_to_series_buckets_and_averages():
     assert series.missing_mask[2, 1]           # no ue record in bucket 2
 
 
-@pytest.mark.parametrize("step, far_ts, buckets", [(900, 9 * 10**14, 10**12 + 1),
-                                                   (1, 2**62, 2**62 + 1)])
-def test_records_to_series_past_memory_is_a_data_error(step, far_ts, buckets):
+@pytest.mark.parametrize("step, far_ts, message", [
+    (900, 9 * 10**14, f"span {10**12 + 1} buckets"),
+    (1, 2**62, f"span {2**62 + 1} buckets"),
+    (900, 10**30, f"bucket {10**30 // 900} of 900 s does not fit int64")],
+    ids=["past-memory", "past-intp", "past-int64"])
+def test_records_to_series_past_memory_is_a_data_error(step, far_ts, message):
     """A cell whose buckets cannot be allocated, past the machine's memory
-    or past what numpy can address, raises DataError with the count."""
+    or past what numpy can address, raises DataError with the count; a
+    bucket past int64 raises DataError with the bucket."""
     records = [{"topic": "load", "cell": "a", "ts": 0, "value": 0.5},
                {"topic": "load", "cell": "a", "ts": far_ts, "value": 0.5}]
-    with pytest.raises(DataError, match=f"span {buckets} buckets"):
+    with pytest.raises(DataError, match=message):
         dp.records_to_series(records, step)
 
 

@@ -215,10 +215,13 @@ def test_batch_loss_and_train_never_run_the_row_wise_pass(monkeypatch):
         dm.predict_samples(samples, params, config)
 
 
-def test_branch_ablation_consistency():
+@pytest.mark.parametrize("kind, output", [("horizons", nn.sigmoid), ("pdf", nn.softmax)])
+def test_branch_ablation_consistency(kind, output):
     """Disabling periodic/seasonal branches must equal a fusion head that
-    never had those input slots."""
-    config = micro_config(window=WindowSpec(n_r=3), use_external=True)
+    never had those input slots, its logits put through the output kind's
+    function."""
+    config = micro_config(window=WindowSpec(n_r=3), use_external=True, output_kind=kind,
+                          pdf_bins=5, input_dim=5 if kind == "pdf" else 2)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(6))
     assert params.lstm_p is None and params.lstm_s is None
     assert params.fusion_net[0].in_dim == config.hidden_r + config.ext_embed_dim
@@ -230,6 +233,7 @@ def test_branch_ablation_consistency():
     expected = np.concatenate([state.h, h_ext], axis=1)
     for layer in params.fusion_net:
         expected, _ = nn.dense_forward(expected, layer)
+    expected = output(expected)
     assert expected.shape == (1, config.out_dim)
     np.testing.assert_array_equal(dm.predict_samples(sample, params, config)[0], expected[0])
 

@@ -196,7 +196,7 @@ def test_kernels_compute_in_the_parameters_dtype(dtype):
     assert {a.dtype for _, a in nn.param_leaves(g)} == {np.dtype(dtype)}
     assert nn.lstm_forward_sequence(rng.normal(size=(4, 5, 2)), p, cache=False)[0].h.dtype == dtype
 
-    for activation in ("tanh", "sigmoid", "softmax"):
+    for activation in ("identity", "tanh"):
         d = nn.clone_params(nn.DenseParams.init(3, 2, activation, rng), dtype)
         y, cache = nn.dense_forward(state.h.astype(np.float64), d)
         grads, dx = nn.dense_backward(cache, rng.normal(size=(4, 2)), d)
@@ -212,20 +212,10 @@ def test_dense_identity():
     x = np.array([[1.0, -2.0, 0.5]])
     y, _ = nn.dense_forward(x, p)
     np.testing.assert_array_equal(y, x)
-
-
-def test_dense_softmax_symmetry():
-    p = nn.DenseParams(W=np.zeros((3, 2)), b=np.zeros(3), activation="softmax")
-    y, _ = nn.dense_forward(np.array([[1.0, 2.0]]), p)
-    np.testing.assert_allclose(y, [[1 / 3] * 3], atol=1e-15)
-
-
-def test_dense_sigmoid_closed_form():
-    p = nn.DenseParams(W=np.array([[1.0, 1.0]]), b=np.array([1.0]), activation="sigmoid")
-    y, _ = nn.dense_forward(np.array([[1.0, 1.0]]), p)
-    assert y.shape == (1, 1)
-    assert y[0, 0] == pytest.approx(oracles.sigmoid(3.0), abs=1e-15)
-    assert y[0, 0] == pytest.approx(0.9525741268, abs=1e-9)
+    # the model applies its output function itself: no layer is sigmoid or softmax
+    for activation in ("sigmoid", "softmax"):
+        with pytest.raises(ConfigError):
+            nn.DenseParams(W=np.eye(3), b=np.zeros(3), activation=activation)
 
 
 def test_softmax_rows_sum_to_one():
@@ -234,7 +224,7 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("activation", ["identity", "sigmoid", "tanh", "softmax"])
+@pytest.mark.parametrize("activation", ["identity", "tanh"])
 def test_dense_backward_matches_fd(activation):
     rng = np.random.default_rng(13)
     p = nn.DenseParams.init(4, 3, activation, rng)
@@ -433,7 +423,7 @@ def test_gradient_check_linear_exact():
 
 def test_gradient_check_detects_corruption():
     rng = np.random.default_rng(77)
-    p = nn.DenseParams.init(3, 2, "sigmoid", rng)
+    p = nn.DenseParams.init(3, 2, "tanh", rng)
     x = rng.normal(size=(1, 3))
     w_out = rng.normal(size=(1, 2))
 

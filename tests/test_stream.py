@@ -430,6 +430,21 @@ def test_watermark_closes_stalled_cells():
     assert [p.anchor_ts for p in b_preds] == [3 * 900]
 
 
+def test_record_after_the_watermark_closed_its_cell_closes_the_gap():
+    """Once the watermark has closed all of a cell's buckets, the cell's next
+    record still closes the buckets before it: X's anchor 5, its window
+    held flat from bucket 3, comes out on the X record at bucket 9, not at
+    the flush."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    feed(eng, [rec(topic, "X", b, 0.3 if topic == "load" else 5.0)
+               for b in range(4) for topic in ("load", "ue")])
+    feed(eng, [rec("load", "Y", 10, 0.6)])  # the watermark closes X through 3
+    assert not eng.cells["X"].open and eng.cells["X"].last_closed == 3
+    preds = feed(eng, [rec("load", "X", 9, 0.3)])
+    assert [(p.cell_id, p.anchor_ts) for p in preds] == [("X", 5 * 900)]
+
+
 def test_engine_pdf_mode():
     window = WindowSpec(n_r=2)
     config = dm.DeepAutoConfig(window=window, input_dim=35, output_kind="pdf",
