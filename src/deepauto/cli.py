@@ -8,12 +8,13 @@ window step its length. `prepare`, `train` and `grid` read it from the
 --config JSON; `evaluate`, `predict` and `serve` from the model file. Only
 `generate` and `acf`, which have no model, take --step-seconds.
 
-Every command reads a record line by one rule, `dataprep.decode_record`:
-the file commands stream their records from --input and warn once how many
-lines they rejected, and `serve` feeds each line of stdin or of a TCP
-connection to the engine, which counts the ones it rejects. `serve` closes
-the open buckets and emits their predictions when its input ends: at EOF
-on stdin, or on SIGINT or SIGTERM.
+Every command reads a record line by one rule, `dataprep.decode_record`.
+The file commands read --input with `dataprep.read_series`, which reads the
+byte ranges of a regular file on every CPU, gives the series one pass over
+the file gives, and warns once how many lines it rejected. `serve` feeds
+each line of stdin or of a TCP connection to the engine, which counts the
+ones it rejects, and closes the open buckets and emits their predictions
+when its input ends: at EOF on stdin, or on SIGINT or SIGTERM.
 
 Exit codes: 0 success, 1 usage error, 2 data/model error. Reports are
 machine-readable JSON first; human tables go to stdout where useful.
@@ -82,23 +83,13 @@ def cmd_generate(args):
     return 0
 
 
-def _records(path):
-    """The records of the NDJSON file `path`, streamed one at a time
-    (`dataprep.iter_records`); after the last, one warning counts the lines
-    rejected."""
-    rejected = []
-    yield from dataprep.iter_records(path, rejected)
-    if rejected:
-        log.warning("rejected %d malformed records from %s", len(rejected), path)
-
-
 def _split_builder(args, config):
     """Read --input and return build(cfg) -> (train, val, test, scaler) for
     any config of `config`'s output kind, from series bucketed once for every
     build, under its channel layout, at its bucket width: histogram windows
     for pdf models, otherwise load windows."""
-    series = pipeline.load_series(_records(args.input), config.step_seconds,
-                                  config.channels)
+    series = pipeline.fill_series(dataprep.read_series(args.input, config.step_seconds,
+                                                       config.channels, []), config.channels)
     if config.output_kind == "pdf":
         return lambda cfg: pipeline.prepare_pdf_dataset(series, cfg.window)
     return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons)
@@ -191,7 +182,9 @@ def cmd_evaluate(args):
 
 
 def cmd_acf(args):
-    series = pipeline.load_series(_records(args.input), args.step_seconds or 900)
+    channels = dataprep.LOAD_CHANNELS
+    series = pipeline.fill_series(dataprep.read_series(args.input, args.step_seconds or 900,
+                                                       channels, []), channels)
     if args.cell not in series:
         raise DeepAutoError(f"no such cell {args.cell!r} in {args.input}")
     s = series[args.cell]
@@ -208,10 +201,9 @@ def cmd_acf(args):
 
 def cmd_predict(args):
     params, config, scaler = model_mod.load_file(args.model)
-    series = dataprep.records_to_series(_records(args.input), config.step_seconds,
-                                        config.channels)
+    series = dataprep.read_series(args.input, config.step_seconds, config.channels, [])
     # a cell with a channel that holds no value has no window, as in the
-    # engine: it is skipped, where load_series fails the whole file
+    # engine: it is skipped, where fill_series fails the whole file
     dead = sorted(cell for cell, s in series.items() if s.missing_mask.all(axis=0).any())
     if dead:
         log.warning("skipped %d cells with an entirely missing channel: %s",

@@ -13,6 +13,15 @@ bucket's per-channel sums and counts into values and a missing mask. Under
 `RSRQ_CHANNELS` a bucket is the share of its RSRQ reports in each of the
 35 bins. `records_to_series` and the streaming engine's `CellBuffer` both
 call the two functions.
+
+Record IO has one line rule (`decode_record`) and one file reader,
+`read_series`, that every file command uses. It cuts a regular file at line
+starts into a byte range per CPU; forked workers file the entries of one
+range each (`read_shard`), and `merge_shards` renumbers the cells in the
+file's first-seen order and joins the columns in file order before the one
+binning pass. `np.bincount` adds in record order, so the series, the
+rejected line numbers and the DataError are those of one pass over the file
+(`records_to_series(iter_records(...))`), bit for bit.
 """
 
 from __future__ import annotations
@@ -20,14 +29,22 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import logging
 import math
+import multiprocessing
+import os
+import stat
+import threading
 from array import array
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, OutOfRangeError, ShapeError
+
+log = logging.getLogger("deepauto")
 
 TOPICS = ("load", "ue", "rsrq")
 RSRQ_BINS = 35
@@ -128,16 +145,157 @@ def rsrq_bin(value):
 def iter_records(path, rejected):
     """Yield the parsed records of an NDJSON file one at a time, appending
     the 1-based line number of every line that fails `parse_record` to the
-    list `rejected`; blank lines are skipped."""
+    list `rejected`; blank lines are skipped. A line ends at b"\\n" only."""
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            try:
-                rec = parse_record(line)
-            except DataError:
-                rejected.append(number)
-                continue
-            if rec is not None:
-                yield rec
+        yield from _parse_lines(enumerate(fh, start=1), rejected)
+
+
+def _parse_lines(numbered, rejected):
+    """The records of (line number, line) pairs, `iter_records`' loop."""
+    for number, line in numbered:
+        try:
+            rec = parse_record(line)
+        except DataError:
+            rejected.append(number)
+            continue
+        if rec is not None:
+            yield rec
+
+
+# a fork and its worker's start cost 10-20 ms on a 2-core x86-64 VM, where
+# parsing takes about 50 ms a MiB of NDJSON: a range of a MiB repays its fork
+SHARD_MIN_BYTES = 1 << 20
+
+
+def cpu_count():
+    """The CPUs this process may run on; 1 where the OS has no affinity
+    call (macOS, Windows), so that nothing forks or starts threads there."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def read_series(path, step_seconds, channels, rejected):
+    """`records_to_series(iter_records(path, rejected), step_seconds,
+    channels)`, with the same series bits, the same line numbers in
+    `rejected` in the same order, and the same DataError, read on every CPU.
+    Once the whole file is read, and before its buckets are binned, one
+    warning counts the lines it rejected.
+
+    A regular file is cut at line starts into at most `cpu_count()` byte
+    ranges (`byte_ranges`) of about SHARD_MIN_BYTES or more. Forked worker
+    processes file the entries of one range each (`read_shard`), and
+    `merge_shards` joins them in file order. With one range, or while
+    another Python thread runs (fork copies no thread but the caller, so a
+    lock another thread holds would stay held in the child), the ranges are
+    read in this process instead; a pipe is one range read in this process.
+    The workers are joined before the entries are binned.
+    """
+    channels = tuple(channels)
+    before = len(rejected)
+    ranges = byte_ranges(path, cpu_count(), SHARD_MIN_BYTES)
+    read = functools.partial(read_shard, path, step_seconds=step_seconds, channels=channels)
+    if len(ranges) == 1 or threading.active_count() > 1:
+        entries = merge_shards(map(read, ranges), rejected)
+    else:
+        with ProcessPoolExecutor(len(ranges),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            entries = merge_shards(pool.map(read, ranges), rejected)
+    if len(rejected) > before:
+        log.warning("rejected %d malformed records from %s", len(rejected) - before, path)
+    return bin_entries(entries, step_seconds, channels)
+
+
+def byte_ranges(path, parts, min_bytes):
+    """At most `parts` (start, end) byte ranges that cover the file `path`
+    in order, each starting at a line start; end None reads to the end of
+    the file. A regular file is cut at the first line start at or after
+    each of `parts` even offsets, with fewer parts where a part would hold
+    less than `min_bytes`; offsets in one line give one cut, and a cut at
+    the end of the file is dropped. Any other file (a pipe) is one range,
+    read without a seek.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return [(0, None)]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = max(1, min(parts, size // min_bytes))
+        cuts = [0]
+        for k in range(1, n):
+            fh.seek(k * size // n - 1)
+            fh.readline()  # to the end of the line holding the byte before the offset
+            if cuts[-1] < fh.tell() < size:
+                cuts.append(fh.tell())
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+class Shard(NamedTuple):
+    """What `read_shard` files from one byte range of a file: the range's
+    cells in first-seen order, `records_to_series`' four entry columns with
+    cell codes into `cells`, the range's rejected line numbers and line
+    count, and the DataError text that ended the read early, or None."""
+
+    cells: list
+    codes: array
+    buckets: array
+    columns: array
+    amounts: array
+    rejected: list
+    lines: int
+    error: str
+
+
+def read_shard(path, span, step_seconds, channels):
+    """The Shard of the lines of the file `path` that start in the byte
+    range `span`, a (start, end) pair of `byte_ranges`, read by
+    `iter_records`' rule with line numbers counted from the range's start.
+    """
+    start, end = span
+    rejected, lines = [], 0
+
+    def numbered(fh):
+        nonlocal lines
+        left = math.inf if end is None else end - start  # a range is never empty
+        for lines, line in enumerate(fh, start=1):
+            yield lines, line
+            left -= len(line)
+            if left <= 0:
+                return
+
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        try:
+            cells, *columns = file_entries(_parse_lines(numbered(fh), rejected),
+                                            step_seconds, channels)
+        except DataError as exc:
+            return Shard([], array("q"), array("q"), array("q"), array("d"), rejected, lines,
+                         str(exc))
+    return Shard(list(cells), *columns, rejected, lines, None)
+
+
+def merge_shards(shards, rejected):
+    """`records_to_series`' entries (`file_entries`) of a file from the
+    Shards of its byte ranges in file order: the shards' cells renumbered
+    in the file's first-seen order and their columns joined in file order.
+    Rejected line numbers, shifted by the lines of the ranges before, go to
+    `rejected`; the first shard that ended early raises its DataError after
+    its own rejected lines."""
+    cell_codes, parts, before = {}, [], 0
+    for shard in shards:
+        rejected.extend(before + number for number in shard.rejected)
+        if shard.error is not None:
+            raise DataError(shard.error)
+        recode = np.array([cell_codes.setdefault(cell, len(cell_codes)) for cell in shard.cells],
+                          np.int64)
+        parts.append((recode[np.asarray(shard.codes, np.int64)], shard.buckets, shard.columns,
+                      shard.amounts))
+        before += shard.lines
+    # one column at a time, each freed from the shards once it is joined
+    columns = list(zip(*parts))
+    del shard, parts
+    return [cell_codes] + [np.concatenate(columns.pop(0)) for _ in range(4)]
 
 
 def write_records(path, records):
@@ -231,6 +389,12 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     DataError with its bucket count, and a bucket past int64 with the bucket.
     """
     channels = tuple(channels)
+    return bin_entries(list(file_entries(records, step_seconds, channels)), step_seconds, channels)
+
+
+def file_entries(records, step_seconds, channels):
+    """`records_to_series`' pass: ({cell: code} in first-seen order, and the
+    code, bucket, channel and amount columns of every entry, as arrays)."""
     cell_codes = {}
     codes, buckets, columns, amounts = array("q"), array("q"), array("q"), array("d")
     for rec in records:
@@ -248,8 +412,17 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
             raise DataError(f"bucket {bucket} of {step_seconds} s does not fit int64") from None
         columns.append(entry[0])
         amounts.append(entry[1])
+    return cell_codes, codes, buckets, columns, amounts
 
-    codes, buckets = np.frombuffer(codes, np.int64), np.frombuffer(buckets, np.int64)
+
+def bin_entries(entries, step_seconds, channels):
+    """`records_to_series`' series from the list `entries` of
+    `file_entries`' results (its columns as int64, int64, int64 and float64
+    arrays or buffers). The list is emptied, so the columns are freed as
+    soon as they are summed."""
+    cell_codes, codes, buckets, columns, amounts = entries
+    entries.clear()
+    codes, buckets = np.asarray(codes, np.int64), np.asarray(buckets, np.int64)
     first = np.full(len(cell_codes), np.iinfo(np.int64).max)
     last = np.full(len(cell_codes), np.iinfo(np.int64).min)
     np.minimum.at(first, codes, buckets)
@@ -267,8 +440,8 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
         index = buckets - first[codes]
         index += np.array(starts[:-1], np.int64)[codes]
         index *= width
-        index += np.frombuffer(columns, np.int64)
-        sums = np.bincount(index, np.frombuffer(amounts, np.float64), size).reshape(-1, width)
+        index += np.asarray(columns, np.int64)
+        sums = np.bincount(index, np.asarray(amounts, np.float64), size).reshape(-1, width)
         counts = np.bincount(index, minlength=size).reshape(-1, width)
         del codes, buckets, columns, amounts, index
         values, missing = bucket_values(sums, counts, channels)

@@ -12,12 +12,14 @@ import json
 import struct
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import neuralnet as nn
-from .dataprep import EXTERNAL_DIM, LOAD_CHANNELS, RSRQ_CHANNELS, ScalerParams, WindowSpec
+from .dataprep import (EXTERNAL_DIM, LOAD_CHANNELS, RSRQ_CHANNELS, ScalerParams, WindowSpec,
+                       cpu_count)
 from .errors import ConfigError, ModelFormatError, ShapeError, TrainingDiverged
 
 MAGIC = b"DAUT"
@@ -253,24 +255,28 @@ def loss_and_gradients(batch, params, config):
     return loss, backward_batch(caches, d_logits, params, config)
 
 
-def _outputs(batch, params, config, cache):
-    """Yhat (N, out_dim) of a Windows or its arrays: `forward_batch` over
-    consecutive slices of `config.batch_size` rows, which bounds memory by
-    one slice; a cached slice's step caches are dropped with its pass."""
+def _slices(batch, config):
+    """The arrays of consecutive slices of `config.batch_size` rows of a
+    Windows or its arrays; a pass over one slice at a time bounds memory."""
     arrays = _arrays(batch)
     _check_shapes(arrays, config)  # an empty batch has no slice to check
-    return np.concatenate([
-        forward_batch({k: v[a:a + config.batch_size] for k, v in arrays.items()},
-                      params, config, cache=cache)[0]
-        for a in range(0, len(arrays["recent"]), config.batch_size)])
+    return [{k: v[a:a + config.batch_size] for k, v in arrays.items()}
+            for a in range(0, len(arrays["recent"]), config.batch_size)]
+
+
+def _outputs(batch, params, config):
+    """Yhat (N, out_dim) of a Windows or its arrays from the cached training
+    pass over its `_slices`, one after another; a slice's step caches are
+    dropped with its pass."""
+    return np.concatenate([forward_batch(arrays, params, config)[0]
+                           for arrays in _slices(batch, config)])
 
 
 def batch_loss(batch, params, config):
     """Loss (MMSE or mean KL) of a Windows or its arrays, from the cached
-    training pass run over `config.batch_size` slices (`_outputs`): a loss
-    needs no batch invariance, so it takes the batched products, and it
-    holds at most one slice's caches."""
-    yhat = _outputs(batch, params, config, cache=True)
+    training pass (`_outputs`): a loss needs no batch invariance, so it
+    takes the batched products, and it holds at most one slice's caches."""
+    yhat = _outputs(batch, params, config)
     Y = _arrays(batch)["target"]
     if config.output_kind == "horizons":
         return nn.mmse_loss(Y, yhat, config.alpha)
@@ -287,11 +293,20 @@ def output_fields(yhat, output_kind, horizons):
 
 def predict_samples(samples, params, config):
     """Predictions (N, out_dim) for the rows of a Windows: the cache-free
-    forward pass over consecutive slices of `config.batch_size` rows, which
-    bounds memory. Rows are batch-invariant, so neither the slicing nor the
-    other rows change any output: the streaming engine gets the same bits
-    for the same window."""
-    return _outputs(samples, params, config, cache=False)
+    forward pass over consecutive slices of `config.batch_size` rows
+    (`_slices`), which bounds memory by one slice a thread. The slices run
+    on a thread per CPU (`dataprep.cpu_count`); NumPy releases the
+    interpreter lock inside its products. Rows are batch-invariant, so
+    neither the slicing, nor the thread a slice runs on, nor the other rows
+    change any output: the streaming engine gets the same bits for the same
+    window."""
+    forward = lambda arrays: forward_batch(arrays, params, config, cache=False)[0]
+    slices = _slices(samples, config)
+    threads = min(cpu_count(), len(slices))
+    if threads < 2:
+        return np.concatenate(list(map(forward, slices)))
+    with ThreadPoolExecutor(threads) as pool:
+        return np.concatenate(list(pool.map(forward, slices)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +422,7 @@ def grid_search(build_samples, candidates, base_config):
         try:
             train_s, val_s = build_samples(config)
             params, report = train(train_s, val_s, config)
-            yhat = _outputs(val_s, params, config, cache=True)
+            yhat = _outputs(val_s, params, config)
             Y = val_s.arrays["target"]
             if config.output_kind == "horizons":
                 row["val_metric"] = float(np.sqrt(np.mean((Y - yhat) ** 2)))

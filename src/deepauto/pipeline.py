@@ -21,10 +21,16 @@ def load_series(records, step_seconds, channels=LOAD_CHANNELS):
     """Records (any iterable, read once) -> interpolated per-cell KpiSeries
     under the channel layout `channels`: load/ue means by default,
     RSRQ_CHANNELS for bin histograms."""
-    series = records_to_series(records, step_seconds, channels)
-    if not series:
+    return fill_series(records_to_series(records, step_seconds, channels), channels)
+
+
+def fill_series(series_by_cell, channels):
+    """Per-cell series bucketed under the channel layout `channels`, each
+    with its gaps filled (`interpolate_missing`); raises DataError when
+    there is no cell."""
+    if not series_by_cell:
         raise DataError(f"no records fill the {channels[0]}..{channels[-1]} channels")
-    return {cell: interpolate_missing(s) for cell, s in series.items()}
+    return {cell: interpolate_missing(s) for cell, s in series_by_cell.items()}
 
 
 def prepare_load_dataset(series_by_cell, window, horizons):

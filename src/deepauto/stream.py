@@ -292,7 +292,8 @@ class Engine:
     def health(self):
         with self._lock:
             lat = sorted(self.latencies)
-            pct = lambda q: (lat[min(len(lat) - 1, int(q * len(lat)))] if lat else None)
+            # nearest rank: the smallest latency with at least q of them at or below it
+            pct = lambda q: lat[max(0, math.ceil(q * len(lat)) - 1)] if lat else None
             return {
                 **{k: int(v) for k, v in self.counters.items()},
                 "cells_seen": len(self.cells),

@@ -355,9 +355,9 @@ def test_grid_on_pdf_config_buckets_records_once(tmp_path, monkeypatch):
     cand.write_text(json.dumps([{"window": {"n_r": 4}}, {"window": {"n_r": 3}}]))
 
     calls = []
-    records_to_series = cli.pipeline.records_to_series
-    monkeypatch.setattr(cli.pipeline, "records_to_series",
-                        lambda *a, **kw: calls.append(a[1:]) or records_to_series(*a, **kw))
+    read_series = cli.dataprep.read_series
+    monkeypatch.setattr(cli.dataprep, "read_series",
+                        lambda *a, **kw: calls.append(a[1:3]) or read_series(*a, **kw))
     out = tmp_path / "grid.json"
     assert run_cli(["grid", "--input", str(data), "--config", str(config),
                     "--candidates", str(cand), "--output", str(out)]) == 0

@@ -261,6 +261,19 @@ def test_engine_late_and_malformed_counters():
     assert h["cells_seen"] == 1
 
 
+@pytest.mark.parametrize("n, p50, p99", [(1, 1.0, 1.0), (2, 1.0, 2.0), (100, 50.0, 99.0)])
+def test_health_percentiles_are_nearest_rank(n, p50, p99):
+    """`/health` reads p50 and p99 by the nearest-rank rule, ceil(q*n) - 1
+    in the sorted latencies: the smaller of 2 samples is their p50, and
+    the second largest of 100 their p99."""
+    params, config = zero_model()
+    eng = stream.Engine(params, config, scaler=None)
+    assert eng.health()["latency_p50_ms"] is None
+    eng.latencies.extend(float(k) for k in range(n, 0, -1))
+    h = eng.health()
+    assert (h["latency_p50_ms"], h["latency_p99_ms"]) == (p50, p99)
+
+
 def test_engine_counts_out_of_range_apart_from_malformed():
     params, config = zero_model()
     eng = stream.Engine(params, config, scaler=None)
