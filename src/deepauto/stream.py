@@ -16,6 +16,14 @@ of its last span closed buckets (`WindowSpec.history_span`); each close
 reads its window at once. The windows are joined end to end and
 `dataprep.lag_windows` turns them into model inputs, as `make_windows`
 does over the batch path's joined series.
+
+A bucket closes when its cell's next record arrives, but the forward runs
+earlier: as a record moves the watermark to bucket G, the pass over the
+anchors it closes also predicts every cell whose only open bucket is G-1
+as if it closed then. Its close reuses that output when the model and the
+window's rows are unchanged, bit for bit; cache-free rows are
+batch-invariant (`neuralnet` module notes), so the output is the one the
+close would compute.
 """
 
 from __future__ import annotations
@@ -91,8 +99,7 @@ class CellBuffer:
         while b <= upto:
             sums_counts = self.open.pop(b, None)
             if sums_counts is not None:
-                row, missing = dataprep.bucket_values(*sums_counts, self.channels)
-                row[missing] = np.nan
+                row = self._row(*sums_counts)
                 self.empty_run = 0
             elif self.empty_run >= len(self.closed) == self.closed.maxlen:
                 # every held row is missing: each empty bucket before the next
@@ -113,6 +120,12 @@ class CellBuffer:
             b += 1
         return windows
 
+    def _row(self, sums, counts):
+        """A closed bucket's row (`dataprep.bucket_values`), NaN where missing."""
+        row, missing = dataprep.bucket_values(sums, counts, self.channels)
+        row[missing] = np.nan
+        return row
+
     def window(self):
         """(span, C) rows of the last `span` closed buckets, with gaps filled
         by `dataprep.fill_gaps`; None while fewer are held or while a
@@ -122,11 +135,28 @@ class CellBuffer:
         """
         if len(self.closed) < self.closed.maxlen or self.empty_run >= self.closed.maxlen:
             return None
-        rows = np.array(self.closed)
-        missing = np.isnan(rows)
-        if missing.any() and dataprep.fill_gaps(rows, missing) is not None:
+        return _filled(np.array(self.closed))
+
+    def next_window(self):
+        """(anchor, rows) that closing the one open bucket would record, read
+        without closing it, or None when that close records no window. Holds
+        while that bucket is the next to close, as it is once the watermark
+        has closed every bucket before it."""
+        (b, sums_counts), = self.open.items()
+        if len(self.closed) + 1 < self.closed.maxlen:
             return None
-        return rows
+        held = [*self.closed, self._row(*sums_counts)]
+        rows = _filled(np.array(held[-self.closed.maxlen:]))
+        return None if rows is None else (b + 1, rows)
+
+
+def _filled(rows):
+    """`rows` with their gaps filled in place (`dataprep.fill_gaps`), or None
+    when a channel has no value in them."""
+    missing = np.isnan(rows)
+    if missing.any() and dataprep.fill_gaps(rows, missing) is not None:
+        return None
+    return rows
 
 
 class Engine:
@@ -172,6 +202,9 @@ class Engine:
         self.config = config
         self.scaler = scaler
         self.model_version = version
+        # (cell, anchor) -> (rows, output) of `_speculate`; every kept output
+        # was computed by the model installed here
+        self.speculated = {}
 
     # -- ingestion ----------------------------------------------------------
 
@@ -226,60 +259,106 @@ class Engine:
             buf.add(bucket, *entry)
 
             # watermark: the stream as a whole has moved on by >= 2 buckets
+            ahead = []
             if self.global_max_bucket is None or bucket > self.global_max_bucket:
                 self.global_max_bucket = bucket
-                closes += self._close_all(bucket - 2)
-            return self._predict(closes, arrival)
+                closed, ahead = self._close_all(bucket - 2)
+                closes += closed
+            return self._predict(closes, arrival, ahead)
 
     def _close_all(self, horizon):
         """(cell, `close_through` windows) of every cell with an open bucket,
         closed through `horizon` or its last open bucket, whichever is
-        earlier."""
-        return [(cell, buf.close_through(min(horizon, max(buf.open))))
-                for cell, buf in self.cells.items() if buf.open]
+        earlier; and `_speculate`'s windows of the cells this leaves with
+        bucket `horizon` + 1 as their only open one."""
+        closes, behind = [], []
+        for cell, buf in self.cells.items():
+            if buf.open:
+                closes.append((cell, buf.close_through(min(horizon, max(buf.open)))))
+                if len(buf.open) == 1 and horizon + 1 in buf.open:
+                    behind.append((cell, buf))
+        return closes, self._speculate(behind)
 
     def flush(self):
         """End of stream: close every open bucket and predict."""
         with self._lock:
             arrival = time.monotonic()
-            return self._predict(self._close_all(math.inf), arrival)
+            closes, _ = self._close_all(math.inf)
+            return self._predict(closes, arrival, [])
 
     # -- prediction ---------------------------------------------------------
 
-    def _predict(self, closes, arrival):
-        """PredictionRecords of the anchors in `closes`, (cell, windows)
-        pairs, in order: one forward pass per `config.batch_size` of them,
-        which bounds the memory a flush over many cells takes. A chunk's
-        histories are joined end to end and scaled at once, and
-        `dataprep.lag_windows` reads anchors span, 2*span, ... of them, as
-        `make_windows` reads its joined series. Cache-free rows are
-        batch-invariant, so every output equals the batch path's bit for
-        bit."""
-        pending = [(cell, anchor, rows) for cell, windows in closes for anchor, rows in windows]
-        if not pending:
-            return []
-        config, step, span = self.config, self.step_seconds, self.span
-        records = []
-        for a in range(0, len(pending), config.batch_size):
-            chunk = pending[a:a + config.batch_size]
-            cells, anchors, histories = zip(*chunk)
+    def _speculate(self, behind):
+        """(cell, anchor, rows) of the windows that closing the one open
+        bucket of each (cell, buffer) in `behind` would record
+        (`CellBuffer.next_window`), for `_predict` to run ahead. The
+        watermark has just passed that bucket, and its next advance closes
+        it, so each (cell, bucket) is speculated at most once."""
+        ahead = []
+        for cell, buf in behind:
+            window = buf.next_window()
+            if window is not None:
+                ahead.append((cell, *window))
+        return ahead
+
+    def _reused(self, cell, anchor, rows):
+        """The kept output of `cell`'s window at `anchor` when it was
+        speculated from these `rows`, bit for bit, else None; either way the
+        close drops what was kept."""
+        kept = self.speculated.pop((cell, anchor), None)
+        if kept is not None and kept[0].tobytes() == rows.tobytes():
+            return kept[1]
+        return None
+
+    def _forward(self, windows):
+        """Outputs of `windows`, (cell, anchor, rows) triples, in order: one
+        cache-free forward pass per `config.batch_size` of them, which bounds
+        the memory a pass over many cells takes. A chunk's rows are joined
+        end to end and scaled at once, and `dataprep.lag_windows` reads
+        anchors span, 2*span, ... of them, as `make_windows` reads its
+        joined series. Cache-free rows are batch-invariant, so every output
+        equals the batch path's bit for bit, whatever chunk it ran in."""
+        config, span = self.config, self.span
+        outputs = []
+        for a in range(0, len(windows), config.batch_size):
+            cells, anchors, histories = zip(*windows[a:a + config.batch_size])
             values = np.concatenate(histories)
             if self.scaler is not None:
                 values = dataprep.apply_scaler(values, self.scaler)
-            windows = dataprep.lag_windows(values, span * np.arange(1, len(chunk) + 1),
-                                           np.array(cells), step * np.array(anchors),
-                                           config.window)
-            outputs, _ = model_mod.forward_batch(windows.arrays, self.params, config,
-                                                 cache=False)
-            latency_ms = (time.monotonic() - arrival) * 1000.0
-            for cell, anchor, y in zip(cells, anchors, outputs):
-                record = PredictionRecord(
-                    cell_id=cell, anchor_ts=anchor * step, outputs=y,
-                    output_kind=config.output_kind, horizons=config.horizons,
-                    model_version=self.model_version, latency_ms=latency_ms)
-                self.latest_prediction[cell] = record
-                self.latencies.append(latency_ms)
-                records.append(record)
+            inputs = dataprep.lag_windows(values, span * np.arange(1, len(cells) + 1),
+                                          np.array(cells),
+                                          self.step_seconds * np.array(anchors),
+                                          config.window)
+            y, _ = model_mod.forward_batch(inputs.arrays, self.params, config, cache=False)
+            outputs.extend(y)
+        return outputs
+
+    def _predict(self, closes, arrival, ahead):
+        """PredictionRecords of the anchors in `closes`, (cell, windows)
+        pairs, in order. Each output is the speculated one (`_reused`) or
+        runs in one `_forward` with the windows `ahead` (`_speculate`),
+        whose outputs are kept per (cell, anchor), so speculation adds rows
+        to a pass but no pass. Every record carries the latency at which
+        they are all returned."""
+        pending = [(cell, anchor, rows) for cell, windows in closes for anchor, rows in windows]
+        outputs = [self._reused(*window) for window in pending]
+        fresh = [window for window, y in zip(pending, outputs) if y is None]
+        computed = self._forward(fresh + ahead)
+        for (cell, anchor, rows), y in zip(ahead, computed[len(fresh):]):
+            self.speculated[cell, anchor] = (rows, y)
+        computed = iter(computed)
+        config, step = self.config, self.step_seconds
+        latency_ms = (time.monotonic() - arrival) * 1000.0
+        records = []
+        for (cell, anchor, _), y in zip(pending, outputs):
+            record = PredictionRecord(
+                cell_id=cell, anchor_ts=anchor * step,
+                outputs=next(computed) if y is None else y,
+                output_kind=config.output_kind, horizons=config.horizons,
+                model_version=self.model_version, latency_ms=latency_ms)
+            self.latest_prediction[cell] = record
+            self.latencies.append(latency_ms)
+            records.append(record)
         self.counters["predictions"] += len(records)
         return records
 
@@ -290,18 +369,21 @@ class Engine:
             return self.latest_prediction.get(cell)
 
     def health(self):
+        """Counters, cell counts, model version and the nearest-rank p50 and
+        p99 of the kept latencies. The latencies are copied under the lock
+        and sorted outside it, so a query does not stall ingestion."""
         with self._lock:
-            lat = sorted(self.latencies)
-            # nearest rank: the smallest latency with at least q of them at or below it
-            pct = lambda q: lat[max(0, math.ceil(q * len(lat)) - 1)] if lat else None
-            return {
+            lat = list(self.latencies)
+            doc = {
                 **{k: int(v) for k, v in self.counters.items()},
                 "cells_seen": len(self.cells),
                 "cells_ready": sum(1 for c in self.cells if c in self.latest_prediction),
                 "model_version": self.model_version,
-                "latency_p50_ms": pct(0.50),
-                "latency_p99_ms": pct(0.99),
             }
+        lat.sort()
+        # nearest rank: the smallest latency with at least q of them at or below it
+        pct = lambda q: lat[max(0, math.ceil(q * len(lat)) - 1)] if lat else None
+        return {**doc, "latency_p50_ms": pct(0.50), "latency_p99_ms": pct(0.99)}
 
     def reload_model(self, path):
         """Swap in a new model atomically; on failure, a file that does not

@@ -736,6 +736,168 @@ def test_engine_runs_one_forward_per_batch_of_closes(monkeypatch, batch_size):
 
 
 # ---------------------------------------------------------------------------
+# speculation: one forward per watermark advance, reused at each close
+
+
+def without_speculation(engine):
+    """`engine` with its speculation step a no-op, so every close computes
+    its own output, as an engine without speculation does."""
+    engine._speculate = lambda behind: []
+    return engine
+
+
+def emitted(p):
+    return (p.cell_id, p.anchor_ts, p.model_version, p.output_kind, p.horizons,
+            p.outputs.tobytes())
+
+
+def random_model(window, seed, **overrides):
+    cfg = dict(window=window, input_dim=2, horizons=(1, 8), hidden_r=3, hidden_p=3,
+               ext_embed_dim=2)
+    cfg.update(overrides)
+    config = dm.DeepAutoConfig(**cfg)
+    return dm.DeepAutoParams.init(config, np.random.default_rng(seed)), config
+
+
+LOAD_SCALER = fit_scaler(np.array([[0.0, 0.0], [1.0, 40.0]]), ("load", "ue"))
+
+
+@pytest.fixture(scope="module")
+def reload_paths(tmp_path_factory):
+    """Model files to reload mid-stream: the same layout and span with other
+    weights, the same layout with a longer span, and a histogram model."""
+    root = tmp_path_factory.mktemp("reload")
+    models = {"same_span": (*random_model(WindowSpec(n_r=3), 5), LOAD_SCALER),
+              "longer": (*random_model(WindowSpec(n_r=2, n_p=1, period_steps=3), 6),
+                         LOAD_SCALER),
+              "pdf": (*random_model(WindowSpec(n_r=2), 7, input_dim=dataprep.RSRQ_BINS,
+                                    output_kind="pdf", use_external=False,
+                                    step_seconds=900), None)}
+    paths = {}
+    for name, (params, config, scaler) in models.items():
+        paths[name] = root / f"{name}.model"
+        dm.save_file(paths[name], params, config, scaler)
+    return paths
+
+
+def random_stream(rng, cells, n_buckets, span):
+    """load, ue and rsrq records of `cells` over `n_buckets` buckets, a few
+    duplicated, with silences longer than `span`, each delivered up to 2.5
+    buckets after its bucket starts: reordered within the lateness
+    allowance, with some late past it, and some landing in a bucket after
+    the watermark has passed the next one's start."""
+    timed, silent = [], dict.fromkeys(cells, 0)
+    for b in range(n_buckets):
+        for cell in cells:
+            if silent[cell]:
+                silent[cell] -= 1
+                continue
+            if rng.random() < 0.04:
+                silent[cell] = int(rng.integers(span + 1, 3 * span + 2))
+            for topic in ("load", "ue", "rsrq"):
+                if rng.random() < 0.15:
+                    continue
+                value = {"load": float(rng.uniform()), "ue": float(rng.uniform(0, 40)),
+                         "rsrq": int(rng.integers(dataprep.RSRQ_BINS))}[topic]
+                r = rec(topic, cell, b, value, offset=int(rng.integers(900)))
+                timed += [(b + rng.uniform(0, 2.5), r)] * (2 if rng.random() < 0.05 else 1)
+    timed.sort(key=lambda t: t[0])
+    return [r for _, r in timed]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, "same_span", "longer", "pdf"]))
+@settings(max_examples=150, deadline=None)
+def test_speculation_changes_no_emission(reload_paths, seed, reload):
+    """An engine as shipped and one whose speculation is a no-op, fed the
+    same random stream (reordered, duplicated, late and gapped records, and
+    maybe a reload mid-stream), emit the same records in the same order,
+    bit for bit and with the same versions, and end with the same counters
+    and the same latest prediction per cell; after the flush the shipped
+    engine keeps no speculated output."""
+    rng = np.random.default_rng(seed)
+    params, config = random_model(WindowSpec(n_r=3), seed % 1000, batch_size=3)
+    shipped, plain = stream.Engine(params, config, LOAD_SCALER), \
+        without_speculation(stream.Engine(params, config, LOAD_SCALER))
+    cells = [f"C{k}" for k in range(int(rng.integers(1, 7)))]
+    records = random_stream(rng, cells, int(rng.integers(4, 16)), span=3)
+    at = int(rng.integers(len(records) + 1)) if reload else None
+    out = {}
+    for eng in (shipped, plain):
+        out[eng] = []
+        for k, r in enumerate(records):
+            if k == at:
+                assert eng.reload_model(reload_paths[reload]) == (True, None)
+            out[eng] += eng.ingest(r)
+        out[eng] += eng.flush()
+    assert [emitted(p) for p in out[shipped]] == [emitted(p) for p in out[plain]]
+    assert shipped.counters == plain.counters
+    assert shipped.speculated == {}  # each kept output is dropped at its close
+    for cell in cells:
+        ours, theirs = shipped.latest(cell), plain.latest(cell)
+        assert (ours is None) == (theirs is None)
+        assert ours is None or emitted(ours) == emitted(theirs)
+
+
+def counting_forward(monkeypatch):
+    """Patch `forward_batch` to append the rows of each call to the list
+    returned."""
+    rows, forward_batch = [], dm.forward_batch
+    monkeypatch.setattr(dm, "forward_batch",
+                        lambda arrays, *a, **kw: rows.append(len(arrays["recent"]))
+                        or forward_batch(arrays, *a, **kw))
+    return rows
+
+
+def test_speculation_costs_at_most_two_rows_per_prediction(monkeypatch):
+    """A round-robin stream in which every record advances the watermark
+    (cell i % N reports at bucket i; one rsrq report fills a histogram
+    bucket) runs at most 2 rows through the forward per prediction, plus
+    N: speculation forwards only the cells left holding the bucket before
+    the watermark, once each, never a rescan of every cell per record. The
+    predictions are those of an engine without speculation."""
+    n_cells, n_records, step = 40, 400, 300
+    params, config = random_model(WindowSpec(n_r=2), 11, input_dim=dataprep.RSRQ_BINS,
+                                  output_kind="pdf", use_external=False)
+    records = [rec("rsrq", f"C{i % n_cells}", i, i % 7, step=step) for i in range(n_records)]
+    plain = without_speculation(stream.Engine(params, config, None))
+    expected = feed(plain, records) + plain.flush()
+
+    rows = counting_forward(monkeypatch)
+    eng = stream.Engine(params, config, None)
+    preds = feed(eng, records) + eng.flush()
+    assert [emitted(p) for p in preds] == [emitted(p) for p in expected]
+    assert len(preds) > n_records
+    assert sum(rows) <= 2 * len(preds) + n_cells
+
+
+def test_a_burst_runs_one_forward_over_the_cells_behind_the_watermark(monkeypatch):
+    """Cells that report every bucket in turn: the first record of bucket G
+    closes its own cell's bucket G-1 and advances the watermark, and one
+    forward runs that row with every other cell's bucket G-1 speculated.
+    The other cells' records close G-1 and reuse what was speculated, so
+    the burst runs one pass for its N predictions, which equal an engine's
+    without speculation."""
+    n_cells = 6
+    params, config = random_model(WindowSpec(n_r=2), 12)
+    cells = [f"C{k}" for k in range(n_cells)]
+    bursts = [varying_records(cells, (b,)) for b in range(8)]
+    plain = without_speculation(stream.Engine(params, config, LOAD_SCALER))
+    expected = [p for burst in bursts for p in feed(plain, burst)] + plain.flush()
+
+    rows = counting_forward(monkeypatch)
+    eng = stream.Engine(params, config, LOAD_SCALER)
+    online = []
+    for b, burst in enumerate(bursts):
+        rows.clear()
+        online += feed(eng, burst)
+        # bucket 1 is the first whose close fills a 2-bucket window
+        assert rows == ([] if b < 2 else [n_cells])
+    assert len(online) == n_cells * 6
+    online += eng.flush()
+    assert [emitted(p) for p in online] == [emitted(p) for p in expected]
+
+
+# ---------------------------------------------------------------------------
 # HTTP surface
 
 
