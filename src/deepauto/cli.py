@@ -88,11 +88,11 @@ def _split_builder(args, config):
     any config of `config`'s output kind, from series bucketed once for every
     build, under its channel layout, at its bucket width: histogram windows
     for pdf models, otherwise load windows."""
-    series = pipeline.fill_series(dataprep.read_series(args.input, config.step_seconds,
-                                                       config.channels, []), config.channels)
+    block = pipeline.fill_series(dataprep.read_series(args.input, config.step_seconds,
+                                                      config.channels, []))
     if config.output_kind == "pdf":
-        return lambda cfg: pipeline.prepare_pdf_dataset(series, cfg.window)
-    return lambda cfg: pipeline.prepare_load_dataset(series, cfg.window, cfg.horizons)
+        return lambda cfg: pipeline.prepare_pdf_dataset(block, cfg.window)
+    return lambda cfg: pipeline.prepare_load_dataset(block, cfg.window, cfg.horizons)
 
 
 def _build_splits(args, config):
@@ -182,13 +182,13 @@ def cmd_evaluate(args):
 
 
 def cmd_acf(args):
-    channels = dataprep.LOAD_CHANNELS
-    series = pipeline.fill_series(dataprep.read_series(args.input, args.step_seconds or 900,
-                                                       channels, []), channels)
-    if args.cell not in series:
+    block = pipeline.fill_series(dataprep.read_series(args.input, args.step_seconds,
+                                                      dataprep.LOAD_CHANNELS, []))
+    if args.cell not in block.cell_ids:
         raise DeepAutoError(f"no such cell {args.cell!r} in {args.input}")
-    s = series[args.cell]
-    acf = autocorrelation(s.values[:, s.channel_index("load")], args.max_lag)
+    k = block.cell_ids.index(args.cell)
+    acf = autocorrelation(block.values[block.offsets[k]:block.offsets[k + 1],
+                                       block.channels.index("load")], args.max_lag)
     lines = ["lag,acf"] + [f"{k},{acf[k]:.8f}" for k in range(len(acf))]
     text = "\n".join(lines)
     if args.output in (None, "-"):
@@ -201,16 +201,14 @@ def cmd_acf(args):
 
 def cmd_predict(args):
     params, config, scaler = model_mod.load_file(args.model)
-    series = dataprep.read_series(args.input, config.step_seconds, config.channels, [])
     # a cell with a channel that holds no value has no window, as in the
     # engine: it is skipped, where fill_series fails the whole file
-    dead = sorted(cell for cell, s in series.items() if s.missing_mask.all(axis=0).any())
+    block, dead = dataprep.fill_block(dataprep.read_series(args.input, config.step_seconds,
+                                                           config.channels, []))
     if dead:
         log.warning("skipped %d cells with an entirely missing channel: %s",
                     len(dead), ", ".join(dead))
-    series = {cell: dataprep.interpolate_missing(s)
-              for cell, s in series.items() if cell not in dead}
-    samples = pipeline.prediction_samples(series, config.window, scaler)
+    samples = pipeline.prediction_samples(block, config.window, scaler)
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w", encoding="utf-8")
     try:
         for s, yhat in zip(samples, model_mod.predict_samples(samples, params, config)):
@@ -230,6 +228,16 @@ def _parse_addr(text):
     if not port.isdecimal() or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"{text!r} is not host:port with a port of 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+def _int_at_least(low):
+    """An argparse type: a decimal integer of at least `low`; anything else
+    is a usage error."""
+    def parse(text):
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
 
 
 def _ingest_addr(text):
@@ -339,9 +347,9 @@ def build_parser():
     p = sub.add_parser("acf")
     p.add_argument("--input", required=True)
     p.add_argument("--cell", required=True)
-    p.add_argument("--max-lag", type=int, default=800)
+    p.add_argument("--max-lag", type=_int_at_least(0), default=800)
     p.add_argument("--output", default=None)
-    p.add_argument("--step-seconds", type=int, default=None)
+    p.add_argument("--step-seconds", type=_int_at_least(1), default=900)
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("predict")

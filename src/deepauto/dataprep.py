@@ -1,9 +1,12 @@
-"""Raw records -> model-ready samples.
+"""Raw records -> model-ready samples: NDJSON record IO, bucketing, linear
+interpolation of gaps, min-max scaling fitted on the training slice only,
+multi-scale windowing (recent / daily-periodic / weekly-seasonal lags),
+horizon target aggregation, temporal 4:1:1 splitting, and autocorrelation.
 
-Covers NDJSON record IO, bucketing, linear interpolation of gaps, min-max
-scaling fitted on the training slice only, multi-scale windowing (recent /
-daily-periodic / weekly-seasonal lags), horizon target aggregation,
-temporal 4:1:1 splitting, and autocorrelation.
+One layout runs from records to windows: a `SeriesBlock` holds every
+cell's buckets end to end in cell-id order. `records_to_series` sums the
+records into it, `fill_block` fills its gaps on one copy, and
+`make_windows` gathers windows and targets from it in place.
 
 Bucketing has one rule for both KPIs and for the batch and stream paths,
 picked by the channel layout a series holds. `bucket_entry` maps a record
@@ -310,39 +313,21 @@ def write_records(path, records):
 
 
 @dataclass
-class KpiSeries:
-    """Regular-interval multivariate series for one cell.
-
-    `missing_mask[t, c]` is True where no measurement landed in the bucket.
+class SeriesBlock:
+    """Every cell's regular-interval series, laid end to end in one block in
+    cell-id order. Cell k (`cell_ids[k]`) holds rows offsets[k] to
+    offsets[k + 1] of `values` and `missing`, one per bucket from its own
+    first bucket `first_buckets[k]` to its last; bucket b starts at second
+    b * step_seconds. `missing[r, c]` is True where no measurement landed.
     """
 
-    cell_id: str
-    start_ts: int
+    values: np.ndarray         # (rows, C) float64
+    missing: np.ndarray        # (rows, C) bool, True = missing
+    cell_ids: list             # (n,) str, sorted
+    offsets: np.ndarray        # (n + 1,) int64
+    first_buckets: np.ndarray  # (n,) int64
     step_seconds: int
-    channels: list
-    values: np.ndarray       # (T, C) float64
-    missing_mask: np.ndarray  # (T, C) bool, True = missing
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
-        if self.values.shape != self.missing_mask.shape:
-            raise ShapeError("values and missing_mask shapes differ")
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.channels):
-            raise ShapeError("values must be (T, n_channels)")
-
-    @property
-    def length(self):
-        return self.values.shape[0]
-
-    def timestamp(self, t):
-        return self.start_ts + t * self.step_seconds
-
-    def channel_index(self, name):
-        try:
-            return self.channels.index(name)
-        except ValueError:
-            raise DataError(f"cell {self.cell_id}: no channel {name!r}") from None
+    channels: tuple
 
 
 def bucket_entry(rec, channels):
@@ -377,16 +362,16 @@ def records_to_series(records, step_seconds, channels=LOAD_CHANNELS):
     `channels` (`bucket_entry`, then `bucket_values`); a record the layout
     has no channel for, or an rsrq report that names no bin, is skipped.
 
-    `records` may be any iterable, read once. Returns {cell_id: KpiSeries}
-    in cell-id order; each cell's series starts at its own first bucket.
-    One pass files each entry as a row of four columns (the cell's code in
-    first-seen order, its bucket, channel and amount). The cells' buckets
-    are then laid end to end in one (rows, channels) block, and
-    `np.bincount` sums the amounts and counts into it. It adds in record
-    order from 0.0, as the streaming path does, so the two agree bit for
-    bit. One `bucket_values` call turns the block into values, and each
-    cell's series is a slice of it. A block too large to allocate raises
-    DataError with its bucket count, and a bucket past int64 with the bucket.
+    `records` may be any iterable, read once. Returns the SeriesBlock of
+    every cell; each cell's series starts at its own first bucket. One pass
+    files each entry as a row of four columns (the cell's code in
+    first-seen order, its bucket, channel and amount). The codes are then
+    remapped to the cells' ranks in cell-id order, the cells' buckets laid
+    end to end in that order, and `np.bincount` sums the amounts and counts
+    into the block. It adds in record order from 0.0, as the streaming path
+    does, so the two agree bit for bit. One `bucket_values` call turns the
+    block into values. A block too large to allocate raises DataError with
+    its bucket count, and a bucket past int64 with the bucket.
     """
     channels = tuple(channels)
     return bin_entries(list(file_entries(records, step_seconds, channels)), step_seconds, channels)
@@ -416,21 +401,23 @@ def file_entries(records, step_seconds, channels):
 
 
 def bin_entries(entries, step_seconds, channels):
-    """`records_to_series`' series from the list `entries` of
+    """`records_to_series`' SeriesBlock from the list `entries` of
     `file_entries`' results (its columns as int64, int64, int64 and float64
     arrays or buffers). The list is emptied, so the columns are freed as
     soon as they are summed."""
     cell_codes, codes, buckets, columns, amounts = entries
     entries.clear()
-    codes, buckets = np.asarray(codes, np.int64), np.asarray(buckets, np.int64)
-    first = np.full(len(cell_codes), np.iinfo(np.int64).max)
-    last = np.full(len(cell_codes), np.iinfo(np.int64).min)
+    cell_ids = sorted(cell_codes)
+    rank = np.empty(len(cell_ids), np.int64)
+    rank[[cell_codes[cell] for cell in cell_ids]] = np.arange(len(cell_ids))
+    codes, buckets = rank[np.asarray(codes, np.int64)], np.asarray(buckets, np.int64)
+    first = np.full(len(cell_ids), np.iinfo(np.int64).max)
+    last = np.full(len(cell_ids), np.iinfo(np.int64).min)
     np.minimum.at(first, codes, buckets)
     np.maximum.at(last, codes, buckets)
-    # the cells' rows in the block, in code order; spans are summed as
+    # the cells' rows in the block, in cell-id order; spans are summed as
     # Python ints, so a span too wide for int64 fails instead of wrapping
-    firsts = first.tolist()
-    spans = [hi - lo + 1 for lo, hi in zip(firsts, last.tolist())]
+    spans = [hi - lo + 1 for lo, hi in zip(first.tolist(), last.tolist())]
     starts = list(itertools.accumulate(spans, initial=0))
     width = len(channels)
     size = starts[-1] * width
@@ -448,11 +435,8 @@ def bin_entries(entries, step_seconds, channels):
     except MemoryError:
         raise DataError(f"the cells span {starts[-1]} buckets of {step_seconds} s, "
                         "more than can be allocated") from None
-    return {cell: KpiSeries(cell_id=cell, start_ts=firsts[c] * step_seconds,
-                            step_seconds=step_seconds, channels=list(channels),
-                            values=values[starts[c]:starts[c + 1]],
-                            missing_mask=missing[starts[c]:starts[c + 1]])
-            for cell, c in sorted(cell_codes.items())}
+    return SeriesBlock(values, missing, cell_ids, np.array(starts, np.int64), first, step_seconds,
+                       channels)
 
 
 def fill_gaps(values, missing):
@@ -472,19 +456,23 @@ def fill_gaps(values, missing):
     return None
 
 
-def interpolate_missing(series):
-    """Fill gaps (`fill_gaps`); raises DataError on an all-missing channel."""
-    values = series.values.copy()
-    mask = series.missing_mask
-    empty = fill_gaps(values, mask)
-    if empty is not None:
-        raise DataError(
-            f"cell {series.cell_id}: channel {series.channels[empty]!r} is entirely missing")
-    return KpiSeries(
-        cell_id=series.cell_id, start_ts=series.start_ts,
-        step_seconds=series.step_seconds, channels=list(series.channels),
-        values=values, missing_mask=np.zeros_like(mask),
-    )
+def fill_block(block):
+    """Fill the gaps of each cell of the SeriesBlock `block` (`fill_gaps` on
+    its rows of one copy of the values). Returns the block of the cells
+    whose every channel holds a value, with nothing missing, and {cell id:
+    its first channel that holds no value} of the other cells."""
+    values, bounds, dead = block.values.copy(), block.offsets.tolist(), {}
+    for k, cell in enumerate(block.cell_ids):
+        empty = fill_gaps(values[bounds[k]:bounds[k + 1]], block.missing[bounds[k]:bounds[k + 1]])
+        if empty is not None:
+            dead[cell] = block.channels[empty]
+    live = np.array([cell not in dead for cell in block.cell_ids], bool)
+    lengths = np.diff(block.offsets)
+    values = values[np.repeat(live, lengths)] if dead else values
+    return SeriesBlock(values, np.zeros(values.shape, bool),
+                       [cell for cell in block.cell_ids if cell not in dead],
+                       np.append(0, np.cumsum(lengths[live])), block.first_buckets[live],
+                       block.step_seconds, block.channels), dead
 
 
 # ---------------------------------------------------------------------------
@@ -695,63 +683,58 @@ def lag_windows(values, anchors, cell_ids, anchor_ts, spec):
     return Windows(arrays, cell_ids, anchor_ts)
 
 
-def window_anchors(length, spec, horizons, require_targets, pdf_target):
-    """The anchor indices `make_windows` builds for a series of `length`
-    steps, with the same arguments: from spec.history_span(), the first
-    whose lags all fall inside the series, to the last whose horizons end
-    inside it. Without targets the last anchor is `length`, which predicts
-    past the last observed step; a pdf target is the row at the anchor."""
+def window_anchors(lengths, spec, horizons, require_targets, pdf_target):
+    """The anchors `make_windows` builds for series of `lengths` (n,) steps,
+    with the same arguments, as (series index, anchor index) arrays in
+    (anchor index, series index) order. Each series' anchors run from
+    spec.history_span(), the first whose lags all fall inside it, to the
+    last whose horizons end inside it. Without targets the last anchor is
+    the series' length, which predicts past the last observed step; a pdf
+    target is the row at the anchor."""
     if not require_targets:
-        last = length
+        last = lengths
     elif pdf_target:
-        last = length - 1
+        last = lengths - 1
     else:
         if min(horizons) < 1:
             raise ShapeError("horizons must be >= 1")
-        last = length - max(horizons)
-    return np.arange(spec.history_span(), last + 1)
+        last = lengths - max(horizons)
+    span = spec.history_span()
+    counts = np.maximum(last - span + 1, 0)
+    series = np.repeat(np.arange(len(counts)), counts)
+    t = np.arange(len(series)) - np.repeat(np.cumsum(counts) - counts, counts) + span
+    order = np.argsort(t, kind="stable")
+    return series[order], t[order]
 
 
-def make_windows(series, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False,
+def make_windows(block, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False,
                  scaler=None):
     """`lag_windows` plus targets for every feasible anchor
-    (`window_anchors`) of each series in the sequence `series`, its rows in
-    (anchor index, position in `series`) order. The series' values are
-    joined end to end and, given `scaler`, scaled at once (`apply_scaler`),
-    and every array is gathered from that one block, as the streaming
-    engine gathers its windows from its joined histories. With `pdf_target`
-    the target is the full channel row at the anchor (histogram prediction)
-    and `horizons` is ignored; otherwise target h is the mean of the "load"
-    column over the h steps from the anchor (tests/oracles.py's
-    `aggregate_targets` is the per-anchor reference, bit for bit). Raises
-    DataError when `series` is empty, ShapeError when its channels differ.
+    (`window_anchors`) of each cell of the SeriesBlock `block`, its rows in
+    (anchor index, cell id) order. Given `scaler`, the block's values are
+    scaled at once (`apply_scaler`); every array is gathered from the one
+    block, as the streaming engine gathers its windows from its joined
+    histories. With `pdf_target` the target is the full channel row at the
+    anchor (histogram prediction) and `horizons` is ignored; otherwise
+    target h is the mean of the "load" column over the h steps from the
+    anchor (tests/oracles.py's `aggregate_targets` is the per-anchor
+    reference, bit for bit). Raises DataError when `block` holds no cell.
     """
-    if not series:
+    if not block.cell_ids:
         raise DataError("no series to window")
-    if any(s.channels != series[0].channels for s in series):
-        raise ShapeError("series joined into one block must share their channels")
-    anchors = [window_anchors(s.length, spec, horizons, require_targets, pdf_target)
-               for s in series]
-    counts = [len(a) for a in anchors]
-    t = np.concatenate(anchors)
-    order = np.argsort(t, kind="stable")
-    # a row's index in the joined block: its series' first row plus its anchor
-    starts = np.cumsum([0] + [s.length for s in series[:-1]])
-    rows = (np.repeat(starts, counts) + t)[order]
-    values = np.concatenate([s.values for s in series])
-    if scaler is not None:
-        values = apply_scaler(values, scaler)
-    windows = lag_windows(values, rows,
-                          np.repeat(np.array([s.cell_id for s in series]), counts)[order],
-                          np.concatenate([s.timestamp(a) for s, a in zip(series, anchors)])[order],
-                          spec)
+    cells, t = window_anchors(np.diff(block.offsets), spec, horizons, require_targets,
+                              pdf_target)
+    rows = block.offsets[cells] + t
+    values = block.values if scaler is None else apply_scaler(block.values, scaler)
+    windows = lag_windows(values, rows, np.array(block.cell_ids)[cells],
+                          (block.first_buckets[cells] + t) * block.step_seconds, spec)
     if require_targets:
         if pdf_target:
             windows.arrays["target"] = values[rows]
         else:
-            # the mean at every joined position, then the rows': no (N, h) gather;
+            # the mean at every block position, then the rows': no (N, h) gather;
             # each view row sums in a contiguous row's order, so the bits hold
-            col = values[:, series[0].channel_index("load")]
+            col = values[:, block.channels.index("load")]
             windows.arrays["target"] = np.stack(
                 [_lagged(col, h, 1).mean(axis=1)[rows] for h in horizons], axis=1)
     return windows

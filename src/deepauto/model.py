@@ -91,6 +91,11 @@ class DeepAutoConfig:
             raise ConfigError("alpha must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.output_kind == "horizons" and min(self.horizons, default=0) < 1:
+            raise ConfigError("horizons must be one or more steps, each >= 1")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def out_dim(self):

@@ -15,7 +15,7 @@ buckets records under its model's channel layout
 of its last span closed buckets (`WindowSpec.history_span`); each close
 reads its window at once. The windows are joined end to end and
 `dataprep.lag_windows` turns them into model inputs, as `make_windows`
-does over the batch path's joined series.
+does over the batch path's series block.
 
 A bucket closes when its cell's next record arrives, but the forward runs
 earlier: as a record moves the watermark to bucket G, the pass over the
@@ -316,7 +316,7 @@ class Engine:
         the memory a pass over many cells takes. A chunk's rows are joined
         end to end and scaled at once, and `dataprep.lag_windows` reads
         anchors span, 2*span, ... of them, as `make_windows` reads its
-        joined series. Cache-free rows are batch-invariant, so every output
+        series block. Cache-free rows are batch-invariant, so every output
         equals the batch path's bit for bit, whatever chunk it ran in."""
         config, span = self.config, self.span
         outputs = []

@@ -8,7 +8,9 @@ finite-difference gradient checker walks parameters with the package's
 `param_leaves`, and the per-anchor target and inverse-scaler references
 are NumPy. The per-bucket close is the engine's earlier loop, run on a
 package `CellBuffer` with its `bucket_values` and `window`: what it pins is
-which buckets close and what they leave held.
+which buckets close and what they leave held. `CellSeries` is one cell's
+series: tests build a package `SeriesBlock` from such cells
+(`series_block`) and read a block back one cell at a time (`cells_of`).
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -16,10 +18,11 @@ through these functions rather than copied from the implementation.
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from deepauto.dataprep import Windows, bucket_values
+from deepauto.dataprep import SeriesBlock, Windows, bucket_values
 from deepauto.errors import DataError, OutOfRangeError, ShapeError
 from deepauto.neuralnet import param_leaves
 
@@ -272,6 +275,53 @@ def windows_by_anchor(parts, first_anchor):
     t = np.concatenate([np.arange(len(w)) for w in parts]) + first_anchor
     order = np.argsort(t, kind="stable")
     return Windows.concat(parts)[order], t[order]
+
+
+class CellSeries(NamedTuple):
+    """One cell's regular-interval series: the per-cell form the tests build
+    a SeriesBlock from (`series_block`) and read one back in (`cells_of`)."""
+
+    cell_id: str
+    start_ts: int
+    step_seconds: int
+    channels: list
+    values: np.ndarray        # (T, C) float64
+    missing_mask: np.ndarray  # (T, C) bool, True = missing
+
+    @property
+    def length(self):
+        return len(self.values)
+
+    def timestamp(self, t):
+        return self.start_ts + t * self.step_seconds
+
+    def channel_index(self, name):
+        return self.channels.index(name)
+
+
+def series_block(cells):
+    """The SeriesBlock of the CellSeries `cells`, given in any order, which
+    share a step and channels and each start on a bucket boundary: their
+    rows joined end to end in cell-id order."""
+    cells = sorted(cells, key=lambda s: s.cell_id)
+    step = cells[0].step_seconds
+    assert all(s.step_seconds == step and s.start_ts % step == 0 for s in cells)
+    return SeriesBlock(
+        np.concatenate([np.asarray(s.values, np.float64) for s in cells]),
+        np.concatenate([np.asarray(s.missing_mask, bool) for s in cells]),
+        [s.cell_id for s in cells], np.cumsum([0] + [s.length for s in cells]),
+        np.array([s.start_ts // step for s in cells], np.int64), step, tuple(cells[0].channels))
+
+
+def cells_of(block):
+    """{cell id: CellSeries} of a SeriesBlock, in its cell order, each cell's
+    values and mask being its rows of the block's (views)."""
+    bounds = block.offsets.tolist()
+    return {cell: CellSeries(cell, int(block.first_buckets[k]) * block.step_seconds,
+                             block.step_seconds, list(block.channels),
+                             block.values[bounds[k]:bounds[k + 1]],
+                             block.missing[bounds[k]:bounds[k + 1]])
+            for k, cell in enumerate(block.cell_ids)}
 
 
 FD_EPS = 1e-5

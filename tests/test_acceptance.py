@@ -21,9 +21,8 @@ from deepauto import evaluation as ev
 from deepauto import model as dm
 from deepauto import neuralnet as nn
 from deepauto import pipeline, stream, synthgen
-from deepauto.dataprep import (EXTERNAL_DIM, RSRQ_CHANNELS, KpiSeries, Windows,
-                               WindowSpec, apply_scaler, autocorrelation, fit_scaler,
-                               interpolate_missing, split_4_1_1,
+from deepauto.dataprep import (EXTERNAL_DIM, RSRQ_CHANNELS, Windows, WindowSpec,
+                               apply_scaler, autocorrelation, fit_scaler, split_4_1_1,
                                write_records)
 from deepauto.errors import ModelFormatError
 
@@ -223,7 +222,7 @@ def test_criterion_5_histogram_kl():
 
 @criterion(6, "ACF peaks at 1-day and 7-day lags, >= 0.1 over off-peak")
 def test_criterion_6_acf_peaks(default_series):
-    x = default_series["cell_0000"].values[:, 0]
+    x = oracles.cells_of(default_series)["cell_0000"].values[:, 0]
     day = 96
     acf = np.asarray(autocorrelation(x, 7 * day + day // 2))
     for nominal in (day, 7 * day):
@@ -247,8 +246,7 @@ def test_criterion_7_offline_online_equivalence(tmp_path):
                                ext_embed_dim=4, seed=SEED)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(SEED))
     series = pipeline.load_series(records, STEP)
-    scaler = fit_scaler(np.concatenate([s.values for s in series.values()]),
-                        ("load", "ue"))
+    scaler = fit_scaler(series.values, ("load", "ue"))
     model_path = tmp_path / "model.bin"
     dm.save_file(model_path, params, config, scaler)
 
@@ -353,15 +351,15 @@ def test_criterion_10_unit_contracts():
     back = oracles.invert_scaler(apply_scaler(values, scaler), scaler)
     assert np.max(np.abs(back - values)) <= 1e-12
 
-    def series_of(col):
+    def interpolated(col):
         col = np.asarray(col, dtype=np.float64)
-        return KpiSeries(cell_id="c", start_ts=0, step_seconds=STEP,
-                         channels=["load"], values=col[:, None],
-                         missing_mask=np.isnan(col)[:, None])
+        return pipeline.fill_series(oracles.series_block([oracles.CellSeries(
+            cell_id="c", start_ts=0, step_seconds=STEP, channels=["load"],
+            values=col[:, None], missing_mask=np.isnan(col)[:, None])]))
 
-    out = interpolate_missing(series_of([1.0, np.nan, 3.0]))
+    out = interpolated([1.0, np.nan, 3.0])
     assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
-    out = interpolate_missing(series_of([np.nan, 5.0, np.nan]))
+    out = interpolated([np.nan, 5.0, np.nan])
     assert out.values[:, 0].tolist() == [5.0, 5.0, 5.0]
-    out = interpolate_missing(series_of([0.0, np.nan, np.nan, 0.9]))
+    out = interpolated([0.0, np.nan, np.nan, 0.9])
     assert np.allclose(out.values[:, 0], [0.0, 0.3, 0.6, 0.9], atol=1e-15)

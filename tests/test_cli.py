@@ -12,6 +12,8 @@ import pytest
 
 from deepauto import cli, dataprep, evaluation, model as dm, neuralnet as nn, pipeline, stream
 
+import oracles
+
 
 def run_cli(argv):
     return cli.main(argv)
@@ -61,6 +63,21 @@ def test_missing_input_exit_2(tmp_path, capsys):
                     "--model", str(tmp_path / "m.bin")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("horizons", []), ("batch_size", 0),
+                                          ("batch_size", -4), ("max_epochs", 0)])
+def test_train_with_a_bad_config_exits_2(workspace, tmp_path, capsys, field, value):
+    """A config with no horizon, an empty batch or no epoch is a config
+    error (exit 2, no traceback), and no model file is written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(workspace["config"].read_text()), field: value}))
+    model = tmp_path / "m.bin"
+    assert run_cli(["train", "--input", str(workspace["data"]), "--config", str(config),
+                    "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not model.exists()
 
 
 def test_generate_deterministic(tmp_path):
@@ -159,6 +176,44 @@ def test_acf_csv(workspace, tmp_path):
                     "--cell", "no_such_cell"]) == 2
 
 
+def test_acf_of_every_cell_reads_that_cell(tmp_path):
+    """`acf` of each cell of a file whose cells start and end at different
+    buckets, with gaps, is the autocorrelation of that cell's load column:
+    bucketed by the rescan oracle and filled by `fill_gaps`."""
+    data = tmp_path / "data.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "3", "--days", "1",
+                    "--missing-rate", "0.05", "--seed", "5"]) == 0
+    records = list(dataprep.iter_records(data, []))
+    start = min(r["ts"] for r in records)
+    end = max(r["ts"] for r in records)
+    records = [r for r in records
+               if not (r["cell"] == "cell_0001" and r["ts"] < start + 5 * 900)
+               and not (r["cell"] == "cell_0002" and r["ts"] > end - 7 * 900)]
+    dataprep.write_records(data, records)
+    expected = oracles.records_to_series_rescan(records, 900)
+    assert len({(first, len(values)) for first, values, _ in expected.values()}) == 3
+    for cell, (_, values, missing) in expected.items():
+        values, missing = np.array(values), np.array(missing)
+        assert missing.any() and dataprep.fill_gaps(values, missing) is None
+        acf = dataprep.autocorrelation(values[:, 0], 30)
+        out = tmp_path / f"{cell}.csv"
+        assert run_cli(["acf", "--input", str(data), "--cell", cell, "--max-lag", "30",
+                        "--output", str(out)]) == 0
+        assert out.read_text().splitlines() == \
+            ["lag,acf"] + [f"{k},{acf[k]:.8f}" for k in range(31)]
+
+
+@pytest.mark.parametrize("flags", [["--max-lag", "-3"], ["--max-lag", "x"],
+                                   ["--step-seconds", "0"], ["--step-seconds", "-900"]])
+def test_acf_rejects_a_negative_lag_or_a_width_below_1(workspace, capsys, flags):
+    """--max-lag is a count of lags and --step-seconds a bucket width: a
+    negative lag or a width below 1 s is a usage error (exit 1)."""
+    assert run_cli(["acf", "--input", str(workspace["data"]), "--cell", "cell_0000",
+                    *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}" in err and "Traceback" not in err
+
+
 def test_predict_ndjson(workspace, tmp_path):
     out = tmp_path / "pred.ndjson"
     assert run_cli(["predict", "--model", str(workspace["model"]),
@@ -224,11 +279,12 @@ def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):
     assert out.read_text() == clean.read_text()
 
 
-def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
-    """A cell whose `ue` channel holds no value has no window, as in the
-    engine: predict skips it with one warning naming it, and every other
-    cell's lines are those of a file without that cell. train, evaluate and
-    grid still fail on the file."""
+def predict_with_a_dead_ue(tmp_path, caplog, cell, late=()):
+    """A model trained on a 3-cell file, and `predict`'s output and warnings
+    on that file with the ue records of `cell` left out ("dead_ue") and
+    with every record of `cell` left out ("without"); the cells `late`
+    start 5 buckets after the others in both. Returns (config path, model
+    path, dead_ue path, outputs, warnings)."""
     data = tmp_path / "data.ndjson"
     assert run_cli(["generate", "--output", str(data), "--cells", "3", "--days", "1",
                     "--seed", "5"]) == 0
@@ -242,11 +298,12 @@ def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
                     "--model", str(model)]) == 0
 
     records = list(dataprep.iter_records(data, []))
+    start = min(r["ts"] for r in records)
+    records = [r for r in records if r["cell"] not in late or r["ts"] >= start + 5 * 900]
     dead_ue = tmp_path / "dead_ue.ndjson"
-    dataprep.write_records(dead_ue, [r for r in records
-                                     if (r["cell"], r["topic"]) != ("cell_0000", "ue")])
+    dataprep.write_records(dead_ue, [r for r in records if (r["cell"], r["topic"]) != (cell, "ue")])
     without = tmp_path / "without.ndjson"
-    dataprep.write_records(without, [r for r in records if r["cell"] != "cell_0000"])
+    dataprep.write_records(without, [r for r in records if r["cell"] != cell])
     outputs, warnings = {}, {}
     for path in (dead_ue, without):
         caplog.clear()
@@ -256,6 +313,16 @@ def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
                             "--output", str(out)]) == 0
         outputs[path.stem] = out.read_text()
         warnings[path.stem] = [r.getMessage() for r in caplog.records]
+    return config, model, dead_ue, outputs, warnings
+
+
+def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
+    """A cell whose `ue` channel holds no value has no window, as in the
+    engine: predict skips it with one warning naming it, and every other
+    cell's lines are those of a file without that cell. train, evaluate and
+    grid still fail on the file."""
+    config, model, dead_ue, outputs, warnings = predict_with_a_dead_ue(tmp_path, caplog,
+                                                                       "cell_0000")
     assert outputs["dead_ue"] == outputs["without"]
     assert len(outputs["dead_ue"].splitlines()) == 2 * (96 - 4 + 1)
     assert warnings == {
@@ -271,6 +338,20 @@ def test_predict_skips_a_cell_with_a_dead_channel(tmp_path, caplog, capsys):
                   "--output", str(tmp_path / "grid.json")]):
         assert run_cli(argv + ["--input", str(dead_ue)]) == 2
         assert "cell cell_0000: channel 'ue' is entirely missing" in capsys.readouterr().err
+
+
+def test_predict_skips_a_dead_cell_in_the_middle_of_the_block(tmp_path, caplog):
+    """The dead cell sits between two live ones in the series block, and the
+    one after it starts later: the cells on either side keep their own rows
+    and first buckets, as in a file without it."""
+    *_, outputs, warnings = predict_with_a_dead_ue(tmp_path, caplog, "cell_0001",
+                                                   late=("cell_0002",))
+    assert outputs["dead_ue"] == outputs["without"]
+    assert {json.loads(line)["cell"] for line in outputs["dead_ue"].splitlines()} == \
+        {"cell_0000", "cell_0002"}
+    assert warnings == {
+        "dead_ue": ["skipped 1 cells with an entirely missing channel: cell_0001"],
+        "without": []}
 
 
 def test_predict_pdf_model(tmp_path):
@@ -294,7 +375,7 @@ def test_predict_pdf_model(tmp_path):
     records = list(dataprep.iter_records(data, []))
     series = dataprep.records_to_series(records, 300, dataprep.RSRQ_CHANNELS)
     # inference anchors run from the window's history span to the series length
-    expected = sum(s.length - 4 + 1 for s in series.values())
+    expected = sum(length - 4 + 1 for length in np.diff(series.offsets).tolist())
     docs = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(docs) == expected > 0
     for doc in docs:

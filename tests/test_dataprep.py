@@ -20,8 +20,14 @@ def series_from(values, missing=None, step=60, cell="c1", channels=None):
     mask = np.zeros_like(values, dtype=bool) if missing is None else np.asarray(missing, dtype=bool)
     if mask.ndim == 1:
         mask = mask[:, None]
-    return dp.KpiSeries(cell_id=cell, start_ts=0, step_seconds=step,
-                        channels=channels, values=values, missing_mask=mask)
+    return oracles.CellSeries(cell_id=cell, start_ts=0, step_seconds=step,
+                              channels=channels, values=values, missing_mask=mask)
+
+
+def interpolated(s):
+    """The CellSeries `s` with its gaps filled: `pipeline.fill_series` on
+    the block of that one cell."""
+    return oracles.cells_of(pipeline.fill_series(oracles.series_block([s])))[s.cell_id]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def test_records_to_series_buckets_and_averages():
         {"topic": "load", "cell": "a", "ts": 120, "value": 0.8},
         {"topic": "ue", "cell": "a", "ts": 0, "value": 10.0},
     ]
-    series = dp.records_to_series(records, 60)["a"]
+    series = oracles.cells_of(dp.records_to_series(records, 60))["a"]
     assert series.values[0, 0] == pytest.approx(0.5)
     assert series.missing_mask[1, 0]           # bucket 1 empty
     assert series.values[2, 0] == pytest.approx(0.8)
@@ -206,7 +212,7 @@ def test_records_to_series_matches_rescan_oracle(seed):
     records = records + dupes
     records = [records[k] for k in rng.permutation(len(records))]
     step = 900
-    series = dp.records_to_series(iter(records), step)
+    series = oracles.cells_of(dp.records_to_series(iter(records), step))
     expected = oracles.records_to_series_rescan(records, step)
     assert list(series) == list(expected)
     for cell, (first, values, missing) in expected.items():
@@ -225,7 +231,7 @@ def test_rsrq_series_match_oracle_and_interpolate():
         n_cells=3, days=0.5, rsrq_cells=3, seed=4))
     records = [r for r in records if not (r["topic"] == "rsrq" and (r["ts"] // 300) % 11 == 3)]
     records = [records[k] for k in np.random.default_rng(4).permutation(len(records))]
-    series = dp.records_to_series(iter(records), 300, dp.RSRQ_CHANNELS)
+    series = oracles.cells_of(dp.records_to_series(iter(records), 300, dp.RSRQ_CHANNELS))
     expected = oracles.rsrq_series_rescan(records, 300, dp.RSRQ_BINS)
     assert list(series) == list(expected) == ["cell_0000", "cell_0001", "cell_0002"]
     for cell, (first, values, missing) in expected.items():
@@ -234,9 +240,9 @@ def test_rsrq_series_match_oracle_and_interpolate():
         assert s.values.tobytes() == np.array(values).tobytes()
         np.testing.assert_array_equal(s.missing_mask, missing)
         assert s.missing_mask[:, 0].any()
-    filled = pipeline.load_series(iter(records), 300, dp.RSRQ_CHANNELS)
+    filled = oracles.cells_of(pipeline.load_series(iter(records), 300, dp.RSRQ_CHANNELS))
     for cell, s in series.items():
-        assert filled[cell].values.tobytes() == dp.interpolate_missing(s).values.tobytes()
+        assert filled[cell].values.tobytes() == interpolated(s).values.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +255,7 @@ def test_rsrq_bucketing_matches_oracle(reports):
     and other topics (ignored), buckets as the stdlib oracle does."""
     records = [{"topic": topic, "cell": cell, "ts": ts, "value": value}
                for cell, ts, value, topic in reports]
-    series = dp.records_to_series(records, 300, dp.RSRQ_CHANNELS)
+    series = oracles.cells_of(dp.records_to_series(records, 300, dp.RSRQ_CHANNELS))
     expected = oracles.rsrq_series_rescan(records, 300, dp.RSRQ_BINS)
     assert list(series) == list(expected)
     for cell, (first, values, missing) in expected.items():
@@ -287,7 +293,7 @@ def test_records_to_series_matches_rescan_oracles(layout, step, base, drawn, dat
         expected = oracles.rsrq_series_rescan(records, step, dp.RSRQ_BINS)
     else:
         expected = oracles.records_to_series_rescan(records, step, channels)
-    series = dp.records_to_series((rec for rec in records), step, channels)
+    series = oracles.cells_of(dp.records_to_series((rec for rec in records), step, channels))
     assert list(series) == list(expected)
     for cell, (first, values, missing) in expected.items():
         s = series[cell]
@@ -303,27 +309,27 @@ def test_records_to_series_matches_rescan_oracles(layout, step, base, drawn, dat
 
 def test_interpolate_midpoint():
     s = series_from([1.0, 0.0, 3.0], missing=[False, True, False])
-    out = dp.interpolate_missing(s)
+    out = interpolated(s)
     np.testing.assert_allclose(out.values[:, 0], [1.0, 2.0, 3.0])
     assert not out.missing_mask.any()
 
 
 def test_interpolate_edge_extension():
     s = series_from([0.0, 2.0, 0.0], missing=[True, False, True])
-    out = dp.interpolate_missing(s)
+    out = interpolated(s)
     np.testing.assert_allclose(out.values[:, 0], [2.0, 2.0, 2.0])
 
 
 def test_interpolate_multi_step_gap():
     s = series_from([0.0, 0.0, 0.0, 0.9], missing=[False, True, True, False])
-    out = dp.interpolate_missing(s)
+    out = interpolated(s)
     np.testing.assert_allclose(out.values[:, 0], [0.0, 0.3, 0.6, 0.9])
 
 
 def test_interpolate_all_missing_channel():
     s = series_from([0.0, 0.0], missing=[True, True])
     with pytest.raises(DataError, match="entirely missing"):
-        dp.interpolate_missing(s)
+        interpolated(s)
 
 
 def test_interpolate_idempotent():
@@ -332,8 +338,8 @@ def test_interpolate_idempotent():
     missing = rng.random(20) < 0.4
     missing[0] = False
     s = series_from(values, missing=missing)
-    once = dp.interpolate_missing(s)
-    twice = dp.interpolate_missing(once)
+    once = interpolated(s)
+    twice = interpolated(once)
     np.testing.assert_array_equal(once.values, twice.values)
 
 
@@ -380,12 +386,12 @@ def test_interpolate_missing_is_fill_gaps_on_a_copy():
     values = rng.uniform(size=(30, 2))
     missing = rng.random((30, 2)) < 0.3
     missing[0] = False
-    s = series_from(values, missing=missing)
-    out = dp.interpolate_missing(s)
+    block = oracles.series_block([series_from(values, missing=missing)])
+    out = oracles.cells_of(pipeline.fill_series(block))["c1"]
     expected = values.copy()
     assert dp.fill_gaps(expected, missing) is None
     assert out.values.tobytes() == expected.tobytes()
-    assert s.values.tobytes() == values.tobytes()  # the input series is untouched
+    assert block.values.tobytes() == values.tobytes()  # the input block is untouched
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +499,7 @@ def test_periodic_lag_indices():
 
 def test_make_windows_anchor_count():
     s = series_from(np.arange(10.0), channels=["load"])
-    samples = dp.make_windows([s], dp.WindowSpec(n_r=3), horizons=[1])
+    samples = dp.make_windows(oracles.series_block([s]), dp.WindowSpec(n_r=3), horizons=[1])
     assert [x.anchor_ts for x in samples] == [t * 60 for t in range(3, 10)]
     assert len(samples) == 7
 
@@ -501,7 +507,7 @@ def test_make_windows_anchor_count():
 def test_make_windows_values_and_targets():
     s = series_from(np.arange(100.0), channels=["load"])
     spec = dp.WindowSpec(n_r=2, n_p=1, period_steps=10)
-    samples = dp.make_windows([s], spec, horizons=[1, 5])
+    samples = dp.make_windows(oracles.series_block([s]), spec, horizons=[1, 5])
     first = samples.arrays
     assert samples.anchor_ts[0] == 10 * 60
     np.testing.assert_array_equal(first["recent"][0, :, 0], [8.0, 9.0])
@@ -511,7 +517,7 @@ def test_make_windows_values_and_targets():
 
 def test_make_windows_infeasible_spec():
     s = series_from(np.arange(5.0), channels=["load"])
-    assert len(dp.make_windows([s], dp.WindowSpec(n_r=10), horizons=[1])) == 0
+    assert len(dp.make_windows(oracles.series_block([s]), dp.WindowSpec(n_r=10), horizons=[1])) == 0
 
 
 @given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2),
@@ -524,7 +530,7 @@ def test_windows_never_read_out_of_bounds(n_r, n_p, n_s, length, period):
                          period_steps=period if n_p else 0,
                          season_steps=period * 2 if n_s else 0)
     s = series_from(np.arange(float(length)), channels=["load"])
-    windows = dp.make_windows([s], spec, horizons=[1])
+    windows = dp.make_windows(oracles.series_block([s]), spec, horizons=[1])
     for name in ("recent", "periodic", "seasonal"):
         window = windows.arrays.get(name, np.zeros((0, 0, 1)))
         assert np.all(window[..., 0] >= 0.0)
@@ -564,10 +570,11 @@ def test_make_windows_matches_per_anchor_reference(seed, mode, n_r, n_p, n_s, n_
     values = rng.normal(size=(length, n_channels)) * 10.0 ** rng.integers(-3, 4)
     channels = [f"ch{i}" for i in range(n_channels)]
     channels[int(rng.integers(n_channels))] = "load"
-    s = dp.KpiSeries(cell_id="c7", start_ts=start * step, step_seconds=step,
-                     channels=channels, values=values, missing_mask=np.zeros_like(values, bool))
+    s = oracles.CellSeries(cell_id="c7", start_ts=start * step, step_seconds=step,
+                           channels=channels, values=values,
+                           missing_mask=np.zeros_like(values, bool))
 
-    windows = dp.make_windows([s], spec, horizons, require_targets=mode != "inference",
+    windows = dp.make_windows(oracles.series_block([s]), spec, horizons, require_targets=mode != "inference",
                               pdf_target=mode == "pdf")
     expected = reference_windows(s, spec, horizons, mode)
     assert len(windows) == len(expected)
@@ -623,20 +630,16 @@ def test_lag_windows_rows_are_lag_indices_and_external_features(seed, n_r, n_p, 
             dp.external_features(anchor_ts[k]).tobytes()
 
 
-def test_make_windows_joins_series_of_one_channel_layout():
-    a = series_from(np.arange(10.0), cell="a", channels=["load"])
-    b = series_from(np.arange(10.0), cell="b", channels=["ue"])
-    with pytest.raises(ShapeError):
-        dp.make_windows([a, b], dp.WindowSpec(n_r=3), horizons=[1])
+def test_make_windows_of_no_cells_is_a_data_error():
     with pytest.raises(DataError):
-        dp.make_windows([], dp.WindowSpec(n_r=3), horizons=[1])
+        dp.make_windows(dp.records_to_series([], 60), dp.WindowSpec(n_r=3), horizons=[1])
 
 
 def test_windows_indexing_keeps_rows_aligned():
     spec = dp.WindowSpec(n_r=3, n_p=1, period_steps=5)
     cells = [series_from(np.arange(40.0) + offset, step=60, cell=cell, channels=["load"])
              for cell, offset in (("a", 0.0), ("b", 1000.0))]
-    both = dp.Windows.concat([dp.make_windows([s], spec, horizons=[1, 3]) for s in cells])
+    both = dp.Windows.concat([dp.make_windows(oracles.series_block([s]), spec, horizons=[1, 3]) for s in cells])
     assert len(both) == 2 * 33
 
     def check_row(w, k):
@@ -744,7 +747,7 @@ def test_acf_zero_variance():
 def one_cell_rsrq(reports, step=300):
     """The RSRQ-layout series of one cell's (ts, value) reports."""
     records = [{"topic": "rsrq", "cell": "a", "ts": ts, "value": value} for ts, value in reports]
-    return dp.records_to_series(records, step, dp.RSRQ_CHANNELS)["a"]
+    return oracles.cells_of(dp.records_to_series(records, step, dp.RSRQ_CHANNELS))["a"]
 
 
 def test_rsrq_single_report():

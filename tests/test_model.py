@@ -531,6 +531,23 @@ def test_default_step_seconds_follows_output_kind():
         micro_config(step_seconds=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizons", ()), ("horizons", (1, 0)), ("horizons", (-4,)),
+    ("batch_size", 0), ("batch_size", -4), ("max_epochs", 0), ("max_epochs", -1)])
+def test_config_rejects_no_horizon_batch_or_epoch(field, value):
+    """A load model needs one horizon or more, each of a step or more; every
+    model needs a batch of one row or more and one epoch or more."""
+    with pytest.raises(ConfigError, match=field):
+        micro_config(**{field: value})
+
+
+def test_pdf_config_ignores_its_horizons():
+    """A histogram model predicts bins, not horizons, so an empty horizon
+    list is no error there."""
+    config = micro_config(output_kind="pdf", input_dim=35, pdf_bins=35, horizons=())
+    assert config.out_dim == 35
+
+
 @pytest.mark.parametrize("width", [900.5, 900.0, True, "900"])
 def test_step_seconds_must_be_an_integer(width):
     """A bucket width that is not an int, or is a bool, fails the config,

@@ -32,12 +32,12 @@ def assert_same_splits(got, want):
         assert_same_windows(g, w)
 
 
-def reference_load_dataset(series_by_cell, window, horizons):
+def reference_load_dataset(block, window, horizons):
     """prepare_load_dataset as the oracle assembles it: the scaler fitted on
     every cell's rows before the first validation anchor, then windows of
     the scaled series in (anchor index, cell id) order."""
-    cells = [s for _, s in sorted(series_by_cell.items())]
-    lengths = [len(dp.make_windows([s], window, horizons)) for s in cells]
+    cells = list(oracles.cells_of(block).values())
+    lengths = [len(windows_of(s, window, horizons)) for s in cells]
     t = np.sort(np.concatenate([np.arange(n) for n in lengths]) + window.history_span())
     if len(t) < 6:
         return None, None
@@ -45,23 +45,28 @@ def reference_load_dataset(series_by_cell, window, horizons):
     scaler = dp.fit_scaler(np.concatenate([s.values[:boundary] for s in cells]),
                            cells[0].channels)
     windows, _ = oracles.windows_by_anchor(
-        [dp.make_windows([scaled(s, scaler)], window, horizons) for s in cells],
+        [windows_of(scaled(s, scaler), window, horizons) for s in cells],
         window.history_span())
     return windows, scaler
+
+
+def windows_of(series, window, *args, **kwargs):
+    """`make_windows` of the one CellSeries `series`."""
+    return dp.make_windows(oracles.series_block([series]), window, *args, **kwargs)
 
 
 def scaled(series, scaler):
     if scaler is None:
         return series
-    return dp.KpiSeries(series.cell_id, series.start_ts, series.step_seconds,
-                        list(series.channels), dp.apply_scaler(series.values, scaler),
-                        series.missing_mask)
+    return oracles.CellSeries(series.cell_id, series.start_ts, series.step_seconds,
+                              list(series.channels), dp.apply_scaler(series.values, scaler),
+                              series.missing_mask)
 
 
 def check_builders(series, window, horizons=None):
-    """Every builder against the oracle, on the interpolated series `series`;
+    """Every builder against the oracle, on the filled SeriesBlock `series`;
     the load builder only when `horizons` is given."""
-    cells = [s for _, s in sorted(series.items())]
+    cells = list(oracles.cells_of(series).values())
     scaler = None
     if horizons is not None:
         want, scaler = reference_load_dataset(series, window, horizons)
@@ -73,7 +78,7 @@ def check_builders(series, window, horizons=None):
             assert got_scaler.to_dict() == scaler.to_dict()
             assert_same_splits(got, want)
 
-    pdf, _ = oracles.windows_by_anchor([dp.make_windows([s], window, pdf_target=True)
+    pdf, _ = oracles.windows_by_anchor([windows_of(s, window, pdf_target=True)
                                         for s in cells], window.history_span())
     if len(pdf) < 6:
         with pytest.raises(DataError):
@@ -85,7 +90,7 @@ def check_builders(series, window, horizons=None):
 
     for sc in (scaler, None):
         want, _ = oracles.windows_by_anchor(
-            [dp.make_windows([scaled(s, sc)], window, require_targets=False) for s in cells],
+            [windows_of(scaled(s, sc), window, require_targets=False) for s in cells],
             window.history_span())
         if not len(want):
             with pytest.raises(DataError, match="steps of history"):
@@ -104,20 +109,19 @@ def test_builders_equal_the_two_copy_assembly(seed, cell_ids, n_r, n_p, missing_
                                                horizons):
     """One cell or several; ids of different lengths; cells shorter than the
     history span, or too short for any target; gaps filled by
-    interpolate_missing."""
+    fill_series."""
     rng = np.random.default_rng(seed)
     window = dp.WindowSpec(n_r=n_r, n_p=n_p, period_steps=n_r + 3 if n_p else 0)
     span = window.history_span()
-    series = {}
+    raw = []
     for cell in cell_ids:
         length = int(rng.integers(1, span + 30))
         values = rng.random((length, 2))
         missing = rng.random((length, 2)) < missing_rate
         missing[0] = False  # every channel holds a value
-        raw = dp.KpiSeries(cell, 900 * int(rng.integers(-50, 50)), 900, ["load", "ue"],
-                           np.where(missing, 0.0, values), missing)
-        series[cell] = dp.interpolate_missing(raw)
-    check_builders(series, window, horizons)
+        raw.append(oracles.CellSeries(cell, 900 * int(rng.integers(-50, 50)), 900,
+                                      ["load", "ue"], np.where(missing, 0.0, values), missing))
+    check_builders(pipeline.fill_series(oracles.series_block(raw)), window, horizons)
 
 
 @pytest.mark.parametrize("missing_rate", [0.0, 0.05])

@@ -21,6 +21,8 @@ from deepauto import model as dm
 from deepauto import synthgen
 from deepauto.errors import DataError
 
+import oracles
+
 LAYOUTS = {"load": dp.LOAD_CHANNELS, "rsrq": dp.RSRQ_CHANNELS}
 STEP = 60
 
@@ -54,8 +56,9 @@ def assert_same(got, want):
     if want[0] is None:
         assert series is None
         return
-    assert list(series) == list(want[0])
-    for cell, s in want[0].items():
+    series, want_series = oracles.cells_of(series), oracles.cells_of(want[0])
+    assert list(series) == list(want_series)
+    for cell, s in want_series.items():
         assert series[cell].start_ts == s.start_ts
         assert series[cell].values.tobytes() == s.values.tobytes()
         assert series[cell].missing_mask.tobytes() == s.missing_mask.tobytes()

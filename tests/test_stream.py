@@ -96,7 +96,7 @@ def test_buffer_window_fill_matches_fill_gaps():
 def test_buffer_window_holds_leading_gap_flat():
     """A gap at the start of a window is filled from inside the window only:
     held flat at the first present row, not interpolated from the bucket
-    before the window as `interpolate_missing` over the whole series does."""
+    before the window as `dataprep.fill_block` over the whole series does."""
     windows = {}
     for span in (4, 3):
         buf = stream.CellBuffer(("load",), span=span)
@@ -613,8 +613,7 @@ def test_stream_matches_batch_predictions_bitwise():
     params = dm.DeepAutoParams.init(config, np.random.default_rng(2))
 
     series = pipeline.load_series(records, sc.step_seconds)
-    scaler = fit_scaler(np.concatenate([s.values for s in series.values()]),
-                        ("load", "ue"))
+    scaler = fit_scaler(series.values, ("load", "ue"))
     offline = {}
     samples = pipeline.prediction_samples(series, window, scaler)
     for k, s in enumerate(samples):
@@ -702,7 +701,7 @@ def test_engine_runs_one_forward_per_batch_of_closes(monkeypatch, batch_size):
     catch_up = [r for cell in cells[1:] for b in (6, 7) for r in both(cell, b)]
     records = warm + trigger + catch_up
     series = pipeline.load_series(records, step)
-    scaler = fit_scaler(np.concatenate([s.values for s in series.values()]), ("load", "ue"))
+    scaler = fit_scaler(series.values, ("load", "ue"))
 
     def chunks(n):
         return [min(batch_size, n - a) for a in range(0, n, batch_size)]

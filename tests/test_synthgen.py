@@ -7,6 +7,8 @@ from deepauto import synthgen as sg
 from deepauto.dataprep import autocorrelation, records_to_series, write_records
 from deepauto.errors import ConfigError, DataError
 
+import oracles
+
 
 def small_config(**overrides):
     base = dict(n_cells=10, days=7.0, step_seconds=900, n_clusters=2, seed=7)
@@ -68,7 +70,7 @@ def test_missing_fraction_close_to_rate():
 def test_cluster_correlation_structure():
     config = sg.SynthConfig(n_cells=20, days=14.0, n_clusters=4, seed=7)
     recs = sg.generate(config)
-    series = records_to_series(recs, config.step_seconds, channels=("load",))
+    series = oracles.cells_of(records_to_series(recs, config.step_seconds, channels=("load",)))
     cells = config.cell_ids()
     mat = np.stack([series[c].values[:, 0] for c in cells])
     corr = np.corrcoef(mat)
@@ -83,7 +85,7 @@ def test_cluster_correlation_structure():
 def test_daily_autocorrelation_peak():
     config = small_config(n_cells=4, days=14.0)
     recs = sg.generate(config)
-    series = records_to_series(recs, config.step_seconds, channels=("load",))
+    series = oracles.cells_of(records_to_series(recs, config.step_seconds, channels=("load",)))
     steps_per_day = sg.DAY // config.step_seconds
     x = series["cell_0000"].values[:, 0]
     acf = autocorrelation(x, steps_per_day + 10)
