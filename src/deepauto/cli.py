@@ -40,6 +40,8 @@ from .errors import DeepAutoError
 from .model import DeepAutoConfig
 
 log = logging.getLogger("deepauto")
+# one encoder for every output line; it writes what json.dumps(..., sort_keys=True) writes
+LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,7 +216,7 @@ def cmd_predict(args):
         for s, yhat in zip(samples, model_mod.predict_samples(samples, params, config)):
             doc = {"cell": s.cell_id, "anchor_ts": s.anchor_ts}
             doc.update(model_mod.output_fields(yhat, config.output_kind, config.horizons))
-            out.write(json.dumps(doc, sort_keys=True) + "\n")
+            out.write(LINE_ENCODER.encode(doc) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -260,7 +262,7 @@ def cmd_serve(args):
         if firehose:
             with firehose_lock:
                 for p in predictions:
-                    firehose.write(json.dumps(p.to_dict(), sort_keys=True) + "\n")
+                    firehose.write(LINE_ENCODER.encode(p.to_dict()) + "\n")
                 firehose.flush()
 
     def ingest(lines):

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -131,8 +133,34 @@ class DeepAutoConfig:
 # parameters
 
 
+def param_layout(config):
+    """The (name, shape, offset) rows of a `config` model's flat parameter
+    array: each branch's LSTM cell (W_x, W_h, w_peep, b), then each dense
+    layer (W, b), the external embedding first and the fusion head last.
+    Model files hold the tensors under these names in this order."""
+    shapes = []
+    for name, _, _ in config.window.branches():
+        cell, hidden = BRANCH_FIELDS[name]
+        d, h = config.input_dim, getattr(config, hidden)
+        shapes += [(f"{cell}.W_x", (4, h, d)), (f"{cell}.W_h", (4, h, h)),
+                   (f"{cell}.w_peep", (3, h)), (f"{cell}.b", (4, h))]
+    dense = [("ext_net[0]", EXTERNAL_DIM, config.ext_embed_dim)] * config.use_external + [
+        ("fusion_net[0]", config.fusion_in_dim, config.fusion_hidden),
+        ("fusion_net[1]", config.fusion_hidden, config.out_dim)]
+    for name, in_dim, out_dim in dense:
+        shapes += [(f"{name}.W", (out_dim, in_dim)), (f"{name}.b", (out_dim,))]
+    offsets = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+    return [(name, shape, offset) for (name, shape), offset in zip(shapes, offsets)]
+
+
 @dataclass
 class DeepAutoParams:
+    """All weights of one model in one flat array, `flat`, laid out by
+    `layout` (`param_layout`); the layer fields are views of it, so a
+    whole-model operation (an optimizer step, a copy) is one array op."""
+
+    flat: np.ndarray
+    layout: list
     lstm_r: nn.LstmCellParams
     lstm_p: nn.LstmCellParams = None   # absent when n_p == 0
     lstm_s: nn.LstmCellParams = None   # absent when n_s == 0
@@ -140,22 +168,30 @@ class DeepAutoParams:
     fusion_net: list = field(default_factory=list)  # hidden tanh + affine head
 
     @classmethod
+    def view(cls, flat, config):
+        """The parameters of a `config` model held in the flat array `flat`,
+        each layer's arrays being views of it."""
+        layout = param_layout(config)
+        arrays = iter([flat[offset:offset + math.prod(shape)].reshape(shape)
+                       for _, shape, offset in layout])
+        cells = {BRANCH_FIELDS[name][0]: nn.LstmCellParams(*islice(arrays, 4))
+                 for name, _, _ in config.window.branches()}
+        dense = [nn.DenseParams(next(arrays), next(arrays), activation) for activation
+                 in ["tanh"] * (1 + config.use_external) + ["identity"]]
+        return cls(flat, layout, **cells, ext_net=dense[:-2], fusion_net=dense[-2:])
+
+    @classmethod
     def init(cls, config, rng):
-        cells = {}
-        for name, _, _ in config.window.branches():
-            cell, hidden = BRANCH_FIELDS[name]
-            cells[cell] = nn.LstmCellParams.init(config.input_dim, getattr(config, hidden), rng)
-        ext_net = ([nn.DenseParams(W=np.zeros((config.ext_embed_dim, EXTERNAL_DIM)),
-                                   b=np.zeros(config.ext_embed_dim), activation="tanh")]
-                   if config.use_external else [])
-        # the external embedding starts as a no-op (tanh(0) = 0) so adding it
-        # never hurts early training; its weights learn in through the fusion
-        # gradients
-        fusion_net = [
-            nn.DenseParams.init(config.fusion_in_dim, config.fusion_hidden, "tanh", rng),
-            nn.DenseParams.init(config.fusion_hidden, config.out_dim, "identity", rng),
-        ]
-        return cls(**cells, ext_net=ext_net, fusion_net=fusion_net)
+        """Seeded weights drawn into the views in layout order: each LSTM cell,
+        then the fusion layers (see their `draw`). The external embedding
+        starts at zero, a no-op (tanh(0) = 0), so adding it never hurts early
+        training; its weights learn in through the fusion gradients."""
+        _, shape, offset = param_layout(config)[-1]
+        params = cls.view(np.zeros(offset + math.prod(shape)), config)
+        cells = [getattr(params, BRANCH_FIELDS[name][0]) for name, _, _ in config.window.branches()]
+        for layer in cells + params.fusion_net:
+            layer.draw(rng)
+        return params
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +258,19 @@ def _stack_backward(caches, dy, layers):
 
 def backward_batch(caches, d_logits, params, config):
     """Gradients of a scalar loss given its gradient at the head's logits
-    (before the sigmoid or softmax of `forward_batch`), as a DeepAutoParams
-    of the same shapes as `params`."""
+    (before the sigmoid or softmax of `forward_batch`), as one float64 array
+    laid out like `params.flat`. Each layer sums its gradients in its
+    parameters' dtype; float32 ones widen, exactly, only in the final gather."""
     fusion, d = _stack_backward(caches["fusion"], d_logits, params.fusion_net)
 
     # split the fused gradient back into branch slices, external last
     slices = np.split(d, np.cumsum(caches["parts"])[:-1], axis=1)
-    cells = {}
-    for (name, _, _), d_h in zip(config.window.branches(), slices):
-        cell = BRANCH_FIELDS[name][0]
-        cells[cell] = nn.lstm_backward_sequence(caches[name], d_h, getattr(params, cell))
+    cells = [nn.lstm_backward_sequence(caches[name], d_h, getattr(params, BRANCH_FIELDS[name][0]))
+             for (name, _, _), d_h in zip(config.window.branches(), slices)]
     ext_net = (_stack_backward(caches["ext"], slices[-1], params.ext_net)[0]
                if config.use_external else [])
-    return DeepAutoParams(**cells, ext_net=ext_net, fusion_net=fusion)
+    return np.concatenate([a.ravel() for layer in cells + ext_net + fusion
+                           for a in layer.arrays()], dtype=np.float64)
 
 
 def _arrays(batch):
@@ -333,13 +369,14 @@ class TrainReport:
         return asdict(self)
 
 
-def _compute_copy(params):
+def _compute_copy(params, config):
     """The float32 working copy of float64 master weights that one training
-    step computes with. The output layer stays float64, so the head's
+    step computes with: one cast of the flat array, seen through the same
+    layout. The output layer stays on the float64 masters, so the head's
     outputs, the targets and the losses stay float64 too: a float32
     softmax row sums to 1 only to about 1e-7, which kl_loss's 1e-9 row-sum
     check would reject."""
-    work = nn.clone_params(params, np.float32)
+    work = DeepAutoParams.view(params.flat.astype(np.float32), config)
     work.fusion_net[-1] = params.fusion_net[-1]
     return work
 
@@ -359,11 +396,11 @@ def train(train_samples, val_samples, config, params=None):
     rng = np.random.default_rng(config.seed)
     if params is None:
         params = DeepAutoParams.init(config, rng)
-    opt = nn.AdamState()
+    opt = nn.AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
     best_val = float("inf")
     best_epoch = -1
-    best_params = nn.clone_params(params)
+    best_flat = params.flat.copy()
     train_losses, val_losses, epoch_seconds = [], [], []
     n = len(train_samples)
 
@@ -373,14 +410,14 @@ def train(train_samples, val_samples, config, params=None):
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, config.batch_size):
             batch = train_samples[order[start:start + config.batch_size]]
-            loss, grads = loss_and_gradients(batch, _compute_copy(params), config)
+            loss, grads = loss_and_gradients(batch, _compute_copy(params, config), config)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
-            nn.adam_step(params, grads, opt, config.lr)
+            nn.adam_step(params.flat, grads, opt, config.lr)
             epoch_loss += loss
             n_batches += 1
         train_losses.append(epoch_loss / n_batches)
-        val_loss = batch_loss(val_samples, _compute_copy(params), config)
+        val_loss = batch_loss(val_samples, _compute_copy(params, config), config)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"validation loss became {val_loss} at epoch {epoch}")
         val_losses.append(val_loss)
@@ -388,7 +425,7 @@ def train(train_samples, val_samples, config, params=None):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = nn.clone_params(params)
+            best_flat = params.flat.copy()
         elif epoch - best_epoch >= config.patience:
             break
 
@@ -401,7 +438,7 @@ def train(train_samples, val_samples, config, params=None):
         epoch_seconds=epoch_seconds,
         config=config.to_dict(),
     )
-    return best_params, report
+    return DeepAutoParams.view(best_flat, config), report
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +504,8 @@ def save(params, config, scaler):
 
     Layout: magic, u32 version (2), config JSON, scaler JSON, u32 tensor
     count, then per tensor (name, u32 ndim, u64 dims..., float64 LE data) in
-    param_leaves order, and a trailing CRC32 of everything before it.
-    load() also reads version-1 files.
+    the order and under the names of the parameters' layout (`param_layout`),
+    and a trailing CRC32 of everything before it. load() also reads version-1 files.
     """
     body = io.BytesIO()
     body.write(MAGIC)
@@ -476,14 +513,13 @@ def save(params, config, scaler):
     _pack_str(body, json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")))
     scaler_doc = scaler.to_dict() if scaler is not None else None
     _pack_str(body, json.dumps(scaler_doc, sort_keys=True, separators=(",", ":")))
-    leaves = list(nn.param_leaves(params))
-    body.write(struct.pack("<I", len(leaves)))
-    for name, arr in leaves:
+    body.write(struct.pack("<I", len(params.layout)))
+    for name, shape, offset in params.layout:
         _pack_str(body, name)
-        body.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
+        body.write(struct.pack("<I", len(shape)))
+        for dim in shape:
             body.write(struct.pack("<Q", dim))
-        body.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        body.write(params.flat[offset:offset + math.prod(shape)].astype("<f8").tobytes())
     payload = body.getvalue()
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
@@ -528,24 +564,27 @@ def load(blob):
     tensors = {}
     for _ in range(count):
         name = _unpack_str(fh, "tensor name")
+        if name in tensors:
+            raise ModelFormatError(f"tensor {name} appears twice")
         (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
         shape = tuple(struct.unpack("<Q", _read_exact(fh, 8, "dim"))[0] for _ in range(ndim))
         n = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(_read_exact(fh, 8 * n, f"tensor {name}"), dtype="<f8")
         tensors[name] = data.reshape(shape)
+    if fh.read(1):
+        raise ModelFormatError("bytes after the last tensor")
     if version == 1:
         tensors = _stack_v1_cells(tensors)
 
-    params = DeepAutoParams.init(config, np.random.default_rng(0))
-    leaves = list(nn.param_leaves(params))
-    if {name for name, _ in leaves} != set(tensors):
+    layout = param_layout(config)
+    if {name for name, _, _ in layout} != set(tensors):
         raise ModelFormatError("tensor names do not match the embedded config")
-    for name, arr in leaves:
-        if tensors[name].shape != arr.shape:
+    for name, shape, _ in layout:
+        if tensors[name].shape != shape:
             raise ModelFormatError(f"tensor {name} has shape {tensors[name].shape}, "
-                                   f"expected {arr.shape}")
-        arr[...] = tensors[name]
-    return params, config, scaler
+                                   f"expected {shape}")
+    flat = np.concatenate([tensors[name].ravel() for name, _, _ in layout])
+    return DeepAutoParams.view(flat, config), config, scaler
 
 
 def save_file(path, params, config, scaler):

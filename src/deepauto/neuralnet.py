@@ -6,11 +6,10 @@ each step's input and allocate their state, gradients and accumulators in
 `W_x`'s dtype, and the dense passes cast their input and upstream gradient
 to `W`'s. The activations keep a floating input's dtype. Parameters are
 float64 except for the float32 working copy that training computes with, so
-every other path runs in float64. Parameters live in plain dataclasses; the
-generic `param_leaves` walker exposes them as (name, array) pairs so the
-optimizer stays agnostic of the model structure. Gradients come back as the
-same dataclasses as the parameters, so the optimizer walks the two
-structures side by side.
+every other path runs in float64. A layer's parameters live in a plain
+dataclass whose `arrays()` lists them in field order; the model keeps all of
+them in one flat array (see `model.param_layout`), so the optimizer,
+`adam_step`, is one update over flat parameter, gradient and moment arrays.
 
 An LSTM cell is stored gate-major: `W_x` (4, hidden, input), `W_h`
 (4, hidden, hidden) and `b` (4, hidden) hold the gates in the order input,
@@ -51,8 +50,7 @@ summation order.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,15 +136,20 @@ class LstmCellParams:
 
     @classmethod
     def init(cls, input_dim, hidden_dim, rng):
-        """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)]; forget bias 1.0."""
-        p = cls.zeros(input_dim, hidden_dim)
-        bound = 1.0 / np.sqrt(input_dim)
-        p.W_x = rng.uniform(-bound, bound, size=p.W_x.shape)
-        bound = 1.0 / np.sqrt(hidden_dim)
-        p.W_h = rng.uniform(-bound, bound, size=p.W_h.shape)
-        p.w_peep = rng.uniform(-bound, bound, size=p.w_peep.shape)
-        p.b[1] = 1.0
-        return p
+        return cls.zeros(input_dim, hidden_dim).draw(rng)
+
+    def draw(self, rng):
+        """Draw W_x, W_h, then w_peep in place, uniform in [-1/sqrt(fan_in),
+        1/sqrt(fan_in)], and set the forget bias to 1.0; returns self."""
+        for w in (self.W_x, self.W_h, self.w_peep):
+            bound = 1.0 / np.sqrt(w.shape[-1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        self.b[1] = 1.0
+        return self
+
+    def arrays(self):
+        """W_x, W_h, w_peep and b, in field order."""
+        return self.W_x, self.W_h, self.w_peep, self.b
 
     @property
     def input_dim(self):
@@ -175,12 +178,18 @@ class DenseParams:
 
     @classmethod
     def init(cls, in_dim, out_dim, activation, rng):
-        bound = 1.0 / np.sqrt(in_dim)
-        return cls(
-            W=rng.uniform(-bound, bound, size=(out_dim, in_dim)),
-            b=np.zeros(out_dim),
-            activation=activation,
-        )
+        return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim), activation).draw(rng)
+
+    def draw(self, rng):
+        """Draw W in place, uniform in [-1/sqrt(in_dim), 1/sqrt(in_dim)];
+        returns self."""
+        bound = 1.0 / np.sqrt(self.in_dim)
+        self.W[...] = rng.uniform(-bound, bound, size=self.W.shape)
+        return self
+
+    def arrays(self):
+        """W and b, in field order."""
+        return self.W, self.b
 
     @property
     def in_dim(self):
@@ -189,44 +198,6 @@ class DenseParams:
     @property
     def out_dim(self):
         return self.W.shape[0]
-
-
-def param_leaves(obj, prefix=""):
-    """Yield (name, array) pairs for every ndarray reachable from `obj`.
-
-    Walks dataclasses, lists/tuples of dataclasses, and nested dataclasses
-    in declaration order, so the ordering is deterministic.
-    """
-    if isinstance(obj, np.ndarray):
-        yield prefix, obj
-        return
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            yield from param_leaves(value, name)
-        return
-    if isinstance(obj, (list, tuple)):
-        for k, item in enumerate(obj):
-            yield from param_leaves(item, f"{prefix}[{k}]")
-        return
-    # scalars / strings / None: not parameters
-
-
-def clone_params(params, dtype=None):
-    """Deep copy of a parameter structure (arrays copied), with every array
-    cast to `dtype` when one is given."""
-    if isinstance(params, np.ndarray):
-        return params.astype(dtype or params.dtype)
-    if dataclasses.is_dataclass(params):
-        kwargs = {f.name: clone_params(getattr(params, f.name), dtype)
-                  for f in dataclasses.fields(params)}
-        return type(params)(**kwargs)
-    if isinstance(params, list):
-        return [clone_params(x, dtype) for x in params]
-    if isinstance(params, tuple):
-        return tuple(clone_params(x, dtype) for x in params)
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -496,43 +467,30 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's step count and its first and second moment estimates, one
+    element per parameter of the flat parameter array."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def _paired_leaves(params, grads):
-    """(name, param array, gradient array) triples of two structures that
-    must have the same leaves, names and shapes."""
-    p_leaves, g_leaves = list(param_leaves(params)), list(param_leaves(grads))
-    if [(n, a.shape) for n, a in p_leaves] != [(n, g.shape) for n, g in g_leaves]:
-        raise ShapeError("gradient leaves or shapes do not match the parameters")
-    return [(name, arr, g) for (name, arr), (_, g) in zip(p_leaves, g_leaves)]
 
 
 def adam_step(params, grads, state, lr):
-    """In-place Adam update; deterministic given identical inputs.
+    """In-place Adam update of the flat parameter array `params`;
+    deterministic given identical inputs.
 
-    `grads` is a structure like `params` (same leaves and shapes); each
-    gradient is cast to its parameter's dtype, so float32 gradients update
-    float64 master weights in float64."""
+    `grads` is a flat gradient of the same length, cast to the parameters'
+    dtype, so a float32 gradient updates float64 master weights in float64."""
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
-    leaves = _paired_leaves(params, grads)
+    g = np.asarray(grads, dtype=params.dtype)
+    if g.shape != params.shape:
+        raise ShapeError(f"gradient shape {g.shape} does not match the parameters' {params.shape}")
     state.t += 1
     t = state.t
-    for name, arr, g in leaves:
-        g = g.astype(arr.dtype, copy=False)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(arr)
-            v = np.zeros_like(arr)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state

@@ -4,13 +4,14 @@ record-parser oracle raises the package's error classes, nothing more).
 The BPTT oracle is NumPy: what it pins is the order of the batch sums. The
 window-assembly oracle is the package's earlier two-copy assembly, built
 on `Windows.concat`: what it pins is the row order of a batch. The
-finite-difference gradient checker walks parameters with the package's
-`param_leaves`, and the per-anchor target and inverse-scaler references
-are NumPy. The per-bucket close is the engine's earlier loop, run on a
-package `CellBuffer` with its `bucket_values` and `window`: what it pins is
-which buckets close and what they leave held. `CellSeries` is one cell's
-series: tests build a package `SeriesBlock` from such cells
-(`series_block`) and read a block back one cell at a time (`cells_of`).
+finite-difference gradient checker perturbs a flat parameter array one
+coordinate at a time (`flat_views` lays arrays out in one), and the
+per-anchor target and inverse-scaler references are NumPy. The per-bucket
+close is the engine's earlier loop, run on a package `CellBuffer` with its
+`bucket_values` and `window`: what it pins is which buckets close and what
+they leave held. `CellSeries` is one cell's series: tests build a package
+`SeriesBlock` from such cells (`series_block`) and read a block back one
+cell at a time (`cells_of`).
 
 Expected values asserted in the test suite are computed (or re-computed)
 through these functions rather than copied from the implementation.
@@ -24,7 +25,6 @@ import numpy as np
 
 from deepauto.dataprep import SeriesBlock, Windows, bucket_values
 from deepauto.errors import DataError, OutOfRangeError, ShapeError
-from deepauto.neuralnet import param_leaves
 
 
 def sigmoid(x):
@@ -327,33 +327,37 @@ def cells_of(block):
 FD_EPS = 1e-5
 
 
-def gradient_check(loss_fn, params, analytic):
-    """Max relative error between `analytic` (a structure like `params`) and
-    central finite differences with step FD_EPS.
+def flat_views(arrays):
+    """(flat, views): `arrays` end to end in one float64 array, and views of
+    it shaped like them."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
+    ends = np.cumsum([np.size(a) for a in arrays])
+    return flat, [flat[end - np.size(a):end].reshape(np.shape(a)) for a, end in zip(arrays, ends)]
+
+
+def gradient_check(loss_fn, flat, analytic):
+    """Max relative error between the flat gradient `analytic` and central
+    finite differences with step FD_EPS in each coordinate of the flat
+    parameter array `flat`.
 
     `loss_fn()` must evaluate the scalar loss from the current (mutated in
-    place) parameter values. Relative error per coordinate is
+    place) values of `flat`. Relative error per coordinate is
     |fd - an| / max(|fd|, |an|, 1e-6).
     """
-    p_leaves, g_leaves = list(param_leaves(params)), list(param_leaves(analytic))
-    if [(n, a.shape) for n, a in p_leaves] != [(n, g.shape) for n, g in g_leaves]:
-        raise ShapeError("gradient leaves or shapes do not match the parameters")
+    if np.shape(analytic) != flat.shape:
+        raise ShapeError(f"gradient shape {np.shape(analytic)} does not match {flat.shape}")
     worst = 0.0
-    for (_, arr), (_, g_an) in zip(p_leaves, g_leaves):
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + FD_EPS
-            f_plus = loss_fn()
-            arr[idx] = orig - FD_EPS
-            f_minus = loss_fn()
-            arr[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * FD_EPS)
-            an = g_an[idx]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
-            worst = max(worst, rel)
-            it.iternext()
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + FD_EPS
+        f_plus = loss_fn()
+        flat[k] = orig - FD_EPS
+        f_minus = loss_fn()
+        flat[k] = orig
+        fd = (f_plus - f_minus) / (2.0 * FD_EPS)
+        an = analytic[k]
+        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
+        worst = max(worst, rel)
     return worst
 
 

@@ -113,9 +113,8 @@ def test_criterion_1_gradient_suite():
             ext_embed_dim=3, fusion_hidden=4, use_external=True, **out_dims)
         rng = np.random.default_rng(3)
         params = dm.DeepAutoParams.init(config, rng)
-        for _, arr in nn.param_leaves(params):
-            zero = arr == 0.0        # zero-initialized embedding layer and biases
-            arr[zero] = rng.uniform(-0.3, 0.3, size=int(zero.sum()))
+        zero = params.flat == 0.0  # zero-initialized embedding layer and biases
+        params.flat[zero] = rng.uniform(-0.3, 0.3, size=int(zero.sum()))
         rows = []
         for i in range(6):
             if output_kind == "horizons":
@@ -131,7 +130,7 @@ def test_criterion_1_gradient_suite():
         arrays = {k: np.stack([r[k] for r in rows]) for k in rows[0]}
         _, grads = dm.loss_and_gradients(arrays, params, config)
         err = oracles.gradient_check(
-            lambda: dm.batch_loss(arrays, params, config), params, grads)
+            lambda: dm.batch_loss(arrays, params, config), params.flat, grads)
         assert err <= 1e-4, f"{output_kind}: max relative error {err}"
     assert time.monotonic() - t0 < 10.0
 

@@ -59,8 +59,7 @@ def make_samples(config, n, seed=0):
 def zero_params(config):
     rng = np.random.default_rng(0)
     params = dm.DeepAutoParams.init(config, rng)
-    for _, arr in nn.param_leaves(params):
-        arr[...] = 0.0
+    params.flat[...] = 0.0
     return params
 
 
@@ -128,7 +127,7 @@ def test_forward_batch_cache_free_rows_batch_invariant(kind, hidden, n, seed, dt
                           use_external=data.draw(st.booleans()))
     params = dm.DeepAutoParams.init(config, np.random.default_rng(seed))
     if dtype == "float32":
-        params = dm._compute_copy(params)
+        params = dm._compute_copy(params, config)
     pool = make_samples(config, n + 7, seed=seed % 1000)
     alone = [dm.forward_batch(pool[k:k + 1].arrays, params, config)[0][0]
              for k in range(len(pool))]
@@ -192,7 +191,7 @@ def test_batch_loss_is_loss_of_cached_chunk_outputs(kind):
     def loss(yhat):
         return nn.kl_loss(Y, yhat) if pdf else nn.mmse_loss(Y, yhat, config.alpha)
 
-    for p in (params, dm._compute_copy(params)):
+    for p in (params, dm._compute_copy(params, config)):
         want = loss(cached_chunk_outputs(samples.arrays, p, config))
         assert dm.batch_loss(samples, p, config) == want
         assert dm.batch_loss(samples.arrays, p, config) == want
@@ -264,7 +263,7 @@ def run_gradient_check(config, seed=0, tol=1e-4):
     arrays = make_samples(config, 6, seed=seed + 1).arrays
     loss, grads = dm.loss_and_gradients(arrays, params, config)
     err = oracles.gradient_check(lambda: dm.batch_loss(arrays, params, config),
-                                 params, grads)
+                                 params.flat, grads)
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -290,24 +289,29 @@ def test_gradients_no_external_no_seasonal(window, use_external):
 @pytest.mark.parametrize("kind", ["horizons", "pdf"])
 def test_float32_gradients_match_float64(kind):
     """Criterion 1's micro model: the float32 working copy that training
-    steps with gives the loss within 1e-6 and every gradient leaf within
-    1e-5 of its largest float64 entry (float32 epsilon is 1.2e-7)."""
+    steps with gives the loss within 1e-6 and every gradient tensor within
+    1e-5 of its largest float64 entry (float32 epsilon is 1.2e-7). Every
+    layer below the head computes its gradient in float32, which widens to
+    float64 exactly; the head's stays float64."""
     pdf = kind == "pdf"
     config = micro_config(output_kind=kind, input_dim=4 if pdf else 2, pdf_bins=4,
                           hidden_r=4, hidden_p=3, hidden_s=3, ext_embed_dim=3,
                           fusion_hidden=4)
     rng = np.random.default_rng(3)
     params = dm.DeepAutoParams.init(config, rng)
-    for _, arr in nn.param_leaves(params):
-        zero = arr == 0.0        # zero-initialized embedding layer and biases
-        arr[zero] = rng.uniform(-0.3, 0.3, size=int(zero.sum()))
+    zero = params.flat == 0.0        # zero-initialized embedding layer and biases
+    params.flat[zero] = rng.uniform(-0.3, 0.3, size=int(zero.sum()))
     arrays = make_samples(config, 6, seed=4).arrays
     loss64, grads64 = dm.loss_and_gradients(arrays, params, config)
-    loss32, grads32 = dm.loss_and_gradients(arrays, dm._compute_copy(params), config)
+    loss32, grads32 = dm.loss_and_gradients(arrays, dm._compute_copy(params, config), config)
     assert loss32 == pytest.approx(loss64, rel=1e-6)
-    for (name, g64), (_, g32) in zip(nn.param_leaves(grads64), nn.param_leaves(grads32)):
-        head = name.startswith(f"fusion_net[{len(params.fusion_net) - 1}]")
-        assert g32.dtype == (np.float64 if head else np.float32), name
+    assert grads64.dtype == grads32.dtype == np.float64
+    assert grads32.shape == grads64.shape == params.flat.shape
+    head = params.layout[-2][2]  # the head's W and b are the last two rows
+    np.testing.assert_array_equal(grads32[:head].astype(np.float32), grads32[:head])
+    assert not np.array_equal(grads32[head:].astype(np.float32), grads32[head:])
+    for name, shape, offset in params.layout:
+        g64, g32 = (g[offset:offset + math.prod(shape)] for g in (grads64, grads32))
         assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64)), name
 
 
@@ -373,12 +377,12 @@ def test_train_returns_float64_params_saved_as_v2_f8():
     config = micro_config(max_epochs=2)
     samples = make_samples(config, 30, seed=23)
     params, _ = dm.train(samples[:20], samples[20:], config)
-    leaves = list(nn.param_leaves(params))
-    assert {arr.dtype for _, arr in leaves} == {np.dtype(np.float64)}
+    assert params.flat.dtype == np.float64
+    assert {a.dtype for layer in layers(params) for a in layer.arrays()} == {np.dtype(np.float64)}
     blob = dm.save(params, config, None)
     assert struct.unpack("<I", blob[4:8]) == (2,)
-    for _, arr in leaves:
-        assert arr.astype("<f8").tobytes() in blob
+    for _, shape, offset in params.layout:
+        assert params.flat[offset:offset + math.prod(shape)].astype("<f8").tobytes() in blob
 
 
 def test_early_stopping_on_plateau(monkeypatch):
@@ -468,16 +472,78 @@ def roundtrip_setup(seed=21):
     return params, config, scaler
 
 
+# the format-2 tensors of roundtrip_setup()'s config (every branch and the
+# external features), in file order
+ROUNDTRIP_LAYOUT = [
+    ("lstm_r.W_x", (4, 8, 2)), ("lstm_r.W_h", (4, 8, 8)), ("lstm_r.w_peep", (3, 8)),
+    ("lstm_r.b", (4, 8)),
+    ("lstm_p.W_x", (4, 2, 2)), ("lstm_p.W_h", (4, 2, 2)), ("lstm_p.w_peep", (3, 2)),
+    ("lstm_p.b", (4, 2)),
+    ("lstm_s.W_x", (4, 2, 2)), ("lstm_s.W_h", (4, 2, 2)), ("lstm_s.w_peep", (3, 2)),
+    ("lstm_s.b", (4, 2)),
+    ("ext_net[0].W", (3, EXTERNAL_DIM)), ("ext_net[0].b", (3,)),
+    ("fusion_net[0].W", (32, 15)), ("fusion_net[0].b", (32,)),
+    ("fusion_net[1].W", (2, 32)), ("fusion_net[1].b", (2,)),
+]
+
+
+def layers(params):
+    """The layers of a DeepAutoParams in layout order."""
+    cells = [c for c in (params.lstm_r, params.lstm_p, params.lstm_s) if c is not None]
+    return cells + params.ext_net + params.fusion_net
+
+
+def assert_params_equal(params, expected):
+    """Same layout and the same flat array bit for bit, every layer's arrays
+    being views of it in layout order."""
+    assert params.layout == expected.layout
+    assert params.flat.tobytes() == expected.flat.tobytes()
+    arrays = [a for layer in layers(params) for a in layer.arrays()]
+    assert [(name, a.shape) for (name, _, _), a in zip(params.layout, arrays, strict=True)] == \
+        [(name, shape) for name, shape, _ in params.layout]
+    for (_, shape, offset), a in zip(params.layout, arrays):
+        assert np.shares_memory(a, params.flat)
+        assert a.tobytes() == params.flat[offset:offset + math.prod(shape)].tobytes()
+
+
 def test_save_load_roundtrip_bit_exact():
     params, config, scaler = roundtrip_setup()
+    assert config.window.n_p and config.window.n_s and config.use_external
+    assert [(name, shape) for name, shape, _ in dm.param_layout(config)] == ROUNDTRIP_LAYOUT
     blob = dm.save(params, config, scaler)
     params2, config2, scaler2 = dm.load(blob)
     assert config2.to_dict() == config.to_dict()
     np.testing.assert_array_equal(scaler2.mins, scaler.mins)
-    for (n1, a1), (n2, a2) in zip(nn.param_leaves(params), nn.param_leaves(params2)):
-        assert n1 == n2
-        assert a1.tobytes() == a2.tobytes()
+    assert_params_equal(params2, params)
     assert dm.save(params2, config2, scaler2) == blob
+
+
+def sealed(payload):
+    """`payload` with its CRC32 appended: a file that passes the checksum."""
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def test_tensor_named_twice_rejected():
+    """A file that holds one tensor twice (the count raised by one) is
+    corrupt; it must not load with the last copy silently winning."""
+    params, config, scaler = roundtrip_setup()
+    blob = dm.save(params, config, scaler)
+    _, _, end = embedded_json(blob, 1)
+    (count,) = struct.unpack("<I", blob[end:end + 4])
+    (n,) = struct.unpack("<I", blob[end + 4:end + 8])
+    head = blob[end + 4:end + 8 + n + 4 + 8 * 3]  # lstm_r.W_x: name, ndim 3, dims
+    assert head[4:4 + n] == b"lstm_r.W_x"
+    copy = head + bytes(8 * math.prod(ROUNDTRIP_LAYOUT[0][1]))  # all zeros
+    payload = blob[:end] + struct.pack("<I", count + 1) + blob[end + 4:-4] + copy
+    with pytest.raises(ModelFormatError, match="lstm_r.W_x appears twice"):
+        dm.load(sealed(payload))
+
+
+def test_bytes_after_last_tensor_rejected():
+    params, config, scaler = roundtrip_setup()
+    blob = dm.save(params, config, scaler)
+    with pytest.raises(ModelFormatError, match="after the last tensor"):
+        dm.load(sealed(blob[:-4] + b"\x00"))
 
 
 def test_corrupted_blob_rejected():
@@ -580,9 +646,8 @@ def test_version_1_file_loads():
     expected, expected_config, expected_scaler = roundtrip_setup()
     assert config.to_dict() == expected_config.to_dict()
     np.testing.assert_array_equal(scaler.maxs, expected_scaler.maxs)
-    for (n1, a1), (n2, a2) in zip(nn.param_leaves(params), nn.param_leaves(expected)):
-        assert n1 == n2
-        assert a1.tobytes() == a2.tobytes()
+    assert [(name, shape) for name, shape, _ in params.layout] == ROUNDTRIP_LAYOUT
+    assert_params_equal(params, expected)
 
     assert config.step_seconds == 900  # version 1 has no width: the load default
     v2 = dm.save(params, config, scaler)
@@ -655,10 +720,7 @@ def test_version_2_file_without_step_seconds_loads():
     assert "step_seconds" not in old_doc and old_doc["target_channel"] == "load"
     params, config, scaler = dm.load(blob)
     assert config.step_seconds == 300 and config.input_dim == 5 and scaler is None
-    expected = dm.DeepAutoParams.init(config, np.random.default_rng(23))
-    for (n1, a1), (n2, a2) in zip(nn.param_leaves(params), nn.param_leaves(expected)):
-        assert n1 == n2
-        assert a1.tobytes() == a2.tobytes()
+    assert_params_equal(params, dm.DeepAutoParams.init(config, np.random.default_rng(23)))
     new_doc = embedded_json(dm.save(params, config, scaler), 0)[0]
     del old_doc["target_channel"]
     assert new_doc == dict(old_doc, step_seconds=300)

@@ -113,13 +113,15 @@ def lstm_loss_closure(xs, p, w_out):
 
 def check_lstm_gradients(seed, input_dim, hidden_dim, steps, tol):
     rng = np.random.default_rng(seed)
-    p = nn.LstmCellParams.init(input_dim, hidden_dim, rng)
+    flat, arrays = oracles.flat_views(nn.LstmCellParams.init(input_dim, hidden_dim, rng).arrays())
+    p = nn.LstmCellParams(*arrays)
     xs = rng.normal(size=(1, steps, input_dim))
     w_out = rng.normal(size=hidden_dim)
 
     _, state, caches = lstm_loss_closure(xs, p, w_out)()
     g = nn.lstm_backward_sequence(caches, w_out[None, :], p)
-    err = oracles.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], p, g)
+    err = oracles.gradient_check(lambda: lstm_loss_closure(xs, p, w_out)()[0], flat,
+                                 oracles.flat_views(g.arrays())[0])
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -147,7 +149,7 @@ def test_lstm_backward_matches_axis_sum_oracle(batch):
     dh = rng.normal(size=(batch, 32))
     g = nn.lstm_backward_sequence(caches, dh, p)
     want = oracles.lstm_backward_axis_sums(caches, dh, p)
-    for name, arr in nn.param_leaves(g):
+    for name, arr in zip(("W_x", "W_h", "w_peep", "b"), g.arrays(), strict=True):
         assert arr.shape == want[name].shape
         assert np.max(np.abs(arr - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
 
@@ -157,7 +159,7 @@ def test_lstm_backward_zero_upstream():
     p = nn.LstmCellParams.init(2, 3, rng)
     _, caches = nn.lstm_forward_sequence(rng.normal(size=(1, 4, 2)), p)
     g = nn.lstm_backward_sequence(caches, np.zeros((1, 3)), p)
-    for _, arr in nn.param_leaves(g):
+    for arr in g.arrays():
         assert np.all(arr == 0.0)
 
 
@@ -189,15 +191,16 @@ def test_kernels_compute_in_the_parameters_dtype(dtype):
     """From float64 inputs, states, caches, outputs and gradients all come
     out in the parameters' dtype."""
     rng = np.random.default_rng(24)
-    p = nn.clone_params(nn.LstmCellParams.init(2, 3, rng), dtype)
+    p = nn.LstmCellParams(*(a.astype(dtype) for a in nn.LstmCellParams.init(2, 3, rng).arrays()))
     state, caches = nn.lstm_forward_sequence(rng.normal(size=(4, 5, 2)), p)
     assert {a.dtype for a in (state.h, state.c, *caches[-1])} == {np.dtype(dtype)}
     g = nn.lstm_backward_sequence(caches, rng.normal(size=(4, 3)), p)
-    assert {a.dtype for _, a in nn.param_leaves(g)} == {np.dtype(dtype)}
+    assert {a.dtype for a in g.arrays()} == {np.dtype(dtype)}
     assert nn.lstm_forward_sequence(rng.normal(size=(4, 5, 2)), p, cache=False)[0].h.dtype == dtype
 
     for activation in ("identity", "tanh"):
-        d = nn.clone_params(nn.DenseParams.init(3, 2, activation, rng), dtype)
+        d = nn.DenseParams(*(a.astype(dtype) for a in
+                             nn.DenseParams.init(3, 2, activation, rng).arrays()), activation)
         y, cache = nn.dense_forward(state.h.astype(np.float64), d)
         grads, dx = nn.dense_backward(cache, rng.normal(size=(4, 2)), d)
         assert {y.dtype, dx.dtype, grads.W.dtype, grads.b.dtype} == {np.dtype(dtype)}
@@ -227,7 +230,8 @@ def test_softmax_rows_sum_to_one():
 @pytest.mark.parametrize("activation", ["identity", "tanh"])
 def test_dense_backward_matches_fd(activation):
     rng = np.random.default_rng(13)
-    p = nn.DenseParams.init(4, 3, activation, rng)
+    flat, arrays = oracles.flat_views(nn.DenseParams.init(4, 3, activation, rng).arrays())
+    p = nn.DenseParams(*arrays, activation)
     x = rng.normal(size=(2, 4))
     w_out = rng.normal(size=(2, 3))
 
@@ -237,7 +241,7 @@ def test_dense_backward_matches_fd(activation):
 
     y, cache = nn.dense_forward(x, p)
     g, dx = nn.dense_backward(cache, w_out, p)
-    err = oracles.gradient_check(loss, p, g)
+    err = oracles.gradient_check(loss, flat, oracles.flat_views(g.arrays())[0])
     assert err <= 1e-6
 
 
@@ -357,52 +361,49 @@ def test_kl_grad_logits_matches_fd():
 # Adam
 
 
+def adam_state(n):
+    return nn.AdamState(np.zeros(n), np.zeros(n))
+
+
 def test_adam_zero_gradient_keeps_params():
-    p = nn.DenseParams(W=np.array([[1.0]]), b=np.array([2.0]), activation="identity")
-    grads = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1))
-    state = nn.AdamState()
-    nn.adam_step(p, grads, state, lr=0.005)
-    assert p.W[0, 0] == 1.0 and p.b[0] == 2.0
+    p = np.array([1.0, 2.0])
+    nn.adam_step(p, np.zeros(2), adam_state(2), lr=0.005)
+    assert p[0] == 1.0 and p[1] == 2.0
 
 
 def test_adam_first_step_closed_form():
-    p = nn.DenseParams(W=np.array([[0.0]]), b=np.array([0.0]), activation="identity")
-    grads = nn.DenseParams(W=np.array([[1.0]]), b=np.zeros(1))
-    nn.adam_step(p, grads, nn.AdamState(), lr=0.005)
-    assert p.W[0, 0] == pytest.approx(oracles.adam_first_step(1.0, 0.005), abs=1e-12)
-    assert p.W[0, 0] == pytest.approx(-0.005, abs=1e-8)
+    p = np.zeros(2)
+    nn.adam_step(p, np.array([1.0, 0.0]), adam_state(2), lr=0.005)
+    assert p[0] == pytest.approx(oracles.adam_first_step(1.0, 0.005), abs=1e-12)
+    assert p[0] == pytest.approx(-0.005, abs=1e-8)
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(55)
-        p = nn.DenseParams.init(3, 2, "identity", rng)
-        state = nn.AdamState()
+        p = rng.uniform(-1.0, 1.0, size=8)
+        state = adam_state(8)
         for _ in range(10):
-            grads = nn.DenseParams(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
-            nn.adam_step(p, grads, state, lr=0.01)
-        return p.W.tobytes() + p.b.tobytes()
+            nn.adam_step(p, rng.normal(size=8), state, lr=0.01)
+        return p.tobytes()
 
     assert run() == run()
 
 
 def test_adam_rejects_bad_lr():
-    p = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1), activation="identity")
-    grads = nn.DenseParams(W=np.zeros((1, 1)), b=np.zeros(1))
     with pytest.raises(ConfigError):
-        nn.adam_step(p, grads, nn.AdamState(), lr=0.0)
+        nn.adam_step(np.zeros(2), np.zeros(2), adam_state(2), lr=0.0)
 
 
 def test_adam_rejects_incongruent_gradients():
-    p = nn.LstmCellParams.zeros(2, 3)
-    state = nn.AdamState()
-    wrong_shape = nn.LstmCellParams.zeros(2, 4)
-    with pytest.raises(ShapeError):
-        nn.adam_step(p, wrong_shape, state, lr=0.005)
-    wrong_structure = nn.DenseParams(W=np.zeros((3, 2)), b=np.zeros(3))
-    with pytest.raises(ShapeError):
-        nn.adam_step(p, wrong_structure, state, lr=0.005)
-    assert state.t == 0 and not state.m  # rejected before any update
+    """A gradient of another length raises before any update. (Flat arrays
+    have no structure to mismatch, only a length.)"""
+    p = np.zeros(44)
+    state = adam_state(44)
+    for wrong in (np.zeros(45), np.zeros(43), np.zeros((4, 11))):
+        with pytest.raises(ShapeError):
+            nn.adam_step(p, wrong, state, lr=0.005)
+    assert state.t == 0 and not state.m.any() and not state.v.any() and not p.any()
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +411,22 @@ def test_adam_rejects_incongruent_gradients():
 
 
 def test_gradient_check_linear_exact():
-    p = nn.DenseParams(W=np.array([[2.0, -1.0]]), b=np.array([0.5]), activation="identity")
+    flat, (W, b) = oracles.flat_views([np.array([[2.0, -1.0]]), np.array([0.5])])
+    p = nn.DenseParams(W=W, b=b, activation="identity")
     x = np.array([[0.3, 0.7]])
 
     def loss():
         y, _ = nn.dense_forward(x, p)
         return float(y[0, 0])
 
-    analytic = nn.DenseParams(W=x.copy(), b=np.ones(1))
-    assert oracles.gradient_check(loss, p, analytic) <= 1e-10
+    analytic = np.concatenate([x.ravel(), np.ones(1)])
+    assert oracles.gradient_check(loss, flat, analytic) <= 1e-10
 
 
 def test_gradient_check_detects_corruption():
     rng = np.random.default_rng(77)
-    p = nn.DenseParams.init(3, 2, "tanh", rng)
+    flat, arrays = oracles.flat_views(nn.DenseParams.init(3, 2, "tanh", rng).arrays())
+    p = nn.DenseParams(*arrays, "tanh")
     x = rng.normal(size=(1, 3))
     w_out = rng.normal(size=(1, 2))
 
@@ -433,5 +436,5 @@ def test_gradient_check_detects_corruption():
 
     _, cache = nn.dense_forward(x, p)
     g, _ = nn.dense_backward(cache, w_out, p)
-    corrupted = nn.DenseParams(W=g.W * 1.1, b=g.b * 1.1)
-    assert oracles.gradient_check(loss, p, corrupted) >= 0.05
+    corrupted = oracles.flat_views([g.W * 1.1, g.b * 1.1])[0]
+    assert oracles.gradient_check(loss, flat, corrupted) >= 0.05

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepauto import model as dm
-from deepauto import neuralnet as nn
 from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
 from test_dataprep import record_lines
@@ -26,8 +25,7 @@ def zero_model(window=None, **overrides):
     cfg.update(overrides)
     config = dm.DeepAutoConfig(**cfg)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(0))
-    for _, arr in nn.param_leaves(params):
-        arr[...] = 0.0
+    params.flat[...] = 0.0
     return params, config
 
 
@@ -463,8 +461,7 @@ def test_engine_pdf_mode():
     config = dm.DeepAutoConfig(window=window, input_dim=35, output_kind="pdf",
                                pdf_bins=35, hidden_r=3, use_external=False)
     params = dm.DeepAutoParams.init(config, np.random.default_rng(0))
-    for _, arr in nn.param_leaves(params):
-        arr[...] = 0.0
+    params.flat[...] = 0.0
     eng = stream.Engine(params, config, scaler=None)
     assert eng.step_seconds == 300
     recs = []
