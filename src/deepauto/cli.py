@@ -184,8 +184,9 @@ def cmd_evaluate(args):
 
 
 def cmd_acf(args):
+    # the load channel alone: a cell without ue records has a load series
     block = pipeline.fill_series(dataprep.read_series(args.input, args.step_seconds,
-                                                      dataprep.LOAD_CHANNELS, []))
+                                                      ("load",), []))
     if args.cell not in block.cell_ids:
         raise DeepAutoError(f"no such cell {args.cell!r} in {args.input}")
     k = block.cell_ids.index(args.cell)

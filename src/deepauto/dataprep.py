@@ -6,7 +6,8 @@ horizon target aggregation, temporal 4:1:1 splitting, and autocorrelation.
 One layout runs from records to windows: a `SeriesBlock` holds every
 cell's buckets end to end in cell-id order. `records_to_series` sums the
 records into it, `fill_block` fills its gaps on one copy, and
-`make_windows` gathers windows and targets from it in place.
+`make_windows` gathers windows and targets from it in place. The streaming
+engine runs its windows through `fill_block` and `make_windows` as one block.
 
 Bucketing has one rule for both KPIs and for the batch and stream paths,
 picked by the channel layout a series holds. `bucket_entry` maps a record
@@ -193,7 +194,8 @@ def read_series(path, step_seconds, channels, rejected):
     another Python thread runs (fork copies no thread but the caller, so a
     lock another thread holds would stay held in the child), the ranges are
     read in this process instead; a pipe is one range read in this process.
-    The workers are joined before the entries are binned.
+    The workers are joined before the entries are binned. A block whose
+    first or last bucket fails `check_bucket` then raises its DataError.
     """
     channels = tuple(channels)
     before = len(rejected)
@@ -207,7 +209,11 @@ def read_series(path, step_seconds, channels, rejected):
             entries = merge_shards(pool.map(read, ranges), rejected)
     if len(rejected) > before:
         log.warning("rejected %d malformed records from %s", len(rejected) - before, path)
-    return bin_entries(entries, step_seconds, channels)
+    block = bin_entries(entries, step_seconds, channels)
+    if block.cell_ids:
+        check_bucket(int(block.first_buckets.min()), step_seconds)
+        check_bucket(int((block.first_buckets + np.diff(block.offsets) - 1).max()), step_seconds)
+    return block
 
 
 def byte_ranges(path, parts, min_bytes):
@@ -314,16 +320,18 @@ def write_records(path, records):
 
 @dataclass
 class SeriesBlock:
-    """Every cell's regular-interval series, laid end to end in one block in
-    cell-id order. Cell k (`cell_ids[k]`) holds rows offsets[k] to
-    offsets[k + 1] of `values` and `missing`, one per bucket from its own
-    first bucket `first_buckets[k]` to its last; bucket b starts at second
-    b * step_seconds. `missing[r, c]` is True where no measurement landed.
+    """Regular-interval series, laid end to end in one block: one per cell
+    in cell-id order on the batch path, and one per window, labelled by its
+    cell, in the streaming engine (where labels repeat and are unsorted).
+    Series k holds rows offsets[k] to offsets[k + 1] of `values` and
+    `missing`, one per bucket from its own first bucket `first_buckets[k]`
+    to its last; bucket b starts at second b * step_seconds.
+    `missing[r, c]` is True where no measurement landed.
     """
 
     values: np.ndarray         # (rows, C) float64
     missing: np.ndarray        # (rows, C) bool, True = missing
-    cell_ids: list             # (n,) str, sorted
+    cell_ids: list             # (n,) str labels
     offsets: np.ndarray        # (n + 1,) int64
     first_buckets: np.ndarray  # (n,) int64
     step_seconds: int
@@ -343,6 +351,16 @@ def bucket_entry(rec, channels):
     if topic == "rsrq" and channels == RSRQ_CHANNELS:
         return rsrq_bin(rec["value"]), 1.0
     return None
+
+
+def check_bucket(bucket, step_seconds):
+    """Raise OutOfRangeError unless the timestamp (bucket + 1) *
+    step_seconds of the anchor just after `bucket`, the largest anchor a
+    record in it can give, fits int64. A series' anchors lie after its
+    first bucket and at most one past its last, so when both pass, every
+    anchor timestamp of the series fits int64."""
+    if not -2**63 <= (bucket + 1) * step_seconds < 2**63:
+        raise OutOfRangeError(f"bucket {bucket} of {step_seconds} s does not fit int64")
 
 
 def bucket_values(sums, counts, channels):
@@ -457,20 +475,24 @@ def fill_gaps(values, missing):
 
 
 def fill_block(block):
-    """Fill the gaps of each cell of the SeriesBlock `block` (`fill_gaps` on
-    its rows of one copy of the values). Returns the block of the cells
-    whose every channel holds a value, with nothing missing, and {cell id:
-    its first channel that holds no value} of the other cells."""
-    values, bounds, dead = block.values.copy(), block.offsets.tolist(), {}
-    for k, cell in enumerate(block.cell_ids):
+    """Fill the gaps of each series of the SeriesBlock `block` on its own
+    rows of one copy of the values (`fill_gaps`); one `np.add.reduceat`
+    over the mask finds the series with a missing entry, and only those are
+    filled. Returns the block of the series whose every channel holds a
+    value, with nothing missing, and {label: its first channel that holds
+    no value} of the other series."""
+    values, bounds = block.values.copy(), block.offsets.tolist()
+    live, dead = np.ones(len(block.cell_ids), bool), {}
+    gaps = np.add.reduceat(block.missing.any(axis=1), block.offsets[:-1])
+    for k in np.flatnonzero(gaps).tolist():
         empty = fill_gaps(values[bounds[k]:bounds[k + 1]], block.missing[bounds[k]:bounds[k + 1]])
         if empty is not None:
-            dead[cell] = block.channels[empty]
-    live = np.array([cell not in dead for cell in block.cell_ids], bool)
+            dead[block.cell_ids[k]] = block.channels[empty]
+            live[k] = False
     lengths = np.diff(block.offsets)
     values = values[np.repeat(live, lengths)] if dead else values
     return SeriesBlock(values, np.zeros(values.shape, bool),
-                       [cell for cell in block.cell_ids if cell not in dead],
+                       [cell for cell, keep in zip(block.cell_ids, live) if keep],
                        np.append(0, np.cumsum(lengths[live])), block.first_buckets[live],
                        block.step_seconds, block.channels), dead
 
@@ -710,15 +732,15 @@ def window_anchors(lengths, spec, horizons, require_targets, pdf_target):
 def make_windows(block, spec, horizons=(1, 15, 60), require_targets=True, pdf_target=False,
                  scaler=None):
     """`lag_windows` plus targets for every feasible anchor
-    (`window_anchors`) of each cell of the SeriesBlock `block`, its rows in
-    (anchor index, cell id) order. Given `scaler`, the block's values are
+    (`window_anchors`) of each series of the SeriesBlock `block`, its rows
+    in (anchor index, series) order. Given `scaler`, the block's values are
     scaled at once (`apply_scaler`); every array is gathered from the one
-    block, as the streaming engine gathers its windows from its joined
-    histories. With `pdf_target` the target is the full channel row at the
-    anchor (histogram prediction) and `horizons` is ignored; otherwise
-    target h is the mean of the "load" column over the h steps from the
-    anchor (tests/oracles.py's `aggregate_targets` is the per-anchor
-    reference, bit for bit). Raises DataError when `block` holds no cell.
+    block, which for the streaming engine is its windows joined end to end.
+    With `pdf_target` the target is the full channel row at the anchor
+    (histogram prediction) and `horizons` is ignored; otherwise target h
+    is the mean of the "load" column over the h steps from the anchor
+    (tests/oracles.py's `aggregate_targets` is the per-anchor reference,
+    bit for bit). Raises DataError when `block` holds no cell.
     """
     if not block.cell_ids:
         raise DataError("no series to window")

@@ -5,7 +5,7 @@ scaling -> windows -> temporal split.
 The block keeps every cell's series end to end in cell-id order, from the
 bucketing to the windows: each builder is one `make_windows` call that
 gathers its rows, in (anchor index, cell id) order, from the block in
-place, as the streaming engine gathers from its joined histories.
+place, as the streaming engine does from its block of windows.
 """
 
 from __future__ import annotations

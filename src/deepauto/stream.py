@@ -12,18 +12,21 @@ buckets records under its model's channel layout
 (`DeepAutoConfig.channels`) with the batch path's own rule:
 `dataprep.bucket_entry` routes each record, and
 `dataprep.bucket_values` closes each bucket. Each cell holds only the rows
-of its last span closed buckets (`WindowSpec.history_span`); each close
-reads its window at once. The windows are joined end to end and
-`dataprep.lag_windows` turns them into model inputs, as `make_windows`
-does over the batch path's series block.
+of its last span closed buckets (`WindowSpec.history_span`), NaN where a
+bucket got no entry, and each close reads its window at once. The engine
+only picks the windows; the batch path builds them. `Engine._forward`
+joins them into one `dataprep.SeriesBlock`, fills it with
+`dataprep.fill_block` and reads it with `dataprep.make_windows`.
 
 A bucket closes when its cell's next record arrives, but the forward runs
 earlier: as a record moves the watermark to bucket G, the pass over the
 anchors it closes also predicts every cell whose only open bucket is G-1
-as if it closed then. Its close reuses that output when the model and the
-window's rows are unchanged, bit for bit; cache-free rows are
-batch-invariant (`neuralnet` module notes), so the output is the one the
-close would compute.
+as if it closed then. Every output waits in one store for its close,
+which reads it when the model and the window's unfilled rows are
+unchanged, bit for bit. Equal rows fill to equal rows, and cache-free rows
+are batch-invariant (`neuralnet` module notes), so the output is the one
+the close would compute. Each window is filled once, in the pass that
+runs it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import math
 import threading
 import time
+import urllib.parse
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,7 +67,8 @@ class PredictionRecord:
 class CellBuffer:
     """Per-cell bucketed state under the channel layout `channels` (a
     tuple): open (accumulating) buckets, keyed by absolute bucket index
-    (ts // step_seconds), and the rows of the last `span` closed buckets.
+    (ts // step_seconds), and the rows of the last `span` closed buckets,
+    NaN where a bucket got no entry.
 
     Each close records its bucket's window at once, so no later close can
     push rows out of the buffer before they are read.
@@ -126,37 +131,19 @@ class CellBuffer:
         row[missing] = np.nan
         return row
 
-    def window(self):
-        """(span, C) rows of the last `span` closed buckets, with gaps filled
-        by `dataprep.fill_gaps`; None while fewer are held or while a
-        channel has no value in them. The fill sees only these rows, so a
-        gap at the window's edge is held flat where the batch path, filling
-        the whole series, interpolates across the edge.
-        """
-        if len(self.closed) < self.closed.maxlen or self.empty_run >= self.closed.maxlen:
+    def window(self, row=None):
+        """(span, C) rows of the last `span` closed buckets, unfilled (NaN
+        where a bucket got no entry); given `row`, the row of the one open
+        bucket, the rows that closing it would hold. None while fewer are
+        held, or while a channel has no value in them, so no window the
+        engine runs is one that `dataprep.fill_block` cannot fill."""
+        span = self.closed.maxlen
+        held = self.closed if row is None else [*self.closed, row][-span:]
+        if len(held) < span or row is None and self.empty_run >= span:
             return None
-        return _filled(np.array(self.closed))
-
-    def next_window(self):
-        """(anchor, rows) that closing the one open bucket would record, read
-        without closing it, or None when that close records no window. Holds
-        while that bucket is the next to close, as it is once the watermark
-        has closed every bucket before it."""
-        (b, sums_counts), = self.open.items()
-        if len(self.closed) + 1 < self.closed.maxlen:
-            return None
-        held = [*self.closed, self._row(*sums_counts)]
-        rows = _filled(np.array(held[-self.closed.maxlen:]))
-        return None if rows is None else (b + 1, rows)
-
-
-def _filled(rows):
-    """`rows` with their gaps filled in place (`dataprep.fill_gaps`), or None
-    when a channel has no value in them."""
-    missing = np.isnan(rows)
-    if missing.any() and dataprep.fill_gaps(rows, missing) is not None:
-        return None
-    return rows
+        rows = np.array(held)
+        missing = np.isnan(rows)
+        return None if missing.any() and missing.all(axis=0).any() else rows
 
 
 class Engine:
@@ -202,8 +189,9 @@ class Engine:
         self.config = config
         self.scaler = scaler
         self.model_version = version
-        # (cell, anchor) -> (rows, output) of `_speculate`; every kept output
-        # was computed by the model installed here
+        # (cell, anchor) -> (unfilled rows as bytes, output) of every window
+        # run, ahead of its close or at it, until the close reads it; every
+        # kept output was computed by the model installed here
         self.speculated = {}
 
     # -- ingestion ----------------------------------------------------------
@@ -233,14 +221,15 @@ class Engine:
             try:
                 rec = dataprep.check_record(rec)
                 entry = dataprep.bucket_entry(rec, self.channels)
+                if entry is None:
+                    return []  # a topic the layout has no channel for is not an error
+                bucket = rec["ts"] // self.step_seconds
+                dataprep.check_bucket(bucket, self.step_seconds)
             except DataError as exc:
                 reason = "out_of_range" if isinstance(exc, OutOfRangeError) else "malformed"
                 self.counters[reason] += 1
                 return []
-            if entry is None:
-                return []  # a topic the layout has no channel for is not an error
             self.counters["ingested"] += 1
-            bucket = rec["ts"] // self.step_seconds
             buf = self.cells.get(rec["cell"])
             if buf is None:
                 buf = CellBuffer(self.channels, self.span)
@@ -289,71 +278,66 @@ class Engine:
     # -- prediction ---------------------------------------------------------
 
     def _speculate(self, behind):
-        """(cell, anchor, rows) of the windows that closing the one open
-        bucket of each (cell, buffer) in `behind` would record
-        (`CellBuffer.next_window`), for `_predict` to run ahead. The
-        watermark has just passed that bucket, and its next advance closes
-        it, so each (cell, bucket) is speculated at most once."""
+        """(cell, anchor, unfilled rows) of the windows that closing the one
+        open bucket of each (cell, buffer) in `behind` would record
+        (`CellBuffer.window` given that bucket's row), for `_predict` to run
+        ahead. The watermark has just passed that bucket, and its next
+        advance closes it, so each (cell, bucket) is speculated at most
+        once."""
         ahead = []
         for cell, buf in behind:
-            window = buf.next_window()
-            if window is not None:
-                ahead.append((cell, *window))
+            (bucket, sums_counts), = buf.open.items()
+            rows = buf.window(buf._row(*sums_counts))
+            if rows is not None:
+                ahead.append((cell, bucket + 1, rows))
         return ahead
 
-    def _reused(self, cell, anchor, rows):
-        """The kept output of `cell`'s window at `anchor` when it was
-        speculated from these `rows`, bit for bit, else None; either way the
-        close drops what was kept."""
-        kept = self.speculated.pop((cell, anchor), None)
-        if kept is not None and kept[0].tobytes() == rows.tobytes():
-            return kept[1]
-        return None
-
     def _forward(self, windows):
-        """Outputs of `windows`, (cell, anchor, rows) triples, in order: one
-        cache-free forward pass per `config.batch_size` of them, which bounds
-        the memory a pass over many cells takes. A chunk's rows are joined
-        end to end and scaled at once, and `dataprep.lag_windows` reads
-        anchors span, 2*span, ... of them, as `make_windows` reads its
-        series block. Cache-free rows are batch-invariant, so every output
-        equals the batch path's bit for bit, whatever chunk it ran in."""
+        """Outputs of `windows`, (cell, anchor, unfilled rows) triples, in
+        order, built as the batch path builds a file's: one cache-free
+        forward pass per `config.batch_size` of them, which bounds the
+        memory a pass over many cells takes. A chunk's windows are joined
+        into one `dataprep.SeriesBlock` of span rows each, labelled by cell,
+        whose first bucket is the anchor minus span. `dataprep.fill_block`
+        fills each window on its own rows, so a gap at its edge is held flat
+        where the batch path, filling a cell's whole series, interpolates
+        across it; `dataprep.make_windows` reads the one anchor after each
+        window, scaled. Cache-free rows are batch-invariant, so no output
+        depends on the chunk it ran in."""
         config, span = self.config, self.span
         outputs = []
         for a in range(0, len(windows), config.batch_size):
             cells, anchors, histories = zip(*windows[a:a + config.batch_size])
             values = np.concatenate(histories)
-            if self.scaler is not None:
-                values = dataprep.apply_scaler(values, self.scaler)
-            inputs = dataprep.lag_windows(values, span * np.arange(1, len(cells) + 1),
-                                          np.array(cells),
-                                          self.step_seconds * np.array(anchors),
-                                          config.window)
+            block, _ = dataprep.fill_block(dataprep.SeriesBlock(
+                values, np.isnan(values), list(cells), span * np.arange(len(cells) + 1),
+                np.array(anchors) - span, self.step_seconds, self.channels))
+            inputs = dataprep.make_windows(block, config.window, require_targets=False,
+                                           scaler=self.scaler)
             y, _ = model_mod.forward_batch(inputs.arrays, self.params, config, cache=False)
             outputs.extend(y)
         return outputs
 
     def _predict(self, closes, arrival, ahead):
         """PredictionRecords of the anchors in `closes`, (cell, windows)
-        pairs, in order. Each output is the speculated one (`_reused`) or
-        runs in one `_forward` with the windows `ahead` (`_speculate`),
-        whose outputs are kept per (cell, anchor), so speculation adds rows
-        to a pass but no pass. Every record carries the latency at which
-        they are all returned."""
+        pairs, in order. Every output, of a close or of a window `ahead`
+        (`_speculate`), waits in the one store `speculated`, keyed by (cell,
+        anchor), until its close reads and drops it. A close whose unfilled
+        rows are the ones its kept output ran on, bit for bit, reads that
+        output; the other closes run in one `_forward` with the windows
+        ahead, so speculation adds rows to a pass but no pass. Every record
+        carries the latency at which they are all returned."""
         pending = [(cell, anchor, rows) for cell, windows in closes for anchor, rows in windows]
-        outputs = [self._reused(*window) for window in pending]
-        fresh = [window for window, y in zip(pending, outputs) if y is None]
-        computed = self._forward(fresh + ahead)
-        for (cell, anchor, rows), y in zip(ahead, computed[len(fresh):]):
-            self.speculated[cell, anchor] = (rows, y)
-        computed = iter(computed)
+        kept = self.speculated
+        run = [w for w in pending if kept.get(w[:2], (None,))[0] != w[2].tobytes()] + ahead
+        for (cell, anchor, rows), y in zip(run, self._forward(run)):
+            kept[cell, anchor] = rows.tobytes(), y
         config, step = self.config, self.step_seconds
         latency_ms = (time.monotonic() - arrival) * 1000.0
         records = []
-        for (cell, anchor, _), y in zip(pending, outputs):
+        for cell, anchor, _ in pending:
             record = PredictionRecord(
-                cell_id=cell, anchor_ts=anchor * step,
-                outputs=next(computed) if y is None else y,
+                cell_id=cell, anchor_ts=anchor * step, outputs=kept.pop((cell, anchor))[1],
                 output_kind=config.output_kind, horizons=config.horizons,
                 model_version=self.model_version, latency_ms=latency_ms)
             self.latest_prediction[cell] = record
@@ -408,7 +392,8 @@ class Engine:
 
 
 def make_http_server(engine, host, port):
-    """HTTP/1.1 JSON endpoints: GET /predictions/{cell}, GET /health."""
+    """HTTP/1.1 JSON endpoints: GET /predictions/{cell}, the cell id
+    percent-encoded as UTF-8, and GET /health; a query is ignored."""
 
     class Handler(BaseHTTPRequestHandler):
         def _send(self, status, doc):
@@ -420,11 +405,12 @@ def make_http_server(engine, host, port):
             self.wfile.write(body)
 
         def do_GET(self):
-            if self.path == "/health":
+            path = urllib.parse.unquote(urllib.parse.urlsplit(self.path).path)
+            if path == "/health":
                 self._send(200, engine.health())
                 return
-            if self.path.startswith("/predictions/"):
-                cell = self.path[len("/predictions/"):]
+            if path.startswith("/predictions/"):
+                cell = path[len("/predictions/"):]
                 record = engine.latest(cell)
                 if record is None:
                     self._send(404, {"error": "unknown_cell"})

@@ -203,6 +203,29 @@ def test_acf_of_every_cell_reads_that_cell(tmp_path):
             ["lag,acf"] + [f"{k},{acf[k]:.8f}" for k in range(31)]
 
 
+def test_acf_reads_only_the_load_channel(tmp_path):
+    """`acf` reads a cell's load records alone: a file without ue records,
+    and one in which only another cell has none, give the full file's CSV
+    byte for byte."""
+    data = tmp_path / "data.ndjson"
+    assert run_cli(["generate", "--output", str(data), "--cells", "3", "--days", "3",
+                    "--seed", "5"]) == 0
+    records = list(dataprep.iter_records(data, []))
+    variants = {"full": records,
+                "load_only": [r for r in records if r["topic"] == "load"],
+                "other_cell": [r for r in records
+                               if not (r["cell"] == "cell_0002" and r["topic"] == "ue")]}
+    csv = {}
+    for name, kept in variants.items():
+        path, out = tmp_path / f"{name}.ndjson", tmp_path / f"{name}.csv"
+        dataprep.write_records(path, kept)
+        assert run_cli(["acf", "--input", str(path), "--cell", "cell_0000", "--max-lag", "100",
+                        "--output", str(out)]) == 0
+        csv[name] = out.read_bytes()
+    assert len(variants["load_only"]) < len(records)
+    assert csv["load_only"] == csv["full"] == csv["other_cell"]
+
+
 @pytest.mark.parametrize("flags", [["--max-lag", "-3"], ["--max-lag", "x"],
                                    ["--step-seconds", "0"], ["--step-seconds", "-900"]])
 def test_acf_rejects_a_negative_lag_or_a_width_below_1(workspace, capsys, flags):
@@ -256,6 +279,39 @@ def test_predict_with_a_far_off_ts_exits_2(workspace, tmp_path, capsys, far_ts, 
     assert run_cli(["predict", "--model", str(workspace["model"]), "--input", str(data),
                     "--output", str(tmp_path / "pred.ndjson")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_predict_rejects_an_anchor_timestamp_past_int64(tmp_path, capsys):
+    """Records at ts 2**63 + k * 900 have buckets that fit int64 but anchor
+    timestamps, (bucket + 1) * 900, that do not: `predict` exits 2 naming
+    the bucket (`dataprep.check_bucket`), as the engine counts them out of
+    range, where it printed wrapped, negative timestamps. The last buckets
+    whose anchors fit predict their exact timestamps."""
+    config = dm.DeepAutoConfig(window=dataprep.WindowSpec(n_r=2), input_dim=2, horizons=(1, 8),
+                               hidden_r=3, ext_embed_dim=2)
+    model = tmp_path / "model.bin"
+    dm.save_file(model, dm.DeepAutoParams.init(config, np.random.default_rng(0)), config, None)
+    last = (2**63 - 1) // 900 - 1  # the last bucket whose anchor (bucket + 1) * 900 fits
+
+    def predict(name, timestamps):
+        data, out = tmp_path / f"{name}.ndjson", tmp_path / f"{name}.out"
+        dataprep.write_records(data, [{"topic": topic, "cell": "A", "ts": ts, "value": value}
+                                      for ts in timestamps
+                                      for topic, value in (("load", 0.5), ("ue", 3.0))])
+        return run_cli(["predict", "--model", str(model), "--input", str(data),
+                        "--output", str(out)]), out
+
+    code, out = predict("past", [2**63 + k * 900 for k in range(10)])
+    assert code == 2 and not out.exists()
+    assert f"bucket {2**63 // 900} of 900 s does not fit int64" in capsys.readouterr().err
+    code, out = predict("before", [-2**63 - (k + 2) * 900 for k in range(10)])
+    assert code == 2 and not out.exists()
+    assert f"bucket {(-2**63 - 11 * 900) // 900} of 900 s does not fit int64" in \
+        capsys.readouterr().err
+    code, out = predict("edge", [(last - k) * 900 for k in range(3)])
+    assert code == 0
+    assert [json.loads(line)["anchor_ts"] for line in out.read_text().splitlines()] == \
+        [last * 900, (last + 1) * 900]
 
 
 def test_predict_warns_about_rejected_lines(workspace, tmp_path, caplog):

@@ -5,9 +5,16 @@ perfbench/. Dunder methods are exempt: Python calls them by protocol.
 Every defaulted parameter of those functions is set, by keyword or by
 position, by some call in the same trees; a default no call overrides is a
 constant.
+
+Every backticked dotted name in the package's source and in README.md whose
+first part is a package module (or the `nn` alias) or a package class
+names an attribute that exists, so a doc cannot name deleted code.
 """
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +123,41 @@ def test_every_default_is_overridden_somewhere():
              for qualified, call_name, index, param in defaulted_parameters(_parse(path))
              if not any(is_set(c, index, param) for c in calls.get(call_name, []))]
     assert not never, f"defaults that no call overrides: {never}"
+
+
+def doc_references(text):
+    """The dotted names that open the backticked spans of `text`, outside
+    fenced code blocks."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return [m.group() for m in (re.match(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span)
+                                for span in spans) if m]
+
+
+def resolves(owner, parts):
+    """Whether `owner`.part1.part2... exists; a dataclass field counts as
+    the last part."""
+    for k, part in enumerate(parts):
+        if hasattr(owner, part):
+            owner = getattr(owner, part)
+        else:
+            return k == len(parts) - 1 and part in getattr(owner, "__dataclass_fields__", {})
+    return True
+
+
+def test_every_code_reference_in_the_docs_resolves():
+    modules = {path.stem: importlib.import_module(f"deepauto.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    modules["nn"] = modules["neuralnet"]
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__.startswith("deepauto.")}
+    checked, stale = 0, []
+    for path in [*sorted(PACKAGE.glob("*.py")), ROOT / "README.md"]:
+        for name in doc_references(path.read_text(encoding="utf-8")):
+            head, *parts = name.split(".")
+            owner = modules.get(head) or classes.get(head)
+            if owner is not None:
+                checked += 1
+                if not resolves(owner, parts):
+                    stale.append(f"{path.name}: {name}")
+    assert checked, "no code reference found in the docs"
+    assert not stale, f"docs name code that does not exist: {stale}"

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+import urllib.parse
 import urllib.request
 from collections import deque
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from deepauto import model as dm
 from deepauto import dataprep, pipeline, stream, synthgen
 from deepauto.dataprep import WindowSpec, fit_scaler
+from deepauto.errors import DataError
 from test_dataprep import record_lines
 from test_model import BAD_CONFIGS, with_config
 
@@ -45,17 +47,35 @@ def test_buffer_duplicate_records_averaged():
     assert buf.closed[-1][0] == pytest.approx(0.5)
 
 
-def test_buffer_window_warming_and_gaps():
-    short, long = stream.CellBuffer(("load",), span=3), stream.CellBuffer(("load",), span=4)
+def forward_inputs(monkeypatch):
+    """Patch `forward_batch` to append the recent-branch inputs of each call
+    to the list returned: with n_r = span and no scaler, the windows the
+    engine ran, as it filled them."""
+    seen, forward_batch = [], dm.forward_batch
+    monkeypatch.setattr(dm, "forward_batch",
+                        lambda arrays, *a, **kw: seen.append(arrays["recent"])
+                        or forward_batch(arrays, *a, **kw))
+    return seen
+
+
+def test_buffer_window_warming_and_gaps(monkeypatch):
+    """No window while fewer rows than the span are held; a window holds a
+    missing bucket as NaN, and the engine runs it interpolated."""
+    short, long = (stream.CellBuffer(dataprep.LOAD_CHANNELS, span=n) for n in (3, 4))
     for buf in (short, long):
         for b, v in [(0, 1.0), (2, 3.0)]:  # bucket 1 empty
             buf.add(b, 0, v)
+            buf.add(b, 1, 5.0)
         assert buf.close_through(1) == [] and buf.window() is None  # warming up
     assert long.close_through(2) == [] and long.window() is None  # 3 of 4 rows held
     (anchor, rows), = short.close_through(2)
     assert anchor == 3
-    np.testing.assert_allclose(rows[:, 0], [1.0, 2.0, 3.0])  # gap interpolated
+    np.testing.assert_array_equal(rows[:, 0], [1.0, np.nan, 3.0])  # gap left unfilled
     assert short.window().tobytes() == rows.tobytes()
+    seen = forward_inputs(monkeypatch)
+    stream.Engine(*zero_model(WindowSpec(n_r=3)), None)._forward([("A", anchor, rows)])
+    np.testing.assert_allclose(seen[0][0, :, 0], [1.0, 2.0, 3.0])  # gap interpolated
+    assert np.isnan(rows[1]).all()  # the forward filled a copy
 
 
 def test_buffer_all_missing_channel_not_ready():
@@ -66,43 +86,52 @@ def test_buffer_all_missing_channel_not_ready():
     assert buf.window() is None  # channel 1 never observed
 
 
-def test_buffer_window_fill_matches_fill_gaps():
-    """Every window a close records is the rows held filled by
-    `dataprep.fill_gaps`, bit for bit."""
+def test_buffer_window_fill_matches_fill_gaps(monkeypatch):
+    """Every window a close records is the rows held, unfilled, and the
+    engine runs it as `dataprep.fill_gaps` fills those rows, bit for bit."""
     rng = np.random.default_rng(4)
     raw = rng.uniform(size=(30, 2))
     observed = rng.random((30, 2)) >= 0.3
     observed[[0, 12, 29]] = True
+    seen = forward_inputs(monkeypatch)
     for span in (30, 8, 1):
         buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=span)
         for b in range(30):
             for ch in range(2):
                 if observed[b, ch]:
                     buf.add(b, ch, raw[b, ch])
+        windows, expected = [], []
         for b in range(30):
             got = buf.close_through(b)
             stored = np.array(buf.closed)
-            expected = stored.copy()
-            if len(stored) < span or dataprep.fill_gaps(expected, np.isnan(stored)) is not None:
+            filled = stored.copy()
+            if len(stored) < span or dataprep.fill_gaps(filled, np.isnan(stored)) is not None:
                 assert got == []
                 continue
             (anchor, rows), = got
-            assert anchor == b + 1 and rows.tobytes() == expected.tobytes()
+            assert anchor == b + 1 and rows.tobytes() == stored.tobytes()
+            windows.append(("A", anchor, rows))
+            expected.append(filled)
         assert anchor == 30
+        seen.clear()
+        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward(windows)
+        assert np.concatenate(seen).tobytes() == np.array(expected).tobytes()
 
 
-def test_buffer_window_holds_leading_gap_flat():
-    """A gap at the start of a window is filled from inside the window only:
-    held flat at the first present row, not interpolated from the bucket
-    before the window as `dataprep.fill_block` over the whole series does."""
-    windows = {}
-    for span in (4, 3):
-        buf = stream.CellBuffer(("load",), span=span)
+def test_buffer_window_holds_leading_gap_flat(monkeypatch):
+    """The engine fills a gap at the start of a window from inside the
+    window only: held flat at the first present row, not interpolated from
+    the bucket before the window as `dataprep.fill_block` over the whole
+    series does."""
+    seen = forward_inputs(monkeypatch)
+    for span, want in ((4, [0.0, 1.0, 2.0, 3.0]), (3, [3.0, 3.0, 3.0])):
+        buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=span)
         for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
             buf.add(b, 0, v)
-        windows[span] = dict(buf.close_through(3))
-    np.testing.assert_array_equal(windows[4][4][:, 0], [0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(windows[3][4][:, 0], [3.0, 3.0, 3.0])
+            buf.add(b, 1, 5.0)
+        rows = dict(buf.close_through(3))[4]
+        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward([("A", 4, rows)])
+        np.testing.assert_array_equal(seen[-1][0, :, 0], want)
 
 
 def test_buffer_window_without_gaps_is_the_stored_rows():
@@ -309,8 +338,10 @@ def test_files_and_the_engine_read_a_line_by_one_rule(tmp_path_factory, line):
     """One line rule on every surface: `iter_records` rejects a line of a
     file exactly when `ingest_line` counts the same line, as stdin and TCP
     deliver it, malformed or out of range; a record both accept is filed
-    with the value the file reads; a blank line is neither rejected nor
-    counted."""
+    with the value the file reads, unless its bucket, or the timestamp of
+    the anchor after it (`dataprep.check_bucket`), does not fit int64: then
+    the file's read fails with a DataError, and the engine counts the line
+    out of range. A blank line is neither rejected nor counted."""
     line = line.replace(b"\n", b" ") + b"\n"
     path = tmp_path_factory.getbasetemp() / "one_line.ndjson"
     path.write_bytes(line)
@@ -319,15 +350,21 @@ def test_files_and_the_engine_read_a_line_by_one_rule(tmp_path_factory, line):
 
     params, config = zero_model()
     eng = stream.Engine(params, config, scaler=None)
+    try:
+        dataprep.read_series(path, eng.step_seconds, eng.channels, [])
+        unbucketed = 0
+    except DataError:
+        unbucketed = 1
     assert eng.ingest_line(line) == []
     counted = eng.counters["malformed"] + eng.counters["out_of_range"]
-    assert len(rejected) == counted
+    assert len(rejected) + unbucketed == counted
+    assert eng.counters["out_of_range"] >= unbucketed
     if not line.strip(b" \t\r\n"):
         assert records == [] and counted == 0
     for r in records:
         entry = dataprep.bucket_entry(r, eng.channels)
-        assert eng.counters["ingested"] == (entry is not None)
-        if entry is not None:
+        assert eng.counters["ingested"] == (entry is not None and not unbucketed)
+        if entry is not None and not unbucketed:
             sums, counts = eng.cells[r["cell"]].open[r["ts"] // eng.step_seconds]
             assert (sums[entry[0]], counts[entry[0]]) == (entry[1], 1)
 
@@ -893,17 +930,57 @@ def test_a_burst_runs_one_forward_over_the_cells_behind_the_watermark(monkeypatc
     assert [emitted(p) for p in online] == [emitted(p) for p in expected]
 
 
+def test_each_forwarded_window_is_filled_once(monkeypatch):
+    """A round-robin stream in which every record advances the watermark
+    and every window holds a gap (cell i % N reports at bucket i, span 2):
+    `fill_gaps` runs once per window the forward runs, and every close
+    reuses its speculated output without filling its window again."""
+    n_cells, step = 5, 300
+    params, config = random_model(WindowSpec(n_r=2), 13, input_dim=dataprep.RSRQ_BINS,
+                                  output_kind="pdf", use_external=False)
+    records = [rec("rsrq", f"C{i % n_cells}", i, i % 7, step=step) for i in range(4 * n_cells)]
+    fills, fill_gaps = [], dataprep.fill_gaps
+    monkeypatch.setattr(dataprep, "fill_gaps",
+                        lambda values, missing: fills.append(len(values))
+                        or fill_gaps(values, missing))
+    rows = counting_forward(monkeypatch)
+    eng = stream.Engine(params, config, None)
+    preds = feed(eng, records) + eng.flush()
+    assert len(preds) > 2 * n_cells
+    assert fills == [2] * sum(rows) and sum(rows) == len(preds)
+
+
+def test_engine_counts_a_timestamp_past_int64_out_of_range():
+    """A record whose anchor timestamp, (bucket + 1) * step_seconds, does
+    not fit int64 is counted out of range and filed nowhere, as the file
+    commands reject it (`dataprep.check_bucket`); the last bucket whose
+    anchor fits predicts that anchor's exact timestamp."""
+    eng = stream.Engine(*zero_model(), None)
+    last = (2**63 - 1) // 900 - 1  # (last + 1) * 900 fits, (last + 2) * 900 does not
+    for b in (last - 2, last - 1, last, last + 1):
+        for topic, value in (("load", 0.5), ("ue", 3.0)):
+            eng.ingest(rec(topic, "A", b, value))
+    assert eng.counters["out_of_range"] == 2 and eng.counters["ingested"] == 6
+    preds = eng.flush()
+    assert [p.anchor_ts for p in preds] == [(last + 1) * 900]
+    assert preds[0].to_dict()["anchor_ts"] == (last + 1) * 900 <= 2**63 - 1
+
+
 # ---------------------------------------------------------------------------
 # HTTP surface
 
 
 def test_http_endpoints():
+    """GET /predictions/{cell} reads the cell id percent-decoded from the
+    path without its query, so any cell id can be asked for."""
     params, config = zero_model()
     eng = stream.Engine(params, config, scaler=None)
     recs = []
+    cells = ["A", "plain", "caf\u00e9", "a b", "50%", "a?b"]
     for b in range(3):
-        recs.append(rec("load", "A", b, 0.4))
-        recs.append(rec("ue", "A", b, 10.0))
+        for cell in cells:
+            recs.append(rec("load", cell, b, 0.4))
+            recs.append(rec("ue", cell, b, 10.0))
     feed(eng, recs)
 
     server = stream.make_http_server(eng, "127.0.0.1", 0)
@@ -916,9 +993,16 @@ def test_http_endpoints():
         assert doc["cell"] == "A" and doc["h1"] == 0.5
         assert doc["anchor_ts"] == 2 * 900 and doc["model_version"] == 1
 
-        with urllib.request.urlopen(f"http://127.0.0.1:{port}/health") as resp:
-            health = json.loads(resp.read())
-        assert health["cells_ready"] == 1 and health["predictions"] == 1
+        for cell in cells:
+            for query in ("", "?fresh=1"):
+                url = f"http://127.0.0.1:{port}/predictions/{urllib.parse.quote(cell)}{query}"
+                with urllib.request.urlopen(url) as resp:
+                    assert json.loads(resp.read())["cell"] == cell
+
+        for query in ("", "?x=1"):
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/health{query}") as resp:
+                health = json.loads(resp.read())
+            assert health["cells_ready"] == len(cells) and health["predictions"] == len(cells)
 
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(f"http://127.0.0.1:{port}/predictions/ZZ")
