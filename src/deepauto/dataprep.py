@@ -354,12 +354,12 @@ def bucket_entry(rec, channels):
 
 
 def check_bucket(bucket, step_seconds):
-    """Raise OutOfRangeError unless the timestamp (bucket + 1) *
-    step_seconds of the anchor just after `bucket`, the largest anchor a
-    record in it can give, fits int64. A series' anchors lie after its
-    first bucket and at most one past its last, so when both pass, every
-    anchor timestamp of the series fits int64."""
-    if not -2**63 <= (bucket + 1) * step_seconds < 2**63:
+    """Raise OutOfRangeError unless `bucket` and the timestamp (bucket + 1)
+    * step_seconds of the anchor just after it, the largest anchor a record
+    in it can give, fit int64. A series' anchors lie after its first bucket
+    and at most one past its last, so when both pass, every anchor
+    timestamp of the series fits int64."""
+    if not (-2**63 <= bucket and -2**63 <= (bucket + 1) * step_seconds < 2**63):
         raise OutOfRangeError(f"bucket {bucket} of {step_seconds} s does not fit int64")
 
 

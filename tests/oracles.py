@@ -7,9 +7,11 @@ on `Windows.concat`: what it pins is the row order of a batch. The
 finite-difference gradient checker perturbs a flat parameter array one
 coordinate at a time (`flat_views` lays arrays out in one), and the
 per-anchor target and inverse-scaler references are NumPy. The per-bucket
-close is the engine's earlier loop, run on a package `CellBuffer` with its
-`bucket_values` and `window`: what it pins is which buckets close and what
-they leave held. `CellSeries` is one cell's series: tests build a package
+close is the engine's earlier loop, run on a row of a package `CellBuffer`
+with its `bucket_values` and `window`: what it pins is which buckets close
+and what they leave held. `ReferenceEngine` is the streaming engine's
+contract kept per cell in dicts and deques, one bucket and one window at
+a time, with no state code of the package's. `CellSeries` is one cell's series: tests build a package
 `SeriesBlock` from such cells (`series_block`) and read a block back one
 cell at a time (`cells_of`).
 
@@ -19,12 +21,15 @@ through these functions rather than copied from the implementation.
 
 import json
 import math
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
-from deepauto.dataprep import SeriesBlock, Windows, bucket_values
-from deepauto.errors import DataError, OutOfRangeError, ShapeError
+from deepauto.dataprep import (RSRQ_CHANNELS, SeriesBlock, Windows, bucket_entry, bucket_values,
+                               check_bucket, check_record, fill_block, make_windows)
+from deepauto.errors import ConfigError, DataError, ModelFormatError, OutOfRangeError, ShapeError
+from deepauto.model import forward_batch, load_file
 
 
 def sigmoid(x):
@@ -386,24 +391,149 @@ def invert_scaler(values, scaler):
     return np.where(scaler.constant, scaler.mins, values * span + scaler.mins)
 
 
-def close_through_per_bucket(buf, upto):
+def close_through_per_bucket(buf, r, upto):
     """`CellBuffer.close_through` as one close per bucket, empty or not, on
-    the CellBuffer `buf`: the loop from before gaps were skipped. Returns
-    the (anchor, window rows) of each closed bucket that has a window."""
-    start = min(buf.open, default=upto + 1) if buf.last_closed is None else buf.last_closed + 1
+    row `r` of the CellBuffer `buf`: the loop from before gaps were
+    skipped. Returns the (anchor, window rows) of each closed bucket that
+    has a window."""
+    open_, last = buf.open[r], buf.last_closed[r]
+    start = min(open_, default=upto + 1) if last is None else last + 1
     windows = []
     for b in range(start, upto + 1):
-        sums_counts = buf.open.pop(b, None)
+        sums_counts = open_.pop(b, None)
         if sums_counts is None:
             row = np.full(len(buf.channels), np.nan)
-            buf.empty_run += 1
+            buf.empty_run[r] += 1
         else:
-            row, missing = bucket_values(*sums_counts, buf.channels)
+            row, missing = bucket_values(*map(np.array, sums_counts), buf.channels)
             row[missing] = np.nan
-            buf.empty_run = 0
-        buf.closed.append(row)
-        buf.last_closed = b
-        rows = buf.window()
+            buf.empty_run[r] = 0
+        buf.rows[r] = np.concatenate([buf.rows[r, 1:], row[None]])
+        buf.held[r] = min(buf.held[r] + 1, buf.span)
+        buf.last_closed[r] = b
+        rows = buf.window(r)
         if rows is not None:
             windows.append((b + 1, rows))
     return windows
+
+
+class ReferenceEngine:
+    """The streaming engine's contract, one cell and one bucket at a time.
+    Per cell: a dict of open buckets ({bucket: (sums, counts)}), a deque of
+    its last span closed rows, and its last closed bucket. Each close runs
+    one bucket at a time, empty buckets included; a row is each channel's
+    mean (under RSRQ_CHANNELS each bin's share of the bucket's reports),
+    computed here in plain Python, NaN where nothing landed. Nothing runs
+    ahead: each closed bucket whose span rows give every channel a value
+    runs alone through one `fill_block`, `make_windows` and
+    `forward_batch`. The record checks are the package's.
+
+    `ingest(rec)` and `flush()` return (cell, anchor_ts, model version,
+    output bytes) of each prediction; `counters` and `latest` (cell ->
+    its last such tuple) follow the engine's. A reload keeps the newest
+    rows under the same channel layout and restarts every cell empty under
+    another."""
+
+    def __init__(self, params, config, scaler):
+        self.step = config.step_seconds
+        self.counters = dict.fromkeys(("ingested", "malformed", "out_of_range", "late_dropped",
+                                       "predictions", "reload_errors"), 0)
+        self.cells, self.latest, self.watermark, self.config = {}, {}, None, None
+        self._install(params, config, scaler, 1)
+
+    def _install(self, params, config, scaler, version):
+        span = config.window.history_span()
+        for cell, state in self.cells.items():
+            if config.channels == self.config.channels:
+                state["closed"] = deque(state["closed"], maxlen=span)
+            else:
+                self.cells[cell] = {"open": {}, "closed": deque(maxlen=span), "last": None}
+        self.params, self.config, self.scaler, self.version = params, config, scaler, version
+
+    def reload_model(self, path):
+        try:
+            params, config, scaler = load_file(path)
+            if config.step_seconds != self.config.step_seconds:
+                raise ConfigError("another bucket width")
+        except (OSError, ModelFormatError, ConfigError):
+            self.counters["reload_errors"] += 1
+            return False
+        self._install(params, config, scaler, self.version + 1)
+        return True
+
+    def ingest(self, rec):
+        channels = self.config.channels
+        try:
+            rec = check_record(rec)
+            entry = bucket_entry(rec, channels)
+            if entry is None:
+                return []
+            bucket = rec["ts"] // self.step
+            check_bucket(bucket, self.step)
+        except OutOfRangeError:
+            self.counters["out_of_range"] += 1
+            return []
+        except DataError:
+            self.counters["malformed"] += 1
+            return []
+        self.counters["ingested"] += 1
+        span = self.config.window.history_span()
+        state = self.cells.setdefault(rec["cell"], {"open": {}, "closed": deque(maxlen=span),
+                                                    "last": None})
+        if state["last"] is not None and bucket <= state["last"]:
+            self.counters["late_dropped"] += 1
+            return []
+        out = []
+        newest = max(state["open"], default=state["last"])
+        if newest is not None and bucket > newest:
+            out += self._close(rec["cell"], bucket - 1)
+        sums, counts = state["open"].setdefault(bucket, ([0.0] * len(channels),
+                                                         [0] * len(channels)))
+        channel, amount = entry
+        sums[channel] += amount
+        counts[channel] += 1
+        if self.watermark is None or bucket > self.watermark:
+            self.watermark = bucket
+            for cell, state in self.cells.items():
+                if state["open"]:
+                    out += self._close(cell, min(bucket - 2, max(state["open"])))
+        return out
+
+    def flush(self):
+        return [p for cell, state in self.cells.items() if state["open"]
+                for p in self._close(cell, max(state["open"]))]
+
+    def _row(self, sums_counts):
+        n = len(self.config.channels)
+        if sums_counts is None:
+            return [math.nan] * n
+        sums, counts = sums_counts
+        if self.config.channels == RSRQ_CHANNELS:
+            counts = [sum(sums)] * n
+        return [s / c if c else math.nan for s, c in zip(sums, counts)]
+
+    def _close(self, cell, upto):
+        state, span = self.cells[cell], self.config.window.history_span()
+        start = min(state["open"], default=upto + 1) if state["last"] is None \
+            else state["last"] + 1
+        out = []
+        for b in range(start, upto + 1):
+            state["closed"].append(self._row(state["open"].pop(b, None)))
+            state["last"] = b
+            rows = list(state["closed"])
+            if len(rows) == span and all(any(not math.isnan(row[c]) for row in rows)
+                                         for c in range(len(rows[0]))):
+                out.append(self._predict(cell, b + 1, np.array(rows)))
+        return out
+
+    def _predict(self, cell, anchor, rows):
+        span = len(rows)
+        block, _ = fill_block(SeriesBlock(rows, np.isnan(rows), [cell], np.array([0, span]),
+                                          np.array([anchor - span]), self.step,
+                                          self.config.channels))
+        inputs = make_windows(block, self.config.window, require_targets=False,
+                              scaler=self.scaler)
+        y, _ = forward_batch(inputs.arrays, self.params, self.config, cache=False)
+        self.latest[cell] = cell, anchor * self.step, self.version, y[0].tobytes()
+        self.counters["predictions"] += 1
+        return self.latest[cell]

@@ -3,7 +3,6 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from collections import deque
 
 import numpy as np
 import pytest
@@ -39,12 +38,22 @@ def rec(topic, cell, bucket, value, step=900, offset=0):
 # CellBuffer
 
 
+def one_cell(channels, span):
+    """A CellBuffer whose row 0 is cell "A"."""
+    return stream.CellBuffer(channels, span, ["A"])
+
+
+def held(buf, r=0):
+    """The closed rows that row `r` of `buf` holds, oldest first."""
+    return buf.rows[r, buf.span - buf.held[r]:]
+
+
 def test_buffer_duplicate_records_averaged():
-    buf = stream.CellBuffer(("load",), span=1)
-    buf.add(0, 0, 0.4)
-    buf.add(0, 0, 0.6)
-    assert [anchor for anchor, _ in buf.close_through(0)] == [1]
-    assert buf.closed[-1][0] == pytest.approx(0.5)
+    buf = one_cell(("load",), span=1)
+    buf.add(0, 0, 0, 0.4)
+    buf.add(0, 0, 0, 0.6)
+    assert [anchor for _, anchor, *_ in buf.close_through(0, 0)] == [1]
+    assert held(buf)[-1][0] == pytest.approx(0.5)
 
 
 def forward_inputs(monkeypatch):
@@ -61,29 +70,29 @@ def forward_inputs(monkeypatch):
 def test_buffer_window_warming_and_gaps(monkeypatch):
     """No window while fewer rows than the span are held; a window holds a
     missing bucket as NaN, and the engine runs it interpolated."""
-    short, long = (stream.CellBuffer(dataprep.LOAD_CHANNELS, span=n) for n in (3, 4))
+    short, long = (one_cell(dataprep.LOAD_CHANNELS, span=n) for n in (3, 4))
     for buf in (short, long):
         for b, v in [(0, 1.0), (2, 3.0)]:  # bucket 1 empty
-            buf.add(b, 0, v)
-            buf.add(b, 1, 5.0)
-        assert buf.close_through(1) == [] and buf.window() is None  # warming up
-    assert long.close_through(2) == [] and long.window() is None  # 3 of 4 rows held
-    (anchor, rows), = short.close_through(2)
+            buf.add(0, b, 0, v)
+            buf.add(0, b, 1, 5.0)
+        assert buf.close_through(0, 1) == [] and buf.window(0) is None  # warming up
+    assert long.close_through(0, 2) == [] and long.window(0) is None  # 3 of 4 rows held
+    (_, anchor, rows, _), = short.close_through(0, 2)
     assert anchor == 3
     np.testing.assert_array_equal(rows[:, 0], [1.0, np.nan, 3.0])  # gap left unfilled
-    assert short.window().tobytes() == rows.tobytes()
+    assert short.window(0).tobytes() == rows.tobytes()
     seen = forward_inputs(monkeypatch)
-    stream.Engine(*zero_model(WindowSpec(n_r=3)), None)._forward([("A", anchor, rows)])
+    stream.Engine(*zero_model(WindowSpec(n_r=3)), None)._forward(["A"], [anchor], rows[None])
     np.testing.assert_allclose(seen[0][0, :, 0], [1.0, 2.0, 3.0])  # gap interpolated
     assert np.isnan(rows[1]).all()  # the forward filled a copy
 
 
 def test_buffer_all_missing_channel_not_ready():
-    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=2)
-    buf.add(0, 0, 1.0)
-    buf.add(1, 0, 2.0)
-    assert buf.close_through(1) == []
-    assert buf.window() is None  # channel 1 never observed
+    buf = one_cell(dataprep.LOAD_CHANNELS, span=2)
+    buf.add(0, 0, 0, 1.0)
+    buf.add(0, 1, 0, 2.0)
+    assert buf.close_through(0, 1) == []
+    assert buf.window(0) is None  # channel 1 never observed
 
 
 def test_buffer_window_fill_matches_fill_gaps(monkeypatch):
@@ -95,26 +104,28 @@ def test_buffer_window_fill_matches_fill_gaps(monkeypatch):
     observed[[0, 12, 29]] = True
     seen = forward_inputs(monkeypatch)
     for span in (30, 8, 1):
-        buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=span)
+        buf = one_cell(dataprep.LOAD_CHANNELS, span=span)
         for b in range(30):
             for ch in range(2):
                 if observed[b, ch]:
-                    buf.add(b, ch, raw[b, ch])
+                    buf.add(0, b, ch, raw[b, ch])
         windows, expected = [], []
         for b in range(30):
-            got = buf.close_through(b)
-            stored = np.array(buf.closed)
+            got = buf.close_through(0, b)
+            stored = held(buf).copy()
             filled = stored.copy()
             if len(stored) < span or dataprep.fill_gaps(filled, np.isnan(stored)) is not None:
                 assert got == []
                 continue
-            (anchor, rows), = got
+            (_, anchor, rows, _), = got
             assert anchor == b + 1 and rows.tobytes() == stored.tobytes()
-            windows.append(("A", anchor, rows))
+            windows.append((anchor, rows))
             expected.append(filled)
         assert anchor == 30
         seen.clear()
-        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward(windows)
+        anchors, rows = zip(*windows)
+        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward(
+            ["A"] * len(rows), list(anchors), np.array(rows))
         assert np.concatenate(seen).tobytes() == np.array(expected).tobytes()
 
 
@@ -125,23 +136,23 @@ def test_buffer_window_holds_leading_gap_flat(monkeypatch):
     series does."""
     seen = forward_inputs(monkeypatch)
     for span, want in ((4, [0.0, 1.0, 2.0, 3.0]), (3, [3.0, 3.0, 3.0])):
-        buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=span)
+        buf = one_cell(dataprep.LOAD_CHANNELS, span=span)
         for b, v in [(0, 0.0), (3, 3.0)]:  # buckets 1 and 2 empty
-            buf.add(b, 0, v)
-            buf.add(b, 1, 5.0)
-        rows = dict(buf.close_through(3))[4]
-        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward([("A", 4, rows)])
+            buf.add(0, b, 0, v)
+            buf.add(0, b, 1, 5.0)
+        rows = {anchor: rows for _, anchor, rows, _ in buf.close_through(0, 3)}[4]
+        stream.Engine(*zero_model(WindowSpec(n_r=span)), None)._forward(["A"], [4], rows[None])
         np.testing.assert_array_equal(seen[-1][0, :, 0], want)
 
 
 def test_buffer_window_without_gaps_is_the_stored_rows():
-    buf = stream.CellBuffer(dataprep.LOAD_CHANNELS, span=4)
+    buf = one_cell(dataprep.LOAD_CHANNELS, span=4)
     for b in range(5):
-        buf.add(b, 0, 0.1 * b)
-        buf.add(b, 1, 1.0 - 0.1 * b)
-    buf.close_through(4)
-    rows = buf.window()
-    assert rows.tobytes() == np.array(buf.closed).tobytes()
+        buf.add(0, b, 0, 0.1 * b)
+        buf.add(0, b, 1, 1.0 - 0.1 * b)
+    buf.close_through(0, 4)
+    rows = buf.window(0)
+    assert rows.tobytes() == held(buf).tobytes()
     np.testing.assert_array_equal(rows[:, 0], 0.1 * np.arange(1, 5))
 
 
@@ -157,8 +168,17 @@ def test_engine_step_defaults_to_config_bucket_width():
 
 
 def _buffer_state(buf):
-    return (buf.last_closed, buf.empty_run, sorted(buf.open), buf.closed.maxlen,
-            [row.tobytes() for row in buf.closed])
+    return (buf.last_closed[0], buf.empty_run[0], sorted(buf.open[0]), buf.span,
+            [row.tobytes() for row in held(buf)])
+
+
+def _due_columns(buf):
+    """Row 0's `first_due` and `last_open` as its open buckets and last
+    close give them."""
+    if not buf.open[0]:
+        return stream.NONE_OPEN
+    last = buf.last_closed[0]
+    return min(buf.open[0]) if last is None else last + 1, max(buf.open[0])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -169,25 +189,29 @@ def test_close_through_matches_the_per_bucket_loop(seed, span):
     (anchor, rows) emitted, the same last bucket closed and the same rows
     held, although the buffer skips the empty buckets of a long gap."""
     rng = np.random.default_rng(seed)
-    fast, slow = (stream.CellBuffer(dataprep.LOAD_CHANNELS, span) for _ in range(2))
+    fast, slow = (one_cell(dataprep.LOAD_CHANNELS, span) for _ in range(2))
     for _ in range(int(rng.integers(1, 40))):
-        frontier = max([fast.last_closed if fast.last_closed is not None else -1, *fast.open])
+        last = fast.last_closed[0]
+        frontier = max([last if last is not None else -1, *fast.open[0]])
         op = rng.random()
         if op < 0.55:
             bucket = frontier + int(rng.integers(0, 4 * span + 3))
-            if fast.last_closed is None or bucket > fast.last_closed:
+            if last is None or bucket > last:
                 entry = int(rng.integers(2)), float(rng.random())
-                fast.add(bucket, *entry)
-                slow.add(bucket, *entry)
+                fast.add(0, bucket, *entry)
+                slow.add(0, bucket, *entry)
         elif op < 0.9:
             upto = frontier + int(rng.integers(-2, 4 * span + 3))
-            got, expected = fast.close_through(upto), oracles.close_through_per_bucket(slow, upto)
-            assert [(a, rows.tobytes()) for a, rows in got] == \
+            got, expected = fast.close_through(0, upto), \
+                oracles.close_through_per_bucket(slow, 0, upto)
+            assert [(a, rows.tobytes()) for _, a, rows, _ in got] == \
                 [(a, rows.tobytes()) for a, rows in expected]
         else:
             maxlen = int(rng.integers(1, 7))
-            fast.closed, slow.closed = (deque(buf.closed, maxlen=maxlen) for buf in (fast, slow))
+            fast.respan(maxlen)
+            slow.respan(maxlen)
         assert _buffer_state(fast) == _buffer_state(slow)
+        assert (fast.first_due[0], fast.last_open[0]) == _due_columns(fast)
 
 
 def test_engine_closes_a_far_gap_in_time_bounded_by_the_span():
@@ -206,30 +230,31 @@ def test_engine_closes_a_far_gap_in_time_bounded_by_the_span():
     # bucket 3 closes at the far record, and so does empty bucket 4, whose
     # window is filled from bucket 3; the far bucket closes at the flush
     assert [p.anchor_ts // 900 for p in got] == [4, 5, far + 1]
-    assert engine.cells["A"].last_closed == far
+    assert engine.buffer.last_closed[engine.cells["A"]] == far
 
 
 def test_buffer_eviction():
-    buf = stream.CellBuffer(("load",), span=3)
+    buf = one_cell(("load",), span=3)
     for b in range(10):
-        buf.add(b, 0, float(b))
-    buf.close_through(9)
-    assert [row[0] for row in buf.closed] == [7.0, 8.0, 9.0]
+        buf.add(0, b, 0, float(b))
+    buf.close_through(0, 9)
+    assert [row[0] for row in held(buf)] == [7.0, 8.0, 9.0]
 
 
 def test_buffer_rsrq_layout_closes_bin_shares():
     """Under the RSRQ layout a closed bucket holds each bin's share of its
     reports, and a bucket with no report is NaN in every bin."""
-    buf = stream.CellBuffer(dataprep.RSRQ_CHANNELS, span=5)
+    buf = one_cell(dataprep.RSRQ_CHANNELS, span=5)
     for value in (0, 2, 2, 2):
-        buf.add(0, *dataprep.bucket_entry(rec("rsrq", "A", 0, value, step=300),
-                                          dataprep.RSRQ_CHANNELS))
-    buf.add(2, 5, 1.0)
-    buf.close_through(2)
-    np.testing.assert_array_equal(buf.closed[0][:4], [0.25, 0.0, 0.75, 0.0])
-    assert buf.closed[0].sum() == 1.0
-    assert np.isnan(buf.closed[1]).all()
-    assert buf.closed[2][5] == 1.0
+        buf.add(0, 0, *dataprep.bucket_entry(rec("rsrq", "A", 0, value, step=300),
+                                             dataprep.RSRQ_CHANNELS))
+    buf.add(0, 2, 5, 1.0)
+    buf.close_through(0, 2)
+    closed = held(buf)
+    np.testing.assert_array_equal(closed[0][:4], [0.25, 0.0, 0.75, 0.0])
+    assert closed[0].sum() == 1.0
+    assert np.isnan(closed[1]).all()
+    assert closed[2][5] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +390,7 @@ def test_files_and_the_engine_read_a_line_by_one_rule(tmp_path_factory, line):
         entry = dataprep.bucket_entry(r, eng.channels)
         assert eng.counters["ingested"] == (entry is not None and not unbucketed)
         if entry is not None and not unbucketed:
-            sums, counts = eng.cells[r["cell"]].open[r["ts"] // eng.step_seconds]
+            sums, counts = eng.buffer.open[eng.cells[r["cell"]]][r["ts"] // eng.step_seconds]
             assert (sums[entry[0]], counts[entry[0]]) == (entry[1], 1)
 
 
@@ -414,8 +439,7 @@ def test_long_gap_ingests_in_linear_time():
     start = time.perf_counter()
     preds = feed(eng, records(after))
     assert time.perf_counter() - start < 10.0  # ~0.3 s; the dict walk took ~28 s
-    buf = eng.cells["A"]
-    assert len(buf.closed) <= eng.span
+    assert eng.buffer.held[eng.cells["A"]] <= eng.buffer.rows.shape[1] == eng.span
 
     fresh = stream.Engine(params, config, scaler=None)
     expected = feed(fresh, records(after))
@@ -488,7 +512,8 @@ def test_record_after_the_watermark_closed_its_cell_closes_the_gap():
     feed(eng, [rec(topic, "X", b, 0.3 if topic == "load" else 5.0)
                for b in range(4) for topic in ("load", "ue")])
     feed(eng, [rec("load", "Y", 10, 0.6)])  # the watermark closes X through 3
-    assert not eng.cells["X"].open and eng.cells["X"].last_closed == 3
+    x = eng.cells["X"]
+    assert not eng.buffer.open[x] and eng.buffer.last_closed[x] == 3
     preds = feed(eng, [rec("load", "X", 9, 0.3)])
     assert [(p.cell_id, p.anchor_ts) for p in preds] == [("X", 5 * 900)]
 
@@ -530,7 +555,7 @@ def test_engine_counts_non_bin_rsrq_values_out_of_range():
     assert eng.health()["out_of_range"] == 6
     eng.ingest(rec("rsrq", "A", 0, 3, step=300))
     assert eng.health()["ingested"] == 1
-    assert list(eng.cells["A"].open) == [0]
+    assert list(eng.buffer.open[eng.cells["A"]]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +725,7 @@ def test_bucket_before_first_close_is_closed_and_predicted():
 
     eng = stream.Engine(params, config, scaler, step_seconds=step)
     online = feed(eng, records) + eng.flush()
-    assert eng.cells["A"].open == {}
+    assert eng.buffer.open[eng.cells["A"]] == {}
     assert eng.health()["late_dropped"] == 0
 
     samples = pipeline.prediction_samples(pipeline.load_series(records, step), window, scaler)
@@ -798,11 +823,13 @@ LOAD_SCALER = fit_scaler(np.array([[0.0, 0.0], [1.0, 40.0]]), ("load", "ue"))
 @pytest.fixture(scope="module")
 def reload_paths(tmp_path_factory):
     """Model files to reload mid-stream: the same layout and span with other
-    weights, the same layout with a longer span, and a histogram model."""
+    weights, the same layout with a periodic branch, the same layout with a
+    longer span, and a histogram model."""
     root = tmp_path_factory.mktemp("reload")
     models = {"same_span": (*random_model(WindowSpec(n_r=3), 5), LOAD_SCALER),
               "longer": (*random_model(WindowSpec(n_r=2, n_p=1, period_steps=3), 6),
                          LOAD_SCALER),
+              "span_5": (*random_model(WindowSpec(n_r=5), 8), LOAD_SCALER),
               "pdf": (*random_model(WindowSpec(n_r=2), 7, input_dim=dataprep.RSRQ_BINS,
                                     output_kind="pdf", use_external=False,
                                     step_seconds=900), None)}
@@ -869,6 +896,61 @@ def test_speculation_changes_no_emission(reload_paths, seed, reload):
         ours, theirs = shipped.latest(cell), plain.latest(cell)
         assert (ours is None) == (theirs is None)
         assert ours is None or emitted(ours) == emitted(theirs)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([None, "same_span", "longer", "span_5", "pdf"]))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_the_reference_engine(reload_paths, seed, reload):
+    """The engine and `oracles.ReferenceEngine` (per-cell dicts and deques,
+    one close per bucket, nothing run ahead, one forward per window), fed
+    the same random stream (reordered, duplicated, late and gapped records,
+    and maybe a reload mid-stream, also to a longer span), emit the same
+    records in the same order, bit for bit and with the same versions, and
+    end with the same counters and the same latest prediction per cell."""
+    rng = np.random.default_rng(seed)
+    params, config = random_model(WindowSpec(n_r=3), seed % 1000, batch_size=3)
+    engine = stream.Engine(params, config, LOAD_SCALER)
+    reference = oracles.ReferenceEngine(params, config, LOAD_SCALER)
+    cells = [f"C{k}" for k in range(int(rng.integers(1, 7)))]
+    records = random_stream(rng, cells, int(rng.integers(4, 16)), span=3)
+    at = int(rng.integers(len(records) + 1)) if reload else None
+    ours, theirs = [], []
+    for k, r in enumerate(records):
+        if k == at:
+            assert engine.reload_model(reload_paths[reload]) == (True, None)
+            assert reference.reload_model(reload_paths[reload])
+        ours += engine.ingest(r)
+        theirs += reference.ingest(r)
+    ours += engine.flush()
+    theirs += reference.flush()
+
+    def key(p):
+        return p.cell_id, p.anchor_ts, p.model_version, p.outputs.tobytes()
+
+    assert [key(p) for p in ours] == theirs
+    assert engine.counters == reference.counters
+    for cell in cells:
+        ours = engine.latest(cell)
+        assert (None if ours is None else key(ours)) == reference.latest.get(cell)
+
+
+def test_a_watermark_advance_closes_only_the_cells_due(monkeypatch):
+    """A round-robin stream in which every record advances the watermark
+    (cell i % N reports at bucket i, N = 50, 2N records) makes at most one
+    per-cell close per record, plus N: an advance closes the cells with a
+    bucket at or before its horizon, not every cell with one open."""
+    n_cells, step = 50, 300
+    params, config = random_model(WindowSpec(n_r=2), 14, input_dim=dataprep.RSRQ_BINS,
+                                  output_kind="pdf", use_external=False)
+    records = [rec("rsrq", f"C{i % n_cells}", i, i % 7, step=step) for i in range(2 * n_cells)]
+    calls, close_through = [], stream.CellBuffer.close_through
+    monkeypatch.setattr(stream.CellBuffer, "close_through",
+                        lambda buf, *a: calls.append(a[0]) or close_through(buf, *a))
+    eng = stream.Engine(params, config, None)
+    preds = feed(eng, records) + eng.flush()
+    assert len(preds) == len(records)
+    assert len(calls) <= len(records) + n_cells
 
 
 def counting_forward(monkeypatch):
@@ -964,6 +1046,22 @@ def test_engine_counts_a_timestamp_past_int64_out_of_range():
     preds = eng.flush()
     assert [p.anchor_ts for p in preds] == [(last + 1) * 900]
     assert preds[0].to_dict()["anchor_ts"] == (last + 1) * 900 <= 2**63 - 1
+
+
+def test_engine_counts_a_bucket_below_int64_out_of_range(tmp_path):
+    """At one-second buckets a `ts` of -2**63 - 1 names a bucket that does
+    not fit int64: the engine counts the record out of range, as a file's
+    read rejects it, and files the record at -2**63."""
+    eng = stream.Engine(*zero_model(), None, step_seconds=1)
+    low = rec("load", "A", 0, 0.5, step=1, offset=-2**63 - 1)
+    assert eng.ingest(low) == []
+    assert (eng.counters["out_of_range"], eng.counters["ingested"]) == (1, 0)
+    path = tmp_path / "low.ndjson"
+    path.write_text(json.dumps(low) + "\n")
+    with pytest.raises(DataError):
+        dataprep.read_series(path, 1, eng.channels, [])
+    eng.ingest(rec("load", "A", 0, 0.5, step=1, offset=-2**63))
+    assert list(eng.buffer.open[eng.cells["A"]]) == [-2**63]
 
 
 # ---------------------------------------------------------------------------
